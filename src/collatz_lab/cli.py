@@ -1,344 +1,54 @@
 """Command-line surface: trajectories, checkpointed range sweeps, fact suites, trees, cycles.
 
-Exit codes: 0 success, 1 mathematical violation (or, with --strict,
-inconclusive results), 2 usage or IO errors.  All machine-readable output
-is JSON with a schema_version field; human output is stable line-oriented
-text.
+This module parses arguments and renders output; the work happens in the
+library modules.  Exit codes: 0 success, 1 mathematical violation (or,
+with --strict, inconclusive results), 2 usage or IO errors, including
+unreadable or mismatched checkpoints and unwritable output paths.  All
+machine-readable output is JSON with a schema_version field; human output
+is stable line-oriented text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import cycles as cycles_mod
 from . import facts as facts_mod
-from .facts import RangeReport
-from .trajectory import OrbitOutcome, converges, orbit, reduced_orbit
+from .facts import SCHEMA_VERSION, RangeReport, witnesses_to_json
+from .sweep import DEFAULT_CHUNK_SIZE, TASK_VERIFY_RANGE, CheckpointError, RangeVerifier
+from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
 from .tree import TreeFlavor, build_tree, export_dot, export_json
 
-SCHEMA_VERSION = 1
-TASK_VERIFY_RANGE = "verify-range"
+# Not used here; perfbench/run.py reads the checkpoint functions from this module.
+from .sweep import load_checkpoint, write_checkpoint  # noqa: F401
+
 WORKERS_ENV = "COLLATZ_LAB_WORKERS"
-DEFAULT_CHUNK_SIZE = 1 << 16
-DEFAULT_BUDGET = 10**6
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-class CheckpointError(Exception):
-    """A checkpoint file is unreadable or does not match the requested run."""
-
-
-def _pick(value_a: int, at_a: int, value_b: int, at_b: int) -> tuple[int, int]:
-    # Associative, order-independent max with smallest-argument tie-break;
-    # at == 0 means "nothing observed yet".
-    if at_a == 0:
-        return value_b, at_b
-    if at_b == 0:
-        return value_a, at_a
-    if value_b > value_a or (value_b == value_a and at_b < at_a):
-        return value_b, at_b
-    return value_a, at_a
-
-
-@dataclass
-class SweepStats:
-    """Records of a convergence sweep: most steps spent on one start, highest peak.
-
-    Step counts are per-start verification work: the orbit is followed
-    until it reaches 1 or drops onto an already-verified smaller start, so
-    for a single-value range they equal the full orbit statistics.
-    """
-
-    max_steps: int = 0
-    max_steps_at: int = 0
-    max_peak: int = 0
-    max_peak_at: int = 0
-
-    def observe(self, n: int, steps: int, peak: int) -> None:
-        self.max_steps, self.max_steps_at = _pick(
-            self.max_steps, self.max_steps_at, steps, n
-        )
-        self.max_peak, self.max_peak_at = _pick(self.max_peak, self.max_peak_at, peak, n)
-
-    def merge(self, other: "SweepStats") -> None:
-        self.max_steps, self.max_steps_at = _pick(
-            self.max_steps, self.max_steps_at, other.max_steps, other.max_steps_at
-        )
-        self.max_peak, self.max_peak_at = _pick(
-            self.max_peak, self.max_peak_at, other.max_peak, other.max_peak_at
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "max_steps_at": self.max_steps_at,
-            "max_peak": self.max_peak,
-            "max_peak_at": self.max_peak_at,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SweepStats":
-        return cls(
-            max_steps=int(doc["max_steps"]),
-            max_steps_at=int(doc["max_steps_at"]),
-            max_peak=int(doc["max_peak"]),
-            max_peak_at=int(doc["max_peak_at"]),
-        )
-
-
-@dataclass
-class Checkpoint:
-    """Atomic progress snapshot of a range sweep.
-
-    Resuming from a checkpoint and running to completion yields the same
-    final report as an uninterrupted run; witnesses found so far are part
-    of the snapshot for exactly that reason.
-    """
-
-    task: str
-    lo: int
-    hi: int
-    verified_up_to: int
-    stats: SweepStats
-    violations: list[tuple[int, str]] = field(default_factory=list)
-    inconclusive: list[tuple[int, str]] = field(default_factory=list)
-    timestamp: str = ""
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": self.task,
-            "range": [self.lo, self.hi],
-            "verified_up_to": self.verified_up_to,
-            "stats": self.stats.to_json_dict(),
-            "violations": [{"x": x, "detail": d} for x, d in self.violations],
-            "inconclusive": [{"x": x, "detail": d} for x, d in self.inconclusive],
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-
-def _witness_list(entries: list[dict]) -> list[tuple[int, str]]:
-    return [(int(e["x"]), str(e["detail"])) for e in entries]
-
-
-def load_checkpoint(path: Path) -> Checkpoint:
-    """Read and validate a checkpoint file; CheckpointError on anything off."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint schema_version: {doc.get('schema_version')!r}"
-            )
-        lo, hi = (int(v) for v in doc["range"])
-        return Checkpoint(
-            task=str(doc["task"]),
-            lo=lo,
-            hi=hi,
-            verified_up_to=int(doc["verified_up_to"]),
-            stats=SweepStats.from_json_dict(doc["stats"]),
-            violations=_witness_list(doc["violations"]),
-            inconclusive=_witness_list(doc["inconclusive"]),
-            timestamp=str(doc.get("timestamp", "")),
-        )
-    except CheckpointError:
-        raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-
-
-def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
-    """Write atomically: the file is always a complete snapshot, never torn."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(checkpoint.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
-def _sweep_chunk(task: tuple[int, int, int, int]) -> tuple[int, SweepStats, list, list]:
-    """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
-
-    Each start is followed until it reaches 1 or drops onto a smaller,
-    already-verified start; a drop below the whole range is chased to 1
-    since nothing below range_lo is covered by this run.
-    """
-    lo, hi, range_lo, budget = task
-    stats = SweepStats()
-    violations: list[tuple[int, str]] = []
-    inconclusive: list[tuple[int, str]] = []
-    for n in range(lo, hi + 1):
-        status = converges(n, budget, n)
-        steps = status.steps_used
-        peak = status.peak
-        if status.outcome is OrbitOutcome.BUDGET_EXHAUSTED:
-            inconclusive.append((n, f"no conclusion within {budget} steps"))
-        elif (
-            status.outcome is OrbitOutcome.DROPPED_BELOW_FLOOR
-            and status.final < range_lo
-        ):
-            tail = converges(status.final, budget - steps, 1)
-            steps += tail.steps_used
-            peak = max(peak, tail.peak)
-            if tail.outcome is not OrbitOutcome.REACHED_TARGET:
-                inconclusive.append((n, f"no conclusion within {budget} steps"))
-        stats.observe(n, steps, peak)
-    return hi, stats, violations, inconclusive
-
-
-class RangeVerifier:
-    """Ascending chunked convergence sweep with atomic checkpointing.
-
-    Chunks are verified strictly in ascending order (a chunk is only
-    marked verified once everything below it is), which is what makes the
-    below-floor early exit of each orbit sound.  Per-start results do not
-    depend on worker layout, so any worker count produces the identical
-    report.
-    """
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        *,
-        budget: int = DEFAULT_BUDGET,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        checkpoint_path: Path | None = None,
-        resume: bool = False,
-    ):
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        self.lo = lo
-        self.hi = hi
-        self.budget = budget
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-
-        if resume:
-            if self.checkpoint_path is None:
-                raise CheckpointError("resume requires a checkpoint path")
-            cp = load_checkpoint(self.checkpoint_path)
-            if cp.task != TASK_VERIFY_RANGE or (cp.lo, cp.hi) != (lo, hi):
-                raise CheckpointError(
-                    f"checkpoint is for {cp.task} [{cp.lo}, {cp.hi}], "
-                    f"not {TASK_VERIFY_RANGE} [{lo}, {hi}]"
-                )
-            if not lo <= cp.verified_up_to <= hi:
-                raise CheckpointError(
-                    f"checkpoint verified_up_to {cp.verified_up_to} outside [{lo}, {hi}]"
-                )
-            self._next = cp.verified_up_to + 1
-            self._stats = cp.stats
-            self._violations = list(cp.violations)
-            self._inconclusive = list(cp.inconclusive)
-        else:
-            self._next = lo
-            self._stats = SweepStats()
-            self._violations = []
-            self._inconclusive = []
-
-    @property
-    def stats(self) -> SweepStats:
-        return self._stats
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot of the progress so far (requires at least one finished chunk)."""
-        if self._next == self.lo:
-            raise CheckpointError("no chunk verified yet, nothing to checkpoint")
-        return Checkpoint(
-            task=TASK_VERIFY_RANGE,
-            lo=self.lo,
-            hi=self.hi,
-            verified_up_to=self._next - 1,
-            stats=self._stats,
-            violations=self._violations,
-            inconclusive=self._inconclusive,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def _pending_chunks(self) -> list[tuple[int, int, int, int]]:
-        tasks = []
-        a = self._next
-        while a <= self.hi:
-            b = min(a + self.chunk_size - 1, self.hi)
-            tasks.append((a, b, self.lo, self.budget))
-            a = b + 1
-        return tasks
-
-    def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
-        chunk_hi, stats, violations, inconclusive = result
-        self._stats.merge(stats)
-        self._violations.extend(violations)
-        self._inconclusive.extend(inconclusive)
-        self._next = chunk_hi + 1
-        if self.checkpoint_path is not None:
-            write_checkpoint(self.checkpoint_path, self.checkpoint())
-
-    def run(self, max_chunks: int | None = None) -> RangeReport | None:
-        """Process pending chunks (all of them unless `max_chunks` limits the pass).
-
-        Returns the final report once the whole range is verified, None if
-        chunks remain (partial pass).
-        """
-        t0 = time.perf_counter()
-        tasks = self._pending_chunks()
-        if max_chunks is not None:
-            tasks = tasks[:max_chunks]
-        if self.workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                self._consume(_sweep_chunk(task))
-        else:
-            with multiprocessing.Pool(self.workers) as pool:
-                # imap preserves submission order: chunks are consumed, and
-                # therefore checkpointed, strictly ascending.
-                for result in pool.imap(_sweep_chunk, tasks):
-                    self._consume(result)
-        if self._next <= self.hi:
-            return None
-        return RangeReport(
-            fact_id="convergence",
-            lo=self.lo,
-            hi=self.hi,
-            checked=self.hi - self.lo + 1,
-            violations=self._violations,
-            inconclusive=self._inconclusive,
-            elapsed=time.perf_counter() - t0,
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _report_exit(
-    violations: int, inconclusive: int, strict: bool
-) -> int:
-    if violations:
-        return EXIT_VIOLATION
-    if strict and inconclusive:
-        return EXIT_VIOLATION
-    return EXIT_OK
+def _report_exit(violations: int, inconclusive: int, strict: bool) -> int:
+    return EXIT_VIOLATION if violations or (strict and inconclusive) else EXIT_OK
+
+
+def _write_output(args: argparse.Namespace, doc: dict, code: int, refusal: str) -> None:
+    """Write `doc` to the -o path; after an unclean run only with --force."""
+    if args.output is None:
+        return
+    if code == EXIT_OK or args.force:
+        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+    else:
+        print(f"not writing {args.output}: {refusal}", file=sys.stderr)
 
 
 def _print_report(report: RangeReport) -> None:
@@ -354,14 +64,10 @@ def _print_report(report: RangeReport) -> None:
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
-    try:
-        if args.reduced:
-            traj = reduced_orbit(args.n, args.budget)
-        else:
-            traj = orbit(args.n, args.budget, 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.reduced:
+        traj = reduced_orbit(args.n, args.budget)
+    else:
+        traj = orbit(args.n, args.budget, 1)
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -385,19 +91,15 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_range(args: argparse.Namespace) -> int:
-    try:
-        verifier = RangeVerifier(
-            args.lo,
-            args.hi,
-            budget=args.budget,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-        )
-    except (CheckpointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    verifier = RangeVerifier(
+        args.lo,
+        args.hi,
+        budget=args.budget,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+    )
     report = verifier.run()
     assert report is not None
     stats = verifier.stats
@@ -407,8 +109,8 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
             "task": TASK_VERIFY_RANGE,
             "range": [report.lo, report.hi],
             "checked": report.checked,
-            "violations": [{"x": x, "detail": d} for x, d in report.violations],
-            "inconclusive": [{"x": x, "detail": d} for x, d in report.inconclusive],
+            "violations": witnesses_to_json(report.violations),
+            "inconclusive": witnesses_to_json(report.inconclusive),
             "stats": stats.to_json_dict(),
             "workers": args.workers,
             "chunk_size": args.chunk_size,
@@ -436,23 +138,15 @@ def _run_fact_suite(name: str, lo: int, hi: int, budget: int) -> RangeReport:
     if name == "small-cycles":
         return cycles_mod.verify_no_small_cycles(hi)
     if name == "c0-structure":
-        return cycles_mod.verify_c0_structure(hi)
+        return cycles_mod.verify_c0_structure(hi, budget=budget)
     raise AssertionError(name)
 
 
 def _cmd_facts(args: argparse.Namespace) -> int:
     names = list(_FACT_SUITES) if args.suite == "all" else [args.suite]
     if args.lo != 1 and any(n in ("small-cycles", "c0-structure") for n in names):
-        print(
-            "error: small-cycles and c0-structure sweep [1, hi]; lo must be 1",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        reports = [_run_fact_suite(n, args.lo, args.hi, args.budget) for n in names]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("small-cycles and c0-structure sweep [1, hi]; lo must be 1")
+    reports = [_run_fact_suite(n, args.lo, args.hi, args.budget) for n in names]
     violations = sum(len(r.violations) for r in reports)
     inconclusive = sum(len(r.inconclusive) for r in reports)
     doc = {
@@ -466,11 +160,7 @@ def _cmd_facts(args: argparse.Namespace) -> int:
         for r in reports:
             _print_report(r)
     code = _report_exit(violations, inconclusive, args.strict)
-    if args.output is not None:
-        if code == EXIT_OK or args.force:
-            Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
-        else:
-            print(f"not writing {args.output}: run was not clean", file=sys.stderr)
+    _write_output(args, doc, code, "run was not clean")
     return code
 
 
@@ -478,13 +168,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     flavor = TreeFlavor.REDUCED if args.reduced else TreeFlavor.FULL
     root = args.root if args.root is not None else (2 if args.reduced else 1)
     if args.max_depth is None and args.max_value is None:
-        print("error: need --max-depth and/or --max-value", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tree = build_tree(flavor, root, args.max_depth, args.max_value)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("need --max-depth and/or --max-value")
+    tree = build_tree(flavor, root, args.max_depth, args.max_value)
     text = export_json(tree) if args.json else export_dot(tree)
     if args.output is not None:
         Path(args.output).write_text(text)
@@ -499,11 +184,7 @@ def _known_family(candidate: cycles_mod.CycleCandidate) -> bool:
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
-    try:
-        found = cycles_mod.search_cycles(args.max_len, diagnostic=args.diagnostic)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    found = cycles_mod.search_cycles(args.max_len, diagnostic=args.diagnostic)
     consistent = [c for c in found if c.consistent]
     family_ok = all(_known_family(c) for c in consistent)
     doc = {
@@ -535,11 +216,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         verdict = "only the known {1, 2} family" if family_ok else "UNEXPECTED CYCLE"
         print(f"{len(found)} candidates up to length {args.max_len}: {verdict}")
     code = EXIT_OK if family_ok else EXIT_VIOLATION
-    if args.output is not None:
-        if code == EXIT_OK or args.force:
-            Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
-        else:
-            print(f"not writing {args.output}: unexpected candidates", file=sys.stderr)
+    _write_output(args, doc, code, "unexpected candidates")
     return code
 
 
@@ -616,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from .core_map import ResidueClass, Rule, residue_class, step
 from .facts import RangeReport
+from .trajectory import DEFAULT_BUDGET
 
 #: Enumeration is 2^k words per length; lengths beyond this are refused.
 MAX_SEARCH_LEN = 30
@@ -199,12 +200,16 @@ def search_cycles(max_len: int, diagnostic: bool = False) -> list[CycleCandidate
                 m &= m - 1
             if addend % d:
                 continue
-            if addend // d < 1:
+            x = addend // d
+            if x < 1:
                 continue
-            cand = fixed_point(RuleSequence(_mask_to_rules(mask, k)))
-            assert cand is not None and cand.x == addend // d
-            if cand.consistent or diagnostic:
-                found.append(cand)
+            # The same candidate fixed_point() would build, without recomposing
+            # the word; tests pin the agreement over every short word.
+            seq = RuleSequence(_mask_to_rules(mask, k))
+            consistent = drives(seq, x)
+            if consistent or diagnostic:
+                simple = _minimal_period(seq.rules) == k
+                found.append(CycleCandidate(seq, x, consistent, simple))
     found.sort(
         key=lambda c: (c.seq.length, tuple(0 if r is Rule.R1 else 1 for r in c.seq.rules))
     )
@@ -284,20 +289,21 @@ def c0_chain(x: int) -> C0Chain:
     return C0Chain(x=x, halvings=i, odd_part=q)
 
 
-def verify_c0_structure(range_max: int) -> RangeReport:
+def verify_c0_structure(range_max: int, budget: int = DEFAULT_BUDGET) -> RangeReport:
     """Check the doubling-chain structure of class C0 on [1, range_max].
 
     Two claims per start: every x in C0 (x >= 3) splits as 2^i times an odd
     multiple of 3, and along every forward orbit the C0 positions form a
     prefix — once an orbit is outside C0 it never re-enters.  The sweep is
     ascending from 1 so each orbit may stop as soon as it drops below its
-    start: the tail is a previously checked orbit.
+    start: the tail is a previously checked orbit.  An orbit that has not
+    dropped within `budget` steps lands in `inconclusive`.
     """
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
-    budget = 10**6  # pure safety net; orbits here drop below start quickly
+    inconclusive: list[tuple[int, str]] = []
     for x in range(1, range_max + 1):
         in_c0 = residue_class(x) is ResidueClass.C0
         if in_c0 and x >= 3:
@@ -308,25 +314,27 @@ def verify_c0_structure(range_max: int) -> RangeReport:
                 )
         left_c0 = not in_c0
         v = x
-        for _ in range(budget):
-            if v == 1:
+        steps = 0
+        while v >= x > 1:
+            if steps == budget:
+                inconclusive.append(
+                    (x, f"orbit of {x} did not drop below {x} within {budget} steps")
+                )
                 break
             v, _rule = step(v)
+            steps += 1
             if v % 3 == 0:
                 if left_c0:
                     violations.append((x, f"orbit re-entered C0 at {v}"))
                     break
             else:
                 left_c0 = True
-            if v < x:
-                break
-        else:
-            raise RuntimeError(f"orbit of {x} exceeded the safety budget")
     return RangeReport(
         fact_id="c0-structure",
         lo=1,
         hi=range_max,
         checked=range_max,
         violations=violations,
+        inconclusive=inconclusive,
         elapsed=time.perf_counter() - t0,
     )

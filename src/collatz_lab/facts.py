@@ -21,10 +21,19 @@ from .core_map import (
     residue_class,
     step,
 )
-from .trajectory import BudgetExhaustedError, correspondence
+from .trajectory import DEFAULT_BUDGET, BudgetExhaustedError, correspondence
 
+#: Version of every JSON document the package writes: reports, checkpoints, trees.
 SCHEMA_VERSION = 1
-DEFAULT_BUDGET = 10**6
+
+
+def witnesses_to_json(entries: list[tuple[int, str]]) -> list[dict]:
+    """Serialize (x, detail) witnesses; `witnesses_from_json` is the inverse."""
+    return [{"x": x, "detail": d} for x, d in entries]
+
+
+def witnesses_from_json(docs: list[dict]) -> list[tuple[int, str]]:
+    return [(int(e["x"]), str(e["detail"])) for e in docs]
 
 
 @dataclass
@@ -54,8 +63,8 @@ class RangeReport:
             "fact_id": self.fact_id,
             "range": [self.lo, self.hi],
             "checked": self.checked,
-            "violations": [{"x": x, "detail": d} for x, d in self.violations],
-            "inconclusive": [{"x": x, "detail": d} for x, d in self.inconclusive],
+            "violations": witnesses_to_json(self.violations),
+            "inconclusive": witnesses_to_json(self.inconclusive),
             "elapsed": self.elapsed,
         }
 

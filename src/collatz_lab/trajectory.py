@@ -20,6 +20,9 @@ from .core_map import (
     step,
 )
 
+#: Default per-orbit step budget of every verifier and CLI command.
+DEFAULT_BUDGET = 10**6
+
 #: Orbits longer than this keep only their leading values (statistics stay exact).
 DEFAULT_VALUE_CAP = 100_000
 
@@ -67,24 +70,21 @@ class OrbitStatus:
     peak: int
 
 
-def orbit(x: int, budget: int, target: int, value_cap: int = DEFAULT_VALUE_CAP) -> Trajectory:
-    """Iterate the forward map from x until `target` is hit or `budget` steps elapse.
+def _walk(step_fn, x: int, budget: int, target: int, value_cap: int) -> Trajectory:
+    """Apply `step_fn` from x until `target` is hit or `budget` steps elapse.
 
-    Budget exhaustion is encoded in the returned length (steps == budget
-    and final != target), not raised as an error.
+    The one loop behind `orbit` (step) and `reduced_orbit` (reduced_step).
     """
-    if x < 1:
-        raise ValueError(f"map domain is x >= 1, got {x}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     values = [x]
-    rules: list[Rule] = []
+    rules: list[Rule | ReducedRule] = []
     v = x
     peak = x
     steps = 0
     truncated = False
     while v != target and steps < budget:
-        v, rule = step(v)
+        v, rule = step_fn(v)
         steps += 1
         if v > peak:
             peak = v
@@ -102,6 +102,17 @@ def orbit(x: int, budget: int, target: int, value_cap: int = DEFAULT_VALUE_CAP) 
         final=v,
         truncated=truncated,
     )
+
+
+def orbit(x: int, budget: int, target: int, value_cap: int = DEFAULT_VALUE_CAP) -> Trajectory:
+    """Iterate the forward map from x until `target` is hit or `budget` steps elapse.
+
+    Budget exhaustion is encoded in the returned length (steps == budget
+    and final != target), not raised as an error.
+    """
+    if x < 1:
+        raise ValueError(f"map domain is x >= 1, got {x}")
+    return _walk(step, x, budget, target, value_cap)
 
 
 def converges(x: int, budget: int, floor: int) -> OrbitStatus:
@@ -138,33 +149,7 @@ def reduced_orbit(x: int, budget: int, value_cap: int = DEFAULT_VALUE_CAP) -> Tr
     """Iterate the reduced map from x (in C2) until 2 is hit or `budget` steps elapse."""
     if residue_class(x) is not ResidueClass.C2:
         raise ValueError(f"reduced orbits start in class C2, got {x}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    values = [x]
-    rules: list[ReducedRule] = []
-    v = x
-    peak = x
-    steps = 0
-    truncated = False
-    while v != 2 and steps < budget:
-        v, rule = reduced_step(v)
-        steps += 1
-        if v > peak:
-            peak = v
-        if len(values) < value_cap:
-            values.append(v)
-            rules.append(rule)
-        else:
-            truncated = True
-    return Trajectory(
-        start=x,
-        values=tuple(values),
-        rules=tuple(rules),
-        steps=steps,
-        peak=peak,
-        final=v,
-        truncated=truncated,
-    )
+    return _walk(reduced_step, x, budget, 2, value_cap)
 
 
 def correspondence(x: int, budget: int) -> bool:

@@ -23,8 +23,7 @@ from .core_map import (
     reduced_predecessors,
     residue_class,
 )
-
-SCHEMA_VERSION = 1
+from .facts import SCHEMA_VERSION
 
 
 class TreeFlavor(Enum):

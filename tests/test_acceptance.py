@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-from collatz_lab.cli import RangeVerifier
 from collatz_lab.core_map import ReducedRule, Rule, step
 from collatz_lab.cycles import (
     AffineForm,
@@ -26,6 +25,7 @@ from collatz_lab.facts import (
     verify_reduction,
     verify_transitions,
 )
+from collatz_lab.sweep import RangeVerifier
 from collatz_lab.trajectory import orbit
 from collatz_lab.tree import Edge, TreeFlavor, build_tree, export_dot, export_json, tree_from_json
 

@@ -1,17 +1,17 @@
 """Tests for the command-line interface and the checkpointed range verifier."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from collatz_lab.cli import (
+from collatz_lab.cli import build_parser, main
+from collatz_lab.sweep import (
     Checkpoint,
     CheckpointError,
     RangeVerifier,
     SweepStats,
-    build_parser,
     load_checkpoint,
-    main,
     write_checkpoint,
 )
 
@@ -130,6 +130,19 @@ class TestRangeVerifier:
         assert path.exists()
         assert not (tmp_path / "sweep.json.tmp").exists()
         load_checkpoint(path)  # parses cleanly
+
+    def test_one_chunk_pass_is_lazy(self):
+        # 2^18 pending chunks; a one-chunk pass must not build them all.
+        lo = 10**12
+        verifier = RangeVerifier(lo, lo + 64 * 2**18 - 1, chunk_size=64)
+        tracemalloc.start()
+        try:
+            assert verifier.run(max_chunks=1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert verifier.checkpoint().verified_up_to == lo + 63
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -278,6 +291,14 @@ class TestFactsCommand:
         )
         assert code == 1
 
+    def test_c0_structure_honours_budget(self, capsys):
+        argv = ("facts", "c0-structure", "1", "100", "--budget", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "0 violations, 49 inconclusive" in out
+        code, _, _ = run_cli(capsys, *argv, "--strict")
+        assert code == 1
+
 
 class TestTreeCommand:
     def test_reduced_dot(self, capsys):
@@ -352,6 +373,23 @@ class TestWorkersEnvDefault:
         monkeypatch.setenv("COLLATZ_LAB_WORKERS", "many")
         args = build_parser().parse_args(["verify-range", "1", "10"])
         assert args.workers == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-range", "1", "10", "--checkpoint", "{tmp}/missing/cp.json"],
+        ["facts", "transitions", "1", "10", "-o", "{tmp}/missing/f.json"],
+        ["tree", "--max-depth", "3", "-o", "{tmp}/missing/t.dot"],
+        ["verify-range", "1", "10", "--checkpoint", "{tmp}/list.json", "--resume"],
+    ],
+    ids=["checkpoint-dir", "facts-output-dir", "tree-output-dir", "checkpoint-not-object"],
+)
+def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "list.json").write_text("[]")
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 class TestCheckpointFile:

@@ -1,5 +1,6 @@
 """Unit tests for the rule-word algebra, fixed points, and cycle search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,18 @@ class TestSearchCycles:
         lengths = [c.seq.length for c in search_cycles(12)]
         assert lengths == sorted(lengths)
 
+    def test_equals_fixed_point_over_every_word(self):
+        """The inline addend filter keeps exactly the words fixed_point() solves."""
+        max_len = 12
+        expected = [
+            cand
+            for k in range(1, max_len + 1)
+            for word in itertools.product((R1, R2), repeat=k)
+            if (cand := fixed_point(word)) is not None
+        ]
+        expected.sort(key=lambda c: (c.seq.length, tuple(r is R2 for r in c.seq.rules)))
+        assert search_cycles(max_len, diagnostic=True) == expected
+
     def test_diagnostic_superset(self):
         normal = search_cycles(12)
         diag = search_cycles(12, diagnostic=True)
@@ -271,3 +284,10 @@ class TestC0Structure:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             verify_c0_structure(0)
+
+    def test_budget_limited_starts_are_inconclusive(self):
+        # One step takes every even start below itself and every odd start
+        # above it, so exactly the odd starts from 3 on stay open.
+        report = verify_c0_structure(100, budget=1)
+        assert report.ok
+        assert [x for x, _ in report.inconclusive] == list(range(3, 100, 2))

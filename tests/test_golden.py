@@ -1,0 +1,72 @@
+"""Byte-stability of the CLI's outputs: stdout and every JSON file it writes.
+
+Each case pins the SHA-256 of one output.  Lines that carry wall-clock
+values (`elapsed`, `timestamp`) are removed first; every other byte,
+including indentation, key order and trailing newlines, is pinned.  A
+change to any of these digests changes what users and scripts read, so
+it must come with a schema decision, not as a side effect of a refactor.
+The budget-limited cases pin non-empty witness lists.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from collatz_lab.cli import main
+
+_CLOCK_LINE = re.compile(r'^\s*"(elapsed|timestamp)": .*\n', re.MULTILINE)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(_CLOCK_LINE.sub("", text).encode()).hexdigest()
+
+
+def _stdout(capsys, argv: list[str]) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("trajectory 27 --json",
+         "3fe4c79f6423533420313215f9753ab016317a6ebfc95dee294e23a620246611"),
+        ("trajectory 26 --reduced",
+         "3368c158ca27270e58bfa8110bcdfc035f40f8d2a8c61904ab35b96ba6867897"),
+        ("facts all 1 500 --json",
+         "e5b6b79959bcc730ed5156240a62b1ffabd2eb0049a5e097377672691937cd5f"),
+        ("facts reduction 1 60 --budget 5 --json",
+         "6850bc0de457a5ac2c87796bba7eabe3304e17e10c492837f2330ed43e7c9dda"),
+        ("cycles --max-len 8 --json",
+         "e774d160b06d673d8313590f70706d530b1141f75e4f087b779a732b3888e79d"),
+        ("tree --reduced --max-value 64 --json",
+         "0ea3fb4ffaafb73b4e51ae55208b182d9bc39c64e3b187d09cf49125491980a4"),
+        ("tree --reduced --max-value 64 --dot",
+         "5f3569cc458cdba6f8568e9ed5385bb80609cfabc295f93946e19e48500d0d48"),
+    ],
+)
+def test_stdout_is_byte_stable(capsys, command, digest):
+    assert _digest(_stdout(capsys, command.split())) == digest
+
+
+@pytest.mark.parametrize(
+    "command, report_digest, checkpoint_digest",
+    [
+        ("verify-range 1 2000 --chunk-size 100",
+         "bde64c106042dfa49f62aa665a764924473fb6301ae0a61d06cbfa237a32774b",
+         "2418ae817716c9ad3053fdcff0ccc92fa5ed075b41916dc53fb64cfba4783f9e"),
+        ("verify-range 1 50 --budget 5 --chunk-size 10",
+         "01f7c331a05bffed7d4520b7ef94e6e6cde2ffba3653b427bf69f6f18ea00846",
+         "7beef98680b7016b5b2c2a0f59494240f7b598c2ec5d76736b691785b3dc5aa3"),
+    ],
+)
+def test_sweep_report_and_checkpoint_are_byte_stable(
+    capsys, tmp_path, command, report_digest, checkpoint_digest
+):
+    path = tmp_path / "cp.json"
+    out = _stdout(capsys, command.split() + ["--checkpoint", str(path), "--json"])
+    assert _digest(out) == report_digest
+    assert _digest(path.read_text()) == checkpoint_digest

@@ -40,14 +40,22 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit(0, 10, 1)
 
-    def test_value_cap_keeps_statistics_exact(self):
-        capped = orbit(27, 1000, 1, value_cap=5)
-        assert capped.truncated
-        assert len(capped.values) == 5
-        assert len(capped.rules) == 4
-        assert capped.steps == 70
-        assert capped.peak == 4616
-        assert capped.final == 1
+    @pytest.mark.parametrize(
+        "walk, steps, peak, final",
+        [
+            (lambda cap: orbit(27, 1000, 1, value_cap=cap), 70, 4616, 1),
+            (lambda cap: reduced_orbit(41, 1000, value_cap=cap), 48, 4616, 2),
+        ],
+        ids=["orbit", "reduced_orbit"],
+    )
+    def test_value_cap_keeps_statistics_exact(self, walk, steps, peak, final):
+        full, capped = walk(10**4), walk(5)
+        assert capped.truncated and not full.truncated
+        assert capped.values == full.values[:5]
+        assert capped.rules == full.rules[:4]
+        assert capped.steps == steps
+        assert capped.peak == peak
+        assert capped.final == final
 
     @given(positives)
     def test_shape_and_rule_agreement(self, x):
