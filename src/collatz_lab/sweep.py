@@ -19,14 +19,14 @@ from pathlib import Path
 from typing import Iterator
 
 from .facts import SCHEMA_VERSION, RangeReport, witnesses_from_json, witnesses_to_json
-from .trajectory import DEFAULT_BUDGET, OrbitOutcome, converges
+from .trajectory import DEFAULT_BUDGET
 
 TASK_VERIFY_RANGE = "verify-range"
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 
 class CheckpointError(Exception):
-    """A checkpoint file is unreadable or does not match the requested run."""
+    """A checkpoint file is unreadable, unwritable, or does not match the requested run."""
 
 
 def _pick(value_a: int, at_a: int, value_b: int, at_b: int) -> tuple[int, int]:
@@ -99,6 +99,7 @@ class Checkpoint:
     task: str
     lo: int
     hi: int
+    budget: int
     verified_up_to: int
     stats: SweepStats
     violations: list[tuple[int, str]] = field(default_factory=list)
@@ -110,6 +111,7 @@ class Checkpoint:
             "schema_version": SCHEMA_VERSION,
             "task": self.task,
             "range": [self.lo, self.hi],
+            "budget": self.budget,
             "verified_up_to": self.verified_up_to,
             "stats": self.stats.to_json_dict(),
             "violations": witnesses_to_json(self.violations),
@@ -129,11 +131,16 @@ def load_checkpoint(path: Path) -> Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint schema_version: {doc.get('schema_version')!r}"
             )
+        if "budget" not in doc:
+            raise CheckpointError(
+                f"checkpoint {path} has no budget field; its report cannot be resumed"
+            )
         lo, hi = (int(v) for v in doc["range"])
         return Checkpoint(
             task=str(doc["task"]),
             lo=lo,
             hi=hi,
+            budget=int(doc["budget"]),
             verified_up_to=int(doc["verified_up_to"]),
             stats=SweepStats.from_json_dict(doc["stats"]),
             violations=witnesses_from_json(doc["violations"]),
@@ -163,27 +170,57 @@ def _sweep_chunk(task: tuple[int, int, int, int]) -> tuple[int, SweepStats, list
     Each start is followed until it reaches 1 or drops onto a smaller,
     already-verified start; a drop below the whole range is chased to 1
     since nothing below range_lo is covered by this run.
+
+    Two residue classes drop in closed form under the shortcut map: an
+    even n reaches n/2 in 1 step with peak n, and n = 4k+1 reaches 3k+1 in
+    2 steps with peak (3n+1)/2.  From n >= 2*range_lo on (with n >= 2 and
+    budget >= 2) both drops land inside the range, so only n = 4k+3 is
+    iterated there; each of the two classes enters the records once per
+    chunk, steps at its smallest member and peak at its largest.
     """
     lo, hi, range_lo, budget = task
-    stats = SweepStats()
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
-    for n in range(lo, hi + 1):
-        status = converges(n, budget, n)
-        steps = status.steps_used
-        peak = status.peak
-        if status.outcome is OrbitOutcome.BUDGET_EXHAUSTED:
-            inconclusive.append((n, f"no conclusion within {budget} steps"))
-        elif (
-            status.outcome is OrbitOutcome.DROPPED_BELOW_FLOOR
-            and status.final < range_lo
-        ):
-            tail = converges(status.final, budget - steps, 1)
-            steps += tail.steps_used
-            peak = max(peak, tail.peak)
-            if tail.outcome is not OrbitOutcome.REACHED_TARGET:
-                inconclusive.append((n, f"no conclusion within {budget} steps"))
-        stats.observe(n, steps, peak)
+    no_conclusion = f"no conclusion within {budget} steps"
+    sieve_lo = max(lo, 2 * range_lo, 2) if budget >= 2 else hi + 1
+    first_iterated = sieve_lo + (3 - sieve_lo) % 4
+    # Records over the iterated starts; n ascends, so a strict > keeps the
+    # smallest n on ties, as _pick does.
+    max_steps, max_steps_at, max_peak, max_peak_at = -1, 0, 0, 0
+    direct = range(lo, min(hi, sieve_lo - 1) + 1)
+    for n in itertools.chain(direct, range(first_iterated, hi + 1, 4)):
+        v = n
+        steps = 0
+        peak = n
+        floor = n if n > 1 else 2  # 1 is already at 1
+        while True:
+            while v >= floor and steps < budget:
+                if v & 1:
+                    v = (3 * v + 1) >> 1
+                    if v > peak:
+                        peak = v
+                else:
+                    v >>= 1
+                steps += 1
+            if v >= floor or v >= range_lo or floor == 2:
+                break
+            floor = 2  # dropped below the range: chase on to 1
+        if v >= floor:
+            inconclusive.append((n, no_conclusion))
+        if steps > max_steps:
+            max_steps, max_steps_at = steps, n
+        if peak > max_peak:
+            max_peak, max_peak_at = peak, n
+    stats = SweepStats()
+    if max_steps_at:
+        stats = SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
+    if sieve_lo <= hi:
+        even_lo, even_hi = sieve_lo + (sieve_lo & 1), hi - (hi & 1)
+        if even_lo <= even_hi:
+            stats.merge(SweepStats(1, even_lo, even_hi, even_hi))
+        one_lo, one_hi = sieve_lo + (1 - sieve_lo) % 4, hi - (hi - 1) % 4
+        if one_lo <= one_hi:
+            stats.merge(SweepStats(2, one_lo, (3 * one_hi + 1) >> 1, one_hi))
     return hi, stats, violations, inconclusive
 
 
@@ -222,6 +259,12 @@ class RangeVerifier:
         self.workers = workers
         self.chunk_size = chunk_size
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
+        # Fail before any chunk is verified, not at the first checkpoint write.
+        if self.checkpoint_path and not self.checkpoint_path.parent.is_dir():
+            raise CheckpointError(
+                f"cannot write checkpoint {self.checkpoint_path}: "
+                f"no directory {self.checkpoint_path.parent}"
+            )
 
         if resume:
             if self.checkpoint_path is None:
@@ -231,6 +274,10 @@ class RangeVerifier:
                 raise CheckpointError(
                     f"checkpoint is for {cp.task} [{cp.lo}, {cp.hi}], "
                     f"not {TASK_VERIFY_RANGE} [{lo}, {hi}]"
+                )
+            if cp.budget != budget:
+                raise CheckpointError(
+                    f"checkpoint was written with budget {cp.budget}, not {budget}"
                 )
             if not lo <= cp.verified_up_to <= hi:
                 raise CheckpointError(
@@ -258,6 +305,7 @@ class RangeVerifier:
             task=TASK_VERIFY_RANGE,
             lo=self.lo,
             hi=self.hi,
+            budget=self.budget,
             verified_up_to=self._next - 1,
             stats=self._stats,
             violations=self._violations,

@@ -1,9 +1,9 @@
 """Forward orbits under the shortcut map and the reduced map on class C2.
 
 `orbit` records per-step rules, step counts and peaks; `converges` is the
-lean inner loop used by range sweeps; `correspondence` checks that the
-reduced orbit of a C2 value is exactly the C2 subsequence of its full
-orbit.
+per-start convergence probe, the reference that the range sweep kernel in
+`sweep` is tested against; `correspondence` checks that the reduced orbit
+of a C2 value is exactly the C2 subsequence of its full orbit.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def converges(x: int, budget: int, floor: int) -> OrbitStatus:
             return OrbitStatus(OrbitOutcome.DROPPED_BELOW_FLOOR, steps, v, peak)
         if steps >= budget:
             return OrbitStatus(OrbitOutcome.BUDGET_EXHAUSTED, steps, v, peak)
-        # Inline arithmetic: this loop dominates range sweeps.  Agreement
-        # with step() is pinned by tests.
+        # Inline arithmetic, as in the sweep kernel.  Agreement with step()
+        # is pinned by tests.
         if v & 1:
             v = (3 * v + 1) >> 1
             if v > peak:

@@ -252,6 +252,16 @@ class TestVerifyRangeCommand:
         assert code == 2
         assert "checkpoint" in err
 
+    def test_resume_at_another_budget_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        RangeVerifier(1, 100, chunk_size=10, budget=1000, checkpoint_path=path).run(max_chunks=5)
+        code, _, err = run_cli(
+            capsys, "verify-range", "1", "100", "--chunk-size", "10", "--budget", "5",
+            "--checkpoint", str(path), "--resume",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "budget" in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify-range", "9", "3")
         assert code == 2
@@ -399,6 +409,7 @@ class TestCheckpointFile:
             task="verify-range",
             lo=1,
             hi=100,
+            budget=1000,
             verified_up_to=50,
             stats=SweepStats(max_steps=7, max_steps_at=27, max_peak=100, max_peak_at=27),
             timestamp="2025-01-01T00:00:00+00:00",

@@ -57,10 +57,10 @@ def test_stdout_is_byte_stable(capsys, command, digest):
     [
         ("verify-range 1 2000 --chunk-size 100",
          "bde64c106042dfa49f62aa665a764924473fb6301ae0a61d06cbfa237a32774b",
-         "2418ae817716c9ad3053fdcff0ccc92fa5ed075b41916dc53fb64cfba4783f9e"),
+         "bf5ae9327ce146d1662b4d7b85efd72228809220b6e3fe3be43fe86e7e528c81"),
         ("verify-range 1 50 --budget 5 --chunk-size 10",
          "01f7c331a05bffed7d4520b7ef94e6e6cde2ffba3653b427bf69f6f18ea00846",
-         "7beef98680b7016b5b2c2a0f59494240f7b598c2ec5d76736b691785b3dc5aa3"),
+         "20651d47cc19795fca90c51150e91e99c62691a190d570a99ec55ac3fd4517cd"),
     ],
 )
 def test_sweep_report_and_checkpoint_are_byte_stable(
