@@ -164,49 +164,165 @@ def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
     os.replace(tmp, path)
 
 
-def _sweep_chunk(task: tuple[int, int, int, int]) -> tuple[int, SweepStats, list, list]:
+#: Steps per table lookup: n mod 2^K fixes the first K parity steps of n.
+K = 8
+_WIDTH = 1 << K
+_MASK = _WIDTH - 1
+
+
+def _residue_table(addend: int) -> tuple[tuple, tuple]:
+    """Affine forms of the first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K.
+
+    For n = 2^K*t + r the j-th value is T^j(n) = c_j*t + d_j with
+    c_j = 3^a * 2^(K-j) (a odd steps so far) and d_j = T^j(r) (Terras 1976).
+    Returns (jumps, sieve), both indexed by r:
+
+    * jumps[r] = (c_K, d_K, minc, threshold, cp, dp): the value after K
+      steps; minc, the smallest c_j over the K-1 values in between; the
+      peak form cp*t + dp (largest c_j over j = 0..K), which is the exact
+      maximum of the K+1 values for every t >= threshold.
+    * sieve[r] = (s, t_drop, forms) when the class drops within K steps,
+      else None: for every t >= t_drop the start n drops below itself for
+      the first time at step s, onto c_s*t + d_s, after values above n;
+      forms = ((c_0, d_0), ..., (c_s, d_s)) give its peak.
+    """
+    jumps = []
+    sieve = []
+    for r in range(_WIDTH):
+        c, d = _WIDTH, r
+        forms = [(c, d)]
+        for _ in range(K):
+            if d & 1:
+                c, d = (3 * c) >> 1, (3 * d + addend) >> 1
+            else:
+                c, d = c >> 1, d >> 1
+            forms.append((c, d))
+        # The c_j are distinct, so the largest one is the unique peak form.
+        cp, dp = max(forms)
+        threshold = max(-((dp - dj) // (cp - cj)) for cj, dj in forms if cj != cp)
+        minc = min(cj for cj, _ in forms[1:K])
+        jumps.append((c, d, minc, max(threshold, 0), cp, dp))
+        s = next((j for j, (cj, _) in enumerate(forms) if cj < _WIDTH), 0)
+        if not s:
+            sieve.append(None)
+            continue
+        # Above n before step s: (c_j - 2^K)*t > r - d_j; below n at s: (2^K - c_s)*t > d_s - r.
+        bounds = [(r - dj) // (cj - _WIDTH) + 1 for cj, dj in forms[1:s]]
+        bounds.append((forms[s][1] - r) // (_WIDTH - forms[s][0]) + 1)
+        sieve.append((s, max(bounds + [0]), tuple(forms[: s + 1])))
+    return tuple(jumps), tuple(sieve)
+
+
+_JUMPS, _SIEVE = _residue_table(1)
+
+
+def _cycle_detail(n: int, length: int, addend: int) -> str:
+    values = [n]
+    for _ in range(length):
+        v = values[-1]
+        values.append((3 * v + addend) >> 1 if v & 1 else v >> 1)
+    return f"cycle of length {length}: " + " -> ".join(map(str, values))
+
+
+def _sweep_chunk(
+    task: tuple[int, int, int, int], addend: int = 1
+) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
-    Each start is followed until it reaches 1 or drops onto a smaller,
+    Each start n is followed until it reaches 1 or drops onto a smaller,
     already-verified start; a drop below the whole range is chased to 1
-    since nothing below range_lo is covered by this run.
+    since nothing below range_lo is covered by this run.  An orbit that
+    returns to n is a cycle, reported as a violation.
 
-    Two residue classes drop in closed form under the shortcut map: an
-    even n reaches n/2 in 1 step with peak n, and n = 4k+1 reaches 3k+1 in
-    2 steps with peak (3n+1)/2.  From n >= 2*range_lo on (with n >= 2 and
-    budget >= 2) both drops land inside the range, so only n = 4k+3 is
-    iterated there; each of the two classes enters the records once per
-    chunk, steps at its smallest member and peak at its largest.
+    The residue n mod 2^K fixes the first K steps (`_residue_table`).  A
+    class that drops within s <= min(K, budget) steps is settled in closed
+    form from its first member whose drop lands at or above range_lo: it
+    enters the records once per chunk, steps at its smallest member and
+    peak at its largest.  Every other start is iterated in ascending
+    order, K steps per lookup while no value in between can reach the
+    floor and the budget allows, single steps otherwise, so step counts,
+    peaks, drops and witnesses are exactly those of single steps.
+
+    `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
+    another value than 1 (the 3x - 1 map has cycles to find).
     """
     lo, hi, range_lo, budget = task
+    jumps, sieve = (_JUMPS, _SIEVE) if addend == 1 else _residue_table(addend)
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     no_conclusion = f"no conclusion within {budget} steps"
-    sieve_lo = max(lo, 2 * range_lo, 2) if budget >= 2 else hi + 1
-    first_iterated = sieve_lo + (3 - sieve_lo) % 4
+    mask = _MASK
+    first = max(lo, 2)  # 1 is already at 1
+
+    # Fold in the settled classes; fold_from[r] is the first start of class r folded.
+    fold_from = [hi + 1] * _WIDTH
+    fold_t = 0
+    fold_steps, fold_steps_at, fold_peak, fold_peak_at = 0, 0, 0, 0
+    for n in range(first, min(hi, first + mask) + 1):
+        r = n & mask
+        row = sieve[r]
+        if row is None or row[0] > budget:
+            continue
+        s, t_drop, forms = row
+        c, d = forms[s]
+        t = max(n >> K, t_drop, -((d - range_lo) // c))  # drop c*t + d >= range_lo
+        last = (hi - r) >> K
+        if t > last:
+            continue
+        fold_from[r] = (t << K) | r
+        fold_t = max(fold_t, t)
+        peak = max(cj * last + dj for cj, dj in forms)
+        fold_steps, fold_steps_at = _pick(fold_steps, fold_steps_at, s, fold_from[r])
+        fold_peak, fold_peak_at = _pick(fold_peak, fold_peak_at, peak, (last << K) | r)
+
+    # Iterate the rest ascending: all of [first, a) and [b, hi] not folded, and
+    # in the whole blocks [a, b) above every fold-in start only the unfolded classes.
+    b = max(first, ((hi + 1) >> K) << K)
+    a = min(b, ((max(first, fold_t << K) + mask) >> K) << K)
+    unfolded = [r for r in range(_WIDTH) if fold_from[r] > hi] if a < b else []
+    starts = itertools.chain(
+        (n for n in range(first, a) if n < fold_from[n & mask]),
+        (base + r for base in range(a, b, _WIDTH) for r in unfolded),
+        (n for n in range(b, hi + 1) if n < fold_from[n & mask]),
+    )
+    last_jump = budget - K
     # Records over the iterated starts; n ascends, so a strict > keeps the
     # smallest n on ties, as _pick does.
-    max_steps, max_steps_at, max_peak, max_peak_at = -1, 0, 0, 0
-    direct = range(lo, min(hi, sieve_lo - 1) + 1)
-    for n in itertools.chain(direct, range(first_iterated, hi + 1, 4)):
+    max_steps, max_steps_at, max_peak, max_peak_at = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
+    for n in starts:
         v = n
         steps = 0
         peak = n
-        floor = n if n > 1 else 2  # 1 is already at 1
+        floor = n  # then 1 while a drop below range_lo is chased
         while True:
-            while v >= floor and steps < budget:
-                if v & 1:
-                    v = (3 * v + 1) >> 1
+            while steps < budget:
+                t = v >> K
+                c, d, minc, threshold, cp, dp = jumps[v & mask]
+                if minc * t > floor and t >= threshold and steps <= last_jump:
+                    v = c * t + d
+                    top = cp * t + dp
+                    if top > peak:
+                        peak = top
+                    steps += K
+                elif v & 1:
+                    v = (3 * v + addend) >> 1
                     if v > peak:
                         peak = v
+                    steps += 1
                 else:
                     v >>= 1
-                steps += 1
-            if v >= floor or v >= range_lo or floor == 2:
+                    steps += 1
+                if v <= floor:
+                    break
+            else:
+                inconclusive.append((n, no_conclusion))
                 break
-            floor = 2  # dropped below the range: chase on to 1
-        if v >= floor:
-            inconclusive.append((n, no_conclusion))
+            if v == n:
+                violations.append((n, _cycle_detail(n, steps, addend)))
+                break
+            if v >= range_lo or v == 1:
+                break
+            floor = 1
         if steps > max_steps:
             max_steps, max_steps_at = steps, n
         if peak > max_peak:
@@ -214,13 +330,7 @@ def _sweep_chunk(task: tuple[int, int, int, int]) -> tuple[int, SweepStats, list
     stats = SweepStats()
     if max_steps_at:
         stats = SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
-    if sieve_lo <= hi:
-        even_lo, even_hi = sieve_lo + (sieve_lo & 1), hi - (hi & 1)
-        if even_lo <= even_hi:
-            stats.merge(SweepStats(1, even_lo, even_hi, even_hi))
-        one_lo, one_hi = sieve_lo + (1 - sieve_lo) % 4, hi - (hi - 1) % 4
-        if one_lo <= one_hi:
-            stats.merge(SweepStats(2, one_lo, (3 * one_hi + 1) >> 1, one_hi))
+    stats.merge(SweepStats(fold_steps, fold_steps_at, fold_peak, fold_peak_at))
     return hi, stats, violations, inconclusive
 
 

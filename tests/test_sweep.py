@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatz_lab import sweep
+from collatz_lab import core_map, sweep
 from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_checkpoint
 from collatz_lab.trajectory import OrbitOutcome, converges
+
+K, WIDTH = sweep.K, 1 << sweep.K
 
 
 def reference_chunk(task):
@@ -56,12 +58,41 @@ def test_chunk_equals_reference(task):
     assert sweep._sweep_chunk(task) == reference_chunk(task)
 
 
+SETTLED = [r for r, row in enumerate(sweep._SIEVE) if row is not None]
+budgets_near_k = st.one_of(st.sampled_from([K - 1, K, K + 1]), budgets)
+
+
+def fold_bound(r, range_lo):
+    """First start of class r whose drop lands at or above range_lo."""
+    s, t_drop, forms = sweep._SIEVE[r]
+    c, d = forms[s]
+    return max(t_drop, -((d - range_lo) // c)) * WIDTH + r
+
+
+@st.composite
+def chunks_near_fold_bounds(draw):
+    # Chunks around the first folded start of a class, or around 2^K * range_lo;
+    # widths above 2^(K+1) fold every class partly in some chunks, wholly in others.
+    range_lo = draw(st.one_of(st.just(1), st.integers(2, 3000), st.integers(10**5, 10**6)))
+    r = draw(st.sampled_from(SETTLED))
+    near = draw(st.sampled_from([fold_bound(r, range_lo), WIDTH * range_lo]))
+    lo = max(range_lo, near + draw(st.integers(-2 * WIDTH - 60, 60)))
+    hi = lo + draw(st.one_of(st.integers(0, 80), st.integers(2 * WIDTH, 2 * WIDTH + 300)))
+    return lo, hi, range_lo, draw(budgets_near_k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks_near_fold_bounds())
+def test_chunk_equals_reference_near_fold_bounds(task):
+    assert sweep._sweep_chunk(task) == reference_chunk(task)
+
+
 @pytest.mark.parametrize(
     "task",
     [
         (1, 1, 1, 0),  # n = 1 is at 1 with no budget at all
         (2, 2, 1, 0),
-        (1, 64, 1, 1),  # budget 1: nothing sieved
+        (1, 64, 1, 1),  # budget 1: only even starts are settled
         (4, 5, 1, 10),  # one sieved even and one sieved 4k+1, nothing iterated
         (100, 140, 60, 10**6),  # straddles 2*range_lo
         (27, 27, 27, 10**6),
@@ -88,6 +119,165 @@ def test_verifier_equals_reference(lo, width, budget, chunk_size, workers):
     assert report.violations == violations
     assert report.inconclusive == inconclusive
     assert verifier.stats == stats
+
+
+def _step(v, addend):
+    return (3 * v + addend) >> 1 if v & 1 else v >> 1
+
+
+def _values(n, addend, count):
+    """n and its next `count` values, by core_map.step for the 3x + 1 map."""
+    values = [n]
+    for _ in range(count):
+        v = values[-1]
+        values.append(core_map.step(v)[0] if addend == 1 else _step(v, addend))
+    return values
+
+
+@pytest.mark.parametrize("addend", [1, -1, 5])
+def test_table_rows_against_single_steps(addend):
+    jumps, sieve = sweep._residue_table(addend)
+    if addend == 1:
+        assert (jumps, sieve) == (sweep._JUMPS, sweep._SIEVE)
+    for r in range(WIDTH):
+        c, d, minc, threshold, cp, dp = jumps[r]
+        for t in {0, 1, 2, threshold - 1, threshold, threshold + 1, 10**12 + r}:
+            if t < 0 or (t, r) == (0, 0):
+                continue
+            n = t * WIDTH + r
+            values = _values(n, addend, K)
+            ahead = _values(n + WIDTH, addend, K)
+            assert values[K] == c * t + d
+            # minc is the smallest t-coefficient of the values strictly between.
+            assert minc == min(b - a for a, b in zip(values[1:K], ahead[1:K]))
+            if t >= threshold:
+                assert max(values) == cp * t + dp
+            elif t == threshold - 1:
+                assert max(values) > cp * t + dp
+        if sieve[r] is None:
+            values = _values(10**12 * WIDTH + r, addend, K)
+            assert min(values[1:]) > values[0]
+            continue
+        s, t_drop, forms = sieve[r]
+        for t in {t_drop - 1, t_drop, t_drop + 1, 10**12 + r}:
+            if t < 0 or (t, r) == (0, 0):
+                continue
+            n = t * WIDTH + r
+            values = _values(n, addend, s)
+            drops_at_s = min(values[1:s], default=n + 1) > n > values[s]
+            assert drops_at_s == (t >= t_drop)
+            if t >= t_drop:
+                assert [cj * t + dj for cj, dj in forms] == values
+
+
+def addend_reference_chunk(task, addend):
+    """Single steps of x -> (3x + addend)/2 from each start.
+
+    An orbit stops at or below its start (a return to it is a cycle, whose
+    start is listed) and a drop below range_lo is chased on to 1.
+    """
+    lo, hi, range_lo, budget = task
+    stats = SweepStats()
+    cycles, inconclusive = [], []
+    for n in range(lo, hi + 1):
+        values = [n]
+        floor = n
+        while n > 1:  # 1 is at 1 already
+            while len(values) <= budget:
+                values.append(_step(values[-1], addend))
+                if values[-1] <= floor:
+                    break
+            else:
+                inconclusive.append((n, f"no conclusion within {budget} steps"))
+                break
+            if values[-1] == n:
+                cycles.append(n)
+            if values[-1] in (n, 1) or values[-1] >= range_lo:
+                break
+            floor = 1
+        stats.observe(n, len(values) - 1, max(values))
+    return hi, stats, cycles, inconclusive
+
+
+def _cycle(detail):
+    head, path = detail.split(": ")
+    values = [int(x) for x in path.split(" -> ")]
+    assert head == f"cycle of length {len(values) - 1}"
+    return values
+
+
+def test_cycles_of_the_3x_minus_1_map_are_violations():
+    # The 3x - 1 map has the cycles {5, 7, 10} and one of length 11 through 17
+    # (Lagarias 1985); a sweep must report each at its smallest element.
+    _, _, violations, inconclusive = sweep._sweep_chunk((1, 3000, 1, 10**4), addend=-1)
+    assert inconclusive == []
+    assert [n for n, _ in violations] == [5, 17]
+    cycles = [_cycle(detail) for _, detail in violations]
+    for (n, _), values in zip(violations, cycles):
+        assert values[0] == values[-1] == n == min(values)
+        assert all(_step(v, -1) == w for v, w in zip(values, values[1:]))
+    assert set(cycles[0]) == {5, 7, 10}
+    assert len(cycles[1]) - 1 == 11
+
+
+# 3x + 5 has cycles through 187 and 347 that pass above 2^K, so jumps meet a
+# cycle; 3x + 101 has rows whose peak threshold exceeds 50.  Chases that fall
+# into a cycle run to the budget, so budgets stay small.
+other_addends = st.sampled_from([-1, 5, 101])
+small_budgets = st.one_of(st.integers(0, 3), st.sampled_from([7, 8, 9, 50, 2000]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    other_addends,
+    st.one_of(st.just(1), st.integers(2, 400), st.integers(10**5, 10**6)),
+    st.integers(-300, 600),
+    st.integers(0, 600),
+    small_budgets,
+)
+def test_chunk_of_another_map_equals_single_steps(addend, range_lo, offset, width, budget):
+    lo = max(range_lo, 2 * range_lo + offset)
+    hi, stats, violations, inconclusive = sweep._sweep_chunk(
+        (lo, lo + width, range_lo, budget), addend=addend
+    )
+    want = addend_reference_chunk((lo, lo + width, range_lo, budget), addend)
+    assert (hi, stats, [x for x, _ in violations], inconclusive) == want
+    for n, detail in violations:
+        values = _cycle(detail)
+        assert values[0] == values[-1] == n
+        assert all(_step(v, addend) == w for v, w in zip(values, values[1:]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(2, 3),
+    st.integers(0, WIDTH),
+    budgets_near_k,
+    st.integers(1, 3 * WIDTH),
+    st.sampled_from([1, 2]),
+)
+def test_verifier_well_past_the_fold_bounds(lo, times, extra, budget, chunk_size, workers):
+    hi = times * WIDTH * lo + extra
+    verifier = RangeVerifier(lo, hi, budget=budget, chunk_size=chunk_size, workers=workers)
+    report = verifier.run()
+    _, stats, violations, inconclusive = reference_chunk((lo, hi, lo, budget))
+    assert (report.violations, report.inconclusive) == (violations, inconclusive)
+    assert verifier.stats == stats
+
+
+@pytest.mark.parametrize("addend", [1, -1, 5, 101])
+def test_each_start_alone_equals_single_steps(addend):
+    # A one-start chunk exposes that start's own steps and peak, not just the records.
+    for n in range(1, 400):
+        for range_lo in (1, n):
+            task = (n, n, range_lo, 300)
+            if addend == 1:
+                assert sweep._sweep_chunk(task) == reference_chunk(task)
+                continue
+            hi, stats, violations, inconclusive = sweep._sweep_chunk(task, addend=addend)
+            want = addend_reference_chunk(task, addend)
+            assert (hi, stats, [x for x, _ in violations], inconclusive) == want
 
 
 def _interrupted(path, budget):
