@@ -301,6 +301,8 @@ def verify_c0_structure(range_max: int, budget: int = DEFAULT_BUDGET) -> RangeRe
     """
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []

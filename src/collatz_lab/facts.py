@@ -201,6 +201,8 @@ def verify_reduction(
     correspondence checks land in `inconclusive`, never in `violations`.
     """
     _require_range(lo, hi)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []

@@ -13,7 +13,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
@@ -238,10 +238,11 @@ def _sweep_chunk(
     class that drops within s <= min(K, budget) steps is settled in closed
     form from its first member whose drop lands at or above range_lo: it
     enters the records once per chunk, steps at its smallest member and
-    peak at its largest.  Every other start is iterated in ascending
-    order, K steps per lookup while no value in between can reach the
-    floor and the budget allows, single steps otherwise, so step counts,
-    peaks, drops and witnesses are exactly those of single steps.
+    peak at its largest.  Every other start is iterated, class by class,
+    K steps per lookup while no value in between can reach the floor and
+    the budget allows, single steps otherwise, so step counts, peaks,
+    drops and witnesses are exactly those of single steps.  The witness
+    lists are sorted by start before they are returned.
 
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
     another value than 1 (the 3x - 1 map has cycles to find).
@@ -252,85 +253,67 @@ def _sweep_chunk(
     inconclusive: list[tuple[int, str]] = []
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
-    first = max(lo, 2)  # 1 is already at 1
-
-    # Fold in the settled classes; fold_from[r] is the first start of class r folded.
-    fold_from = [hi + 1] * _WIDTH
-    fold_t = 0
-    fold_steps, fold_steps_at, fold_peak, fold_peak_at = 0, 0, 0, 0
-    for n in range(first, min(hi, first + mask) + 1):
-        r = n & mask
-        row = sieve[r]
-        if row is None or row[0] > budget:
-            continue
-        s, t_drop, forms = row
-        c, d = forms[s]
-        t = max(n >> K, t_drop, -((d - range_lo) // c))  # drop c*t + d >= range_lo
-        last = (hi - r) >> K
-        if t > last:
-            continue
-        fold_from[r] = (t << K) | r
-        fold_t = max(fold_t, t)
-        peak = max(cj * last + dj for cj, dj in forms)
-        fold_steps, fold_steps_at = _pick(fold_steps, fold_steps_at, s, fold_from[r])
-        fold_peak, fold_peak_at = _pick(fold_peak, fold_peak_at, peak, (last << K) | r)
-
-    # Iterate the rest ascending: all of [first, a) and [b, hi] not folded, and
-    # in the whole blocks [a, b) above every fold-in start only the unfolded classes.
-    b = max(first, ((hi + 1) >> K) << K)
-    a = min(b, ((max(first, fold_t << K) + mask) >> K) << K)
-    unfolded = [r for r in range(_WIDTH) if fold_from[r] > hi] if a < b else []
-    starts = itertools.chain(
-        (n for n in range(first, a) if n < fold_from[n & mask]),
-        (base + r for base in range(a, b, _WIDTH) for r in unfolded),
-        (n for n in range(b, hi + 1) if n < fold_from[n & mask]),
-    )
     last_jump = budget - K
-    # Records over the iterated starts; n ascends, so a strict > keeps the
-    # smallest n on ties, as _pick does.
+    # Records over the whole chunk; n does not ascend across classes, so
+    # ties go to the smaller n, as _pick does.
     max_steps, max_steps_at, max_peak, max_peak_at = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
-    for n in starts:
-        v = n
-        steps = 0
-        peak = n
-        floor = n  # then 1 while a drop below range_lo is chased
-        while True:
-            while steps < budget:
-                t = v >> K
-                c, d, minc, threshold, cp, dp = jumps[v & mask]
-                if minc * t > floor and t >= threshold and steps <= last_jump:
-                    v = c * t + d
-                    top = cp * t + dp
-                    if top > peak:
-                        peak = top
-                    steps += K
-                elif v & 1:
-                    v = (3 * v + addend) >> 1
-                    if v > peak:
-                        peak = v
-                    steps += 1
+    first = max(lo, 2)  # 1 is already at 1
+    # head is the first member in the chunk of its class mod 2^K.
+    for head in range(first, min(hi, first + mask) + 1):
+        r = head & mask
+        end = hi + 1  # the class is iterated below end and folded from end on
+        row = sieve[r]
+        if row is not None and row[0] <= budget:
+            s, t_drop, forms = row
+            c, d = forms[s]
+            t = max(head >> K, t_drop, -((d - range_lo) // c))  # drop c*t + d >= range_lo
+            last = (hi - r) >> K
+            if t <= last:
+                end = (t << K) | r
+                peak = max(cj * last + dj for cj, dj in forms)
+                max_steps, max_steps_at = _pick(max_steps, max_steps_at, s, end)
+                max_peak, max_peak_at = _pick(max_peak, max_peak_at, peak, (last << K) | r)
+        for n in range(head, end, _WIDTH):
+            v = n
+            steps = 0
+            peak = n
+            floor = n  # then 1 while a drop below range_lo is chased
+            while True:
+                while steps < budget:
+                    t = v >> K
+                    c, d, minc, threshold, cp, dp = jumps[v & mask]
+                    if minc * t > floor and t >= threshold and steps <= last_jump:
+                        v = c * t + d
+                        top = cp * t + dp
+                        if top > peak:
+                            peak = top
+                        steps += K
+                    elif v & 1:
+                        v = (3 * v + addend) >> 1
+                        if v > peak:
+                            peak = v
+                        steps += 1
+                    else:
+                        v >>= 1
+                        steps += 1
+                    if v <= floor:
+                        break
                 else:
-                    v >>= 1
-                    steps += 1
-                if v <= floor:
+                    inconclusive.append((n, no_conclusion))
                     break
-            else:
-                inconclusive.append((n, no_conclusion))
-                break
-            if v == n:
-                violations.append((n, _cycle_detail(n, steps, addend)))
-                break
-            if v >= range_lo or v == 1:
-                break
-            floor = 1
-        if steps > max_steps:
-            max_steps, max_steps_at = steps, n
-        if peak > max_peak:
-            max_peak, max_peak_at = peak, n
-    stats = SweepStats()
-    if max_steps_at:
-        stats = SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
-    stats.merge(SweepStats(fold_steps, fold_steps_at, fold_peak, fold_peak_at))
+                if v == n:
+                    violations.append((n, _cycle_detail(n, steps, addend)))
+                    break
+                if v >= range_lo or v == 1:
+                    break
+                floor = 1
+            if steps >= max_steps and (steps > max_steps or n < max_steps_at):
+                max_steps, max_steps_at = steps, n
+            if peak >= max_peak and (peak > max_peak or n < max_peak_at):
+                max_peak, max_peak_at = peak, n
+    violations.sort()
+    inconclusive.sort()
+    stats = SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
     return hi, stats, violations, inconclusive
 
 
@@ -393,39 +376,25 @@ class RangeVerifier:
                 raise CheckpointError(
                     f"checkpoint verified_up_to {cp.verified_up_to} outside [{lo}, {hi}]"
                 )
-            self._next = cp.verified_up_to + 1
-            self._stats = cp.stats
-            self._violations = list(cp.violations)
-            self._inconclusive = list(cp.inconclusive)
+            self._record = cp
         else:
-            self._next = lo
-            self._stats = SweepStats()
-            self._violations = []
-            self._inconclusive = []
+            self._record = Checkpoint(
+                TASK_VERIFY_RANGE, lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats()
+            )
 
     @property
     def stats(self) -> SweepStats:
-        return self._stats
+        return self._record.stats
 
     def checkpoint(self) -> Checkpoint:
         """Snapshot of the progress so far (requires at least one finished chunk)."""
-        if self._next == self.lo:
+        if self._record.verified_up_to < self.lo:
             raise CheckpointError("no chunk verified yet, nothing to checkpoint")
-        return Checkpoint(
-            task=TASK_VERIFY_RANGE,
-            lo=self.lo,
-            hi=self.hi,
-            budget=self.budget,
-            verified_up_to=self._next - 1,
-            stats=self._stats,
-            violations=self._violations,
-            inconclusive=self._inconclusive,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
+        return replace(self._record, timestamp=datetime.now(timezone.utc).isoformat())
 
     def _pending_chunks(self) -> Iterator[tuple[int, int, int, int]]:
         # Lazy, so that a short pass over a huge range does not build every tuple first.
-        a = self._next
+        a = self._record.verified_up_to + 1
         while a <= self.hi:
             b = min(a + self.chunk_size - 1, self.hi)
             yield (a, b, self.lo, self.budget)
@@ -433,10 +402,11 @@ class RangeVerifier:
 
     def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
         chunk_hi, stats, violations, inconclusive = result
-        self._stats.merge(stats)
-        self._violations.extend(violations)
-        self._inconclusive.extend(inconclusive)
-        self._next = chunk_hi + 1
+        record = self._record
+        record.verified_up_to = chunk_hi
+        record.stats.merge(stats)
+        record.violations.extend(violations)
+        record.inconclusive.extend(inconclusive)
         if self.checkpoint_path is not None:
             write_checkpoint(self.checkpoint_path, self.checkpoint())
 
@@ -448,7 +418,7 @@ class RangeVerifier:
         """
         t0 = time.perf_counter()
         # Chunks this pass runs (ceiling division); a pool pays off only for two or more.
-        pending = -(-(self.hi - self._next + 1) // self.chunk_size)
+        pending = -(-(self.hi - self._record.verified_up_to) // self.chunk_size)
         if max_chunks is not None:
             pending = min(pending, max_chunks)
         tasks = itertools.islice(self._pending_chunks(), max_chunks)
@@ -461,14 +431,14 @@ class RangeVerifier:
                 # therefore checkpointed, strictly ascending.
                 for result in pool.imap(_sweep_chunk, tasks):
                     self._consume(result)
-        if self._next <= self.hi:
+        if self._record.verified_up_to < self.hi:
             return None
         return RangeReport(
             fact_id="convergence",
             lo=self.lo,
             hi=self.hi,
             checked=self.hi - self.lo + 1,
-            violations=self._violations,
-            inconclusive=self._inconclusive,
+            violations=self._record.violations,
+            inconclusive=self._record.inconclusive,
             elapsed=time.perf_counter() - t0,
         )

@@ -309,6 +309,14 @@ class TestFactsCommand:
         code, _, _ = run_cli(capsys, *argv, "--strict")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("c0-structure", "1", "50"), ("reduction", "1", "1")]
+    )
+    def test_negative_budget_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, "facts", *argv, "--budget", "-3")
+        assert code == 2
+        assert "budget must be >= 0" in err
+
 
 class TestTreeCommand:
     def test_reduced_dot(self, capsys):

@@ -44,7 +44,8 @@ budgets = st.one_of(st.integers(0, 3), st.sampled_from([5, 10, 50, 10**6]))
 
 @st.composite
 def chunks(draw):
-    # Chunks start near range_lo (all direct) or near 2*range_lo, where the sieve begins.
+    # Chunks start near range_lo or near 2*range_lo: every class that drops within
+    # min(K, budget) steps is folded from its first member >= 2*range_lo at the latest.
     range_lo = draw(range_los)
     near = draw(st.sampled_from([range_lo, 2 * range_lo]))
     lo = max(range_lo, near + draw(st.integers(-60, 60)))
@@ -93,9 +94,12 @@ def test_chunk_equals_reference_near_fold_bounds(task):
         (1, 1, 1, 0),  # n = 1 is at 1 with no budget at all
         (2, 2, 1, 0),
         (1, 64, 1, 1),  # budget 1: only even starts are settled
-        (4, 5, 1, 10),  # one sieved even and one sieved 4k+1, nothing iterated
-        (100, 140, 60, 10**6),  # straddles 2*range_lo
+        (4, 5, 1, 10),  # two folded classes, nothing iterated
+        (100, 140, 60, 10**6),  # straddles 2*range_lo, where every class is folded at the latest
         (27, 27, 27, 10**6),
+        # 684 and 701 inconclusive starts, listed across classes: witness order
+        (1000, 1800, 1000, 3),
+        (10**12, 10**12 + 700, 10**12, 9),
     ],
 )
 def test_chunk_equals_reference_at_the_edges(task):
@@ -284,6 +288,15 @@ def _interrupted(path, budget):
     """[1, 100] in chunks of 10, stopped after 5 chunks."""
     partial = RangeVerifier(1, 100, chunk_size=10, budget=budget, checkpoint_path=path)
     assert partial.run(max_chunks=5) is None
+
+
+def test_checkpoint_is_a_snapshot():
+    verifier = RangeVerifier(1, 100, chunk_size=10)
+    assert verifier.run(max_chunks=1) is None
+    first = verifier.checkpoint()
+    assert verifier.run(max_chunks=1) is None
+    assert first.verified_up_to == 10
+    assert verifier.checkpoint().verified_up_to == 20
 
 
 class TestResumeBudget:
