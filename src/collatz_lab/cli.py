@@ -179,14 +179,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _known_family(candidate: cycles_mod.CycleCandidate) -> bool:
-    return set(cycles_mod.cycle_values(candidate)) <= {1, 2}
-
-
 def _cmd_cycles(args: argparse.Namespace) -> int:
-    found = cycles_mod.search_cycles(args.max_len, diagnostic=args.diagnostic)
-    consistent = [c for c in found if c.consistent]
-    family_ok = all(_known_family(c) for c in consistent)
+    found = cycles_mod.search_cycles(args.max_len)
+    family_ok = all(set(cycles_mod.cycle_values(c)) <= {1, 2} for c in found)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "task": "cycles",
@@ -206,12 +201,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
     else:
         for c in found:
-            marks = []
-            if not c.simple:
-                marks.append("repetition")
-            if not c.consistent:
-                marks.append("parity-inconsistent")
-            suffix = f" ({', '.join(marks)})" if marks else ""
+            suffix = "" if c.simple else " (repetition)"
             print(f"length {c.seq.length}: {c.seq} -> x = {c.x}{suffix}")
         verdict = "only the known {1, 2} family" if family_ok else "UNEXPECTED CYCLE"
         print(f"{len(found)} candidates up to length {args.max_len}: {verdict}")
@@ -281,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="exhaustive cycle search over rule words")
     p.add_argument("--max-len", type=int, default=20)
-    p.add_argument("--diagnostic", action="store_true",
-                   help="include parity-inconsistent algebraic solutions")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", type=Path, default=None)
     p.add_argument("--force", action="store_true")

@@ -2,10 +2,10 @@
 
 A word over {R1, R2} composes to a single affine map x -> (3^p x + a) / 2^k
 where p counts the R2 steps and k is the word length.  A cycle that applies
-exactly that word must start at x = a / (2^k - 3^p), so candidate cycles
-can be enumerated algebraically and then screened by whether the parities
-along the orbit really drive the word.  Everything here is exact integer
-or rational arithmetic; no floating point.
+exactly that word must start at x = a / (2^k - 3^p), so cycles can be
+enumerated algebraically: every positive integer solution drives its word
+(see `search_cycles`).  Everything here is exact integer or rational
+arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ def _minimal_period(rules: tuple[Rule, ...]) -> int:
 class CycleCandidate:
     """A positive integer solution of form(x) = x for some rule word.
 
-    `consistent` records whether the word is actually driven by x's
-    parities (the algebraic equation is necessary, not sufficient).
+    `consistent` records whether x's parities drive the word, checked by
+    simulation.  The rotation argument in `search_cycles` proves it for
+    every solution, so False would mean an error in the algebra.
     `simple` is False when the word is a repetition of a shorter word,
     i.e. the same cycle traversed more than once.
     """
@@ -146,11 +147,10 @@ def fixed_point(seq: RuleSequence | Iterable[Rule]) -> CycleCandidate | None:
     seq = _coerce(seq)
     form = affine_form(seq)
     d = (1 << form.pow2) - 3**form.pow3
-    if d <= 0:
-        return None
     # d > 0 is the exact-arithmetic form of the halving/tripling balance
     # bound r1_count > r2_count * (log2(3) - 1); never evaluated in floats.
-    assert (1 << seq.length) > 3**seq.r2_count
+    if d <= 0:
+        return None
     if form.addend % d:
         return None
     x = form.addend // d
@@ -164,17 +164,20 @@ def fixed_point(seq: RuleSequence | Iterable[Rule]) -> CycleCandidate | None:
     )
 
 
-def _mask_to_rules(mask: int, k: int) -> tuple[Rule, ...]:
-    return tuple(Rule.R2 if (mask >> j) & 1 else Rule.R1 for j in range(k))
+def search_cycles(max_len: int) -> list[CycleCandidate]:
+    """Solve form(x) = x for every rule word of length <= max_len.
 
+    A depth-first walk over word prefixes carries each prefix's affine form:
+    appending R1 keeps the addend, appending R2 at position k maps it to
+    3a + 2^k, so each word costs O(1).  A word whose d = 2^k - 3^p divides
+    its positive addend goes to fixed_point().  Candidates are ordered by
+    length, then lexicographically with R1 < R2.
 
-def search_cycles(max_len: int, diagnostic: bool = False) -> list[CycleCandidate]:
-    """Enumerate every rule word of length <= max_len and collect cycle candidates.
-
-    Returns parity-consistent candidates ordered by length, then
-    lexicographically with R1 < R2.  With `diagnostic`, algebraic solutions
-    whose parities fail to drive the word are included too (flagged
-    consistent=False).
+    Every candidate is consistent (Böhm & Sontacchi 1978).  Take x = a / d.
+    If the word starts with R1, a is even and d is odd, so x is even; if it
+    starts with R2, a is odd, so x is odd.  Either way the first rule fires,
+    and its image is the solution of the word rotated by one, so induction
+    covers every rule.
     """
     if not 1 <= max_len <= MAX_SEARCH_LEN:
         raise ValueError(
@@ -182,34 +185,17 @@ def search_cycles(max_len: int, diagnostic: bool = False) -> list[CycleCandidate
         )
     pow3 = [3**i for i in range(max_len + 1)]
     found: list[CycleCandidate] = []
-    for k in range(1, max_len + 1):
-        two_k = 1 << k
-        for mask in range(two_k):
-            # bit j set <=> R2 at position j
-            r2 = mask.bit_count()
-            d = two_k - pow3[r2]
-            if d <= 0:
-                continue
-            addend = 0
-            rank = 0
-            m = mask
-            while m:
-                pos = (m & -m).bit_length() - 1
-                rank += 1
-                addend += (1 << pos) * pow3[r2 - rank]
-                m &= m - 1
-            if addend % d:
-                continue
-            x = addend // d
-            if x < 1:
-                continue
-            # The same candidate fixed_point() would build, without recomposing
-            # the word; tests pin the agreement over every short word.
-            seq = RuleSequence(_mask_to_rules(mask, k))
-            consistent = drives(seq, x)
-            if consistent or diagnostic:
-                simple = _minimal_period(seq.rules) == k
-                found.append(CycleCandidate(seq, x, consistent, simple))
+    # (length k, R2 count p, addend a, mask with bit j set iff R2 at position j)
+    stack = [(1, 0, 0, 0), (1, 1, 1, 1)]
+    while stack:
+        k, p, a, mask = stack.pop()
+        d = (1 << k) - pow3[p]
+        if d > 0 and a > 0 and a % d == 0:
+            word = (Rule.R2 if (mask >> j) & 1 else Rule.R1 for j in range(k))
+            found.append(fixed_point(word))
+        if k < max_len:
+            stack.append((k + 1, p, a, mask))
+            stack.append((k + 1, p + 1, 3 * a + (1 << k), mask | (1 << k)))
     found.sort(
         key=lambda c: (c.seq.length, tuple(0 if r is Rule.R1 else 1 for r in c.seq.rules))
     )

@@ -388,9 +388,16 @@ class RangeVerifier:
 
     def checkpoint(self) -> Checkpoint:
         """Snapshot of the progress so far (requires at least one finished chunk)."""
-        if self._record.verified_up_to < self.lo:
+        record = self._record
+        if record.verified_up_to < self.lo:
             raise CheckpointError("no chunk verified yet, nothing to checkpoint")
-        return replace(self._record, timestamp=datetime.now(timezone.utc).isoformat())
+        return replace(
+            record,
+            stats=replace(record.stats),
+            violations=list(record.violations),
+            inconclusive=list(record.inconclusive),
+            timestamp=datetime.now(timezone.utc).isoformat(),
+        )
 
     def _pending_chunks(self) -> Iterator[tuple[int, int, int, int]]:
         # Lazy, so that a short pass over a huge range does not build every tuple first.

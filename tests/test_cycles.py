@@ -130,6 +130,12 @@ class TestFixedPoint:
         if cand is not None:
             assert (1 << cand.seq.length) > 3**cand.seq.r2_count
 
+    @given(words)
+    def test_every_solution_is_consistent(self, word):
+        """No parity-inconsistent solution exists (the rotation argument)."""
+        cand = fixed_point(word)
+        assert cand is None or cand.consistent
+
 
 class TestSearchCycles:
     def test_no_length_three_cycle(self):
@@ -187,7 +193,7 @@ class TestSearchCycles:
         assert lengths == sorted(lengths)
 
     def test_equals_fixed_point_over_every_word(self):
-        """The inline addend filter keeps exactly the words fixed_point() solves."""
+        """The prefix walk keeps exactly the words fixed_point() solves."""
         max_len = 12
         expected = [
             cand
@@ -196,14 +202,18 @@ class TestSearchCycles:
             if (cand := fixed_point(word)) is not None
         ]
         expected.sort(key=lambda c: (c.seq.length, tuple(r is R2 for r in c.seq.rules)))
-        assert search_cycles(max_len, diagnostic=True) == expected
+        assert search_cycles(max_len) == expected
 
-    def test_diagnostic_superset(self):
-        normal = search_cycles(12)
-        diag = search_cycles(12, diagnostic=True)
-        assert set((c.seq.rules, c.x) for c in normal) <= set(
-            (c.seq.rules, c.x) for c in diag
-        )
+    def test_length_20_is_the_two_cycle_family(self):
+        """Each even length holds the {1, 2} cycle entered at 2, then at 1."""
+        expected = [
+            (word * (length // 2), x, length == 2)
+            for length in range(2, 21, 2)
+            for word, x in (((R1, R2), 2), ((R2, R1), 1))
+        ]
+        found = search_cycles(20)
+        assert [(c.seq.rules, c.x, c.simple) for c in found] == expected
+        assert all(c.consistent for c in found)
 
     @pytest.mark.parametrize("bad", [0, -1, 31])
     def test_length_guard(self, bad):

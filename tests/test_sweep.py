@@ -291,12 +291,19 @@ def _interrupted(path, budget):
 
 
 def test_checkpoint_is_a_snapshot():
-    verifier = RangeVerifier(1, 100, chunk_size=10)
+    # At budget 5 the first chunk leaves 7 open (peak 26); later chunks add
+    # six more open starts and the peak 242 at 31.
+    verifier = RangeVerifier(1, 100, chunk_size=10, budget=5)
     assert verifier.run(max_chunks=1) is None
     first = verifier.checkpoint()
-    assert verifier.run(max_chunks=1) is None
+    assert verifier.run(max_chunks=5) is None
     assert first.verified_up_to == 10
-    assert verifier.checkpoint().verified_up_to == 20
+    assert [x for x, _ in first.inconclusive] == [7]
+    assert (first.stats.max_peak, first.stats.max_peak_at) == (26, 7)
+    later = verifier.checkpoint()
+    assert later.verified_up_to == 60
+    assert len(later.inconclusive) == 7
+    assert (later.stats.max_peak, later.stats.max_peak_at) == (242, 31)
 
 
 class TestResumeBudget:
