@@ -225,12 +225,12 @@ def verify_no_small_cycles(range_max: int) -> RangeReport:
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     for x in range(1, range_max + 1):
-        t1, _ = step(x)
+        t1 = (3 * x + 1) >> 1 if x & 1 else x >> 1
         if t1 == x:
             violations.append((x, f"step({x}) = {x}: cycle of length one"))
             continue
-        t2, _ = step(t1)
-        if x in (1, 2):
+        t2 = (3 * t1 + 1) >> 1 if t1 & 1 else t1 >> 1
+        if x < 3:
             if t2 != x:
                 violations.append((x, f"known 2-cycle through 1 and 2 broken at {x}"))
         elif t2 == x:
@@ -270,9 +270,7 @@ def c0_chain(x: int) -> C0Chain:
     if residue_class(x) is not ResidueClass.C0:
         raise ValueError(f"C0 chains are defined on multiples of 3, got {x}")
     i = (x & -x).bit_length() - 1
-    q = x >> i
-    assert q & 1 and q % 3 == 0
-    return C0Chain(x=x, halvings=i, odd_part=q)
+    return C0Chain(x=x, halvings=i, odd_part=x >> i)
 
 
 def verify_c0_structure(range_max: int, budget: int = DEFAULT_BUDGET) -> RangeReport:
@@ -293,14 +291,11 @@ def verify_c0_structure(range_max: int, budget: int = DEFAULT_BUDGET) -> RangeRe
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     for x in range(1, range_max + 1):
-        in_c0 = residue_class(x) is ResidueClass.C0
-        if in_c0 and x >= 3:
-            chain = c0_chain(x)
-            if chain.odd_part % 2 == 0 or chain.odd_part % 3 != 0:
-                violations.append(
-                    (x, f"odd part {chain.odd_part} is not an odd multiple of 3")
-                )
-        left_c0 = not in_c0
+        left_c0 = x % 3 != 0
+        if not left_c0 and x >= 3:
+            q = x >> ((x & -x).bit_length() - 1)
+            if not q & 1 or q % 3:
+                violations.append((x, f"odd part {q} is not an odd multiple of 3"))
         v = x
         steps = 0
         while v >= x > 1:
@@ -309,7 +304,7 @@ def verify_c0_structure(range_max: int, budget: int = DEFAULT_BUDGET) -> RangeRe
                     (x, f"orbit of {x} did not drop below {x} within {budget} steps")
                 )
                 break
-            v, _rule = step(v)
+            v = (3 * v + 1) >> 1 if v & 1 else v >> 1
             steps += 1
             if v % 3 == 0:
                 if left_c0:

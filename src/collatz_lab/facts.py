@@ -1,9 +1,13 @@
 """Exhaustive range verifiers for the residue-class structure of the map.
 
-Each verifier re-derives its claims through the core map operations rather
-than through re-stated formulas, so a single arithmetic slip cannot
-confirm itself: the forward map checks the inverse definitions and vice
-versa.  Every reported violation carries a re-checkable witness.
+Each verifier is one loop over plain ints: inline shift/multiply steps and
+`x % 3` class codes, with no `ResidueClass` or core-map call per value; an
+enum name is built only to format a witness.  Every reported violation
+carries a re-checkable witness.  That a single arithmetic slip here cannot
+confirm itself (the forward map checks the inverse definitions and vice
+versa) is kept by the oracle tests in `tests/test_facts.py` and
+`tests/test_cycles.py`: they run per-value reference bodies built on
+`core_map` against these loops.
 """
 
 from __future__ import annotations
@@ -11,16 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core_map import (
-    ResidueClass,
-    Rule,
-    pred_even,
-    pred_odd,
-    predecessors,
-    reduced_step,
-    residue_class,
-    step,
-)
+from .core_map import ResidueClass
 from .trajectory import DEFAULT_BUDGET, BudgetExhaustedError, correspondence
 
 #: Version of every JSON document the package writes: reports, checkpoints, trees.
@@ -74,74 +69,50 @@ def _require_range(lo: int, hi: int) -> None:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
 
 
-def _class_of(n: int) -> ResidueClass:
-    # residue_class is defined on x >= 1; 0 belongs to the class of
-    # multiples of 3.  Only the (x-2)/3 probe at x = 2 needs this.
-    return residue_class(n) if n >= 1 else ResidueClass.C0
-
-
-# Expected class of the odd predecessor, keyed by the class of (x-2)/3.
-_ODD_PRED_CLASS = {
-    ResidueClass.C1: ResidueClass.C0,
-    ResidueClass.C0: ResidueClass.C1,
-    ResidueClass.C2: ResidueClass.C2,
-}
-
-# Expected class of the even predecessor 2x, keyed by the class of x.
-_EVEN_PRED_CLASS = {
-    ResidueClass.C0: ResidueClass.C0,
-    ResidueClass.C1: ResidueClass.C2,
-    ResidueClass.C2: ResidueClass.C1,
-}
+# Class of the even predecessor 2x, indexed by the class of x.
+_EVEN_PRED_CLASS = (0, 2, 1)
+# Class of the odd predecessor (2x-1)/3 of x in C2, indexed by the class of
+# (x-2)/3; at x = 2 the probe is 0, which counts as a multiple of 3.
+_ODD_PRED_CLASS = (1, 0, 2)
+# Class of step(x), indexed by x mod 6: from C0 to C0 when x/3 is even and to
+# C2 when it is odd; from C1 always to C2; from C2 to C1 when x is even and to
+# C2 when it is odd.
+_STEP_CLASS = (0, 2, 1, 2, 2, 2)
 
 
 def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
     """Check the full predecessor case analysis on [lo, hi].
 
-    For every x: the even predecessor exists, round-trips via R1, and has
-    the class forced by x's class; the odd predecessor exists iff x is in
-    C2, is odd, round-trips via R2, and its class matches the class of
-    (x-2)/3 as scheduled above.
+    For every x: the even predecessor 2x halves back to x and has the class
+    forced by x's class; the odd predecessor (2x-1)/3 exists iff x is in C2,
+    is odd, returns to x via R2, and its class matches the class of (x-2)/3
+    as scheduled above.
     """
     _require_range(lo, hi)
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
-        cls = residue_class(x)
-        preds = predecessors(x)
-        pe = pred_even(x)
-        po = pred_odd(x)
-
-        if preds[0] != (pe, Rule.R1):
-            violations.append((x, f"even predecessor not listed first: {preds}"))
-            continue
-        if step(pe) != (x, Rule.R1):
-            violations.append((x, f"step({pe}) does not return to {x} via R1"))
-            continue
-        if residue_class(pe) is not _EVEN_PRED_CLASS[cls]:
+        c = x % 3
+        pe = 2 * x
+        if pe >> 1 != x or pe % 3 != _EVEN_PRED_CLASS[c]:
             violations.append(
-                (x, f"even predecessor {pe} in {residue_class(pe).name}, "
-                    f"expected {_EVEN_PRED_CLASS[cls].name}")
+                (x, f"even predecessor {pe} in {ResidueClass(pe % 3).name}, "
+                    f"expected {ResidueClass(_EVEN_PRED_CLASS[c]).name}")
             )
-            continue
-
-        if cls is ResidueClass.C2:
-            if po is None or len(preds) != 2 or preds[1] != (po, Rule.R2):
-                violations.append((x, f"odd predecessor missing or mislisted: {preds}"))
-                continue
-            if po % 2 == 0 or step(po) != (x, Rule.R2):
-                violations.append((x, f"odd predecessor {po} does not round-trip via R2"))
-                continue
-            probe_cls = _class_of((x - 2) // 3)
-            if residue_class(po) is not _ODD_PRED_CLASS[probe_cls]:
-                violations.append(
-                    (x, f"odd predecessor {po} in {residue_class(po).name}, "
-                        f"expected {_ODD_PRED_CLASS[probe_cls].name} since "
-                        f"(x-2)/3 is in {probe_cls.name}")
-                )
+        elif c != 2:
+            if (pe - 1) % 3 == 0:
+                violations.append((x, f"unexpected odd predecessor {(pe - 1) // 3} outside C2"))
         else:
-            if po is not None or len(preds) != 1:
-                violations.append((x, f"unexpected odd predecessor outside C2: {preds}"))
+            po, r = divmod(pe - 1, 3)
+            probe = (x - 2) // 3 % 3
+            if r or not po & 1 or (3 * po + 1) >> 1 != x:
+                violations.append((x, f"odd predecessor {po} missing or not returning via R2"))
+            elif po % 3 != _ODD_PRED_CLASS[probe]:
+                violations.append(
+                    (x, f"odd predecessor {po} in {ResidueClass(po % 3).name}, "
+                        f"expected {ResidueClass(_ODD_PRED_CLASS[probe]).name} since "
+                        f"(x-2)/3 is in {ResidueClass(probe).name}")
+                )
 
     return RangeReport(
         fact_id="predecessor-structure",
@@ -163,18 +134,12 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
-        cls = residue_class(x)
-        t, _rule = step(x)
-        tcls = residue_class(t)
-        if cls is ResidueClass.C0:
-            want = ResidueClass.C0 if (x // 3) % 2 == 0 else ResidueClass.C2
-        elif cls is ResidueClass.C1:
-            want = ResidueClass.C2
-        else:
-            want = ResidueClass.C1 if x % 2 == 0 else ResidueClass.C2
-        if tcls is not want:
+        t = (3 * x + 1) >> 1 if x & 1 else x >> 1
+        want = _STEP_CLASS[x % 6]
+        if t % 3 != want:
             violations.append(
-                (x, f"{cls.name} -> {tcls.name} at step({x}) = {t}, expected {want.name}")
+                (x, f"{ResidueClass(x % 3).name} -> {ResidueClass(t % 3).name} at "
+                    f"step({x}) = {t}, expected {ResidueClass(want).name}")
             )
     return RangeReport(
         fact_id="class-transitions",
@@ -207,10 +172,10 @@ def verify_reduction(
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
-        cls = residue_class(x)
-        if cls is ResidueClass.C2:
-            t, _rule = reduced_step(x)
-            if residue_class(t) is not ResidueClass.C2:
+        c = x % 3
+        if c == 2:
+            t = (3 * x + 1) >> 1 if x & 1 else (3 * x + 2) >> 2 if x & 2 else x >> 2
+            if t % 3 != 2:
                 violations.append((x, f"reduced_step({x}) = {t} left class C2"))
                 continue
             if include_correspondence:
@@ -219,13 +184,12 @@ def verify_reduction(
                         violations.append((x, "reduced orbit diverges from C2 subsequence"))
                 except BudgetExhaustedError as exc:
                     inconclusive.append((x, str(exc)))
-        elif cls is ResidueClass.C1:
-            pe = pred_even(x)
-            if residue_class(pe) is not ResidueClass.C2:
-                violations.append((x, f"even predecessor {pe} of C1 vertex not in C2"))
+        elif c == 1:
+            if 2 * x % 3 != 2:
+                violations.append((x, f"even predecessor {2 * x} of C1 vertex not in C2"))
                 continue
-            t, _rule = step(x)
-            if residue_class(t) is not ResidueClass.C2:
+            t = (3 * x + 1) >> 1 if x & 1 else x >> 1
+            if t % 3 != 2:
                 violations.append((x, f"successor {t} of C1 vertex not in C2"))
     return RangeReport(
         fact_id="reduction",

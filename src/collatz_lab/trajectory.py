@@ -159,19 +159,35 @@ def correspondence(x: int, budget: int) -> bool:
     through 2 first, since 2 is the only predecessor of 1).  Both value
     sequences include the start and the terminal 2.  If either orbit fails
     to terminate within `budget`, the comparison is inconclusive and
-    BudgetExhaustedError is raised — inconclusive is not false.
+    BudgetExhaustedError is raised — inconclusive is not false; a full
+    orbit that misses 2 takes precedence.
+
+    One lockstep walk: the full orbit advances, and each C2 value it meets
+    takes the reduced orbit one step further for comparison.  Only after a
+    mismatch is the reduced orbit walked alone, to tell False from its own
+    budget running out.
     """
     if residue_class(x) is not ResidueClass.C2:
         raise ValueError(f"correspondence is defined on class C2, got {x}")
-    full = orbit(x, budget, 2, value_cap=budget + 1)
-    if full.final != 2:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    v = r = x
+    matched = True
+    for _ in range(budget):
+        if v == 2:
+            break
+        v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+        # While matched, r is the previous C2 value (not 2) and has taken
+        # fewer steps than v, so its next step is within the budget too.
+        if matched and v % 3 == 2:
+            r = (3 * r + 1) >> 1 if r & 1 else (3 * r + 2) >> 2 if r & 2 else r >> 2
+            matched = r == v
+    if v != 2:
         raise BudgetExhaustedError(
             f"orbit of {x} did not reach 2 within {budget} steps"
         )
-    reduced = reduced_orbit(x, budget, value_cap=budget + 1)
-    if reduced.final != 2:
+    if not matched and reduced_orbit(x, budget, value_cap=1).final != 2:
         raise BudgetExhaustedError(
             f"reduced orbit of {x} did not reach 2 within {budget} steps"
         )
-    filtered = [v for v in full.values if v % 3 == 2]
-    return filtered == list(reduced.values)
+    return matched

@@ -137,22 +137,36 @@ def export_dot(tree: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_dicts(edges: tuple[Edge, ...]) -> list[dict]:
-    return [{"child": e.child, "parent": e.parent, "rule": e.rule.name} for e in edges]
+def _json_list(items: list[str]) -> str:
+    """A list at depth 1 of the `json.dumps(doc, indent=2)` layout, items pre-rendered."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_edges(edges: tuple[Edge, ...]) -> str:
+    return _json_list([
+        f'    {{\n      "child": {e.child},\n      "parent": {e.parent},\n'
+        f'      "rule": "{e.rule.name}"\n    }}'
+        for e in edges
+    ])
 
 
 def export_json(tree: Tree) -> str:
-    """Serialize to JSON; `tree_from_json` round-trips losslessly."""
-    doc = {
+    """Serialize to JSON; `tree_from_json` round-trips losslessly.
+
+    The bytes are those of `json.dumps(doc, indent=2) + "\n"`; the node and
+    edge lists are written directly rather than through the encoder.
+    """
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "flavor": tree.flavor.value,
         "root": tree.root,
         "limits": {"max_depth": tree.max_depth, "max_value": tree.max_value},
-        "nodes": list(tree.nodes),
-        "edges": _edge_dicts(tree.edges),
-        "suppressed_edges": _edge_dicts(tree.suppressed_edges),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, indent=2)
+    return (  # head[:-2] drops the closing "\n}" so the lists can follow
+        f'{head[:-2]},\n  "nodes": {_json_list([f"    {n}" for n in tree.nodes])},\n'
+        f'  "edges": {_json_edges(tree.edges)},\n'
+        f'  "suppressed_edges": {_json_edges(tree.suppressed_edges)}\n}}\n'
+    )
 
 
 def tree_from_json(text: str) -> Tree:

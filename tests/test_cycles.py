@@ -4,9 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from collatz_lab.core_map import Rule, step
+from collatz_lab.core_map import ResidueClass, Rule, residue_class, step
 from collatz_lab.cycles import (
     AffineForm,
     C0Chain,
@@ -21,6 +21,8 @@ from collatz_lab.cycles import (
     verify_c0_structure,
     verify_no_small_cycles,
 )
+from collatz_lab.facts import RangeReport
+from collatz_lab.trajectory import DEFAULT_BUDGET
 
 R1, R2 = Rule.R1, Rule.R2
 
@@ -234,6 +236,101 @@ class TestCycleValues:
             cycle_values(fake)
 
 
+# Per-value reference bodies of the two range verifiers, through step() and
+# c0_chain(); the verifiers fuse them into loops over plain ints.
+
+
+def reference_no_small_cycles(range_max: int) -> RangeReport:
+    violations = []
+    for x in range(1, range_max + 1):
+        t1, _ = step(x)
+        if t1 == x:
+            violations.append((x, f"step({x}) = {x}: cycle of length one"))
+            continue
+        t2, _ = step(t1)
+        if x in (1, 2):
+            if t2 != x:
+                violations.append((x, f"known 2-cycle through 1 and 2 broken at {x}"))
+        elif t2 == x:
+            violations.append((x, f"step^2({x}) = {x}: 2-cycle outside {{1, 2}}"))
+    return RangeReport("no-small-cycles", 1, range_max, range_max, violations)
+
+
+def reference_c0_structure(range_max: int, budget: int) -> RangeReport:
+    violations = []
+    inconclusive = []
+    for x in range(1, range_max + 1):
+        in_c0 = residue_class(x) is ResidueClass.C0
+        if in_c0 and x >= 3:
+            chain = c0_chain(x)
+            if chain.odd_part % 2 == 0 or chain.odd_part % 3 != 0:
+                violations.append(
+                    (x, f"odd part {chain.odd_part} is not an odd multiple of 3")
+                )
+        left_c0 = not in_c0
+        v = x
+        steps = 0
+        while v >= x > 1:
+            if steps == budget:
+                inconclusive.append(
+                    (x, f"orbit of {x} did not drop below {x} within {budget} steps")
+                )
+                break
+            v, _rule = step(v)
+            steps += 1
+            if v % 3 == 0:
+                if left_c0:
+                    violations.append((x, f"orbit re-entered C0 at {v}"))
+                    break
+            else:
+                left_c0 = True
+    return RangeReport("c0-structure", 1, range_max, range_max, violations, inconclusive)
+
+
+def fields(report: RangeReport) -> tuple:
+    """Everything in a report but the wall time."""
+    return (report.fact_id, report.lo, report.hi, report.checked,
+            report.violations, report.inconclusive)
+
+
+budgets = st.one_of(st.integers(0, 40), st.just(DEFAULT_BUDGET))
+
+
+class TestFusedAgainstReference:
+    """Each fused verifier returns its per-value reference body's report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3000))
+    @example(2)
+    def test_no_small_cycles(self, range_max):
+        assert fields(verify_no_small_cycles(range_max)) == fields(
+            reference_no_small_cycles(range_max)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), budgets)
+    @example(1, 0)
+    def test_c0_structure(self, range_max, budget):
+        assert fields(verify_c0_structure(range_max, budget)) == fields(
+            reference_c0_structure(range_max, budget)
+        )
+
+    @pytest.mark.parametrize("budget", [*range(0, 41), DEFAULT_BUDGET])
+    def test_c0_witnesses_at_every_budget(self, budget):
+        """Budget-limited witnesses are the non-empty lists the true map produces."""
+        got = verify_c0_structure(2000, budget)
+        assert fields(got) == fields(reference_c0_structure(2000, budget))
+        assert bool(got.inconclusive) == (budget != DEFAULT_BUDGET)
+
+    def test_at_the_benchmark_size(self):
+        assert fields(verify_no_small_cycles(20_000)) == fields(
+            reference_no_small_cycles(20_000)
+        )
+        assert fields(verify_c0_structure(20_000)) == fields(
+            reference_c0_structure(20_000, DEFAULT_BUDGET)
+        )
+
+
 class TestNoSmallCycles:
     def test_clean_range(self):
         report = verify_no_small_cycles(10**4)
@@ -270,7 +367,11 @@ class TestC0Chain:
         with pytest.raises(ValueError):
             c0_chain(x)
 
-    @given(st.integers(min_value=1, max_value=10**5).map(lambda k: 3 * k))
+    @given(
+        st.builds(
+            lambda k, j: 3 * k << j, st.integers(1, 10**30), st.integers(0, 100)
+        )
+    )
     def test_forward_halvings_reach_the_odd_part(self, x):
         """Following the forward map for `halvings` steps lands on the odd part."""
         chain = c0_chain(x)

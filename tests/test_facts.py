@@ -1,14 +1,185 @@
-"""Unit tests for the range verifiers."""
+"""Unit tests for the range verifiers, and the fused loops against per-value references."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from collatz_lab.core_map import ResidueClass, pred_even, pred_odd, residue_class, step
+from collatz_lab.core_map import (
+    ResidueClass,
+    Rule,
+    pred_even,
+    pred_odd,
+    predecessors,
+    reduced_step,
+    residue_class,
+    step,
+)
 from collatz_lab.facts import (
     RangeReport,
     verify_predecessor_structure,
     verify_reduction,
     verify_transitions,
 )
+from collatz_lab.trajectory import DEFAULT_BUDGET, BudgetExhaustedError, correspondence
+
+# Per-value reference bodies: each fact re-derived through the core map
+# operations rather than re-stated formulas, so the forward map checks the
+# inverse definitions and vice versa.  The verifiers in `facts` fuse these
+# into loops over plain ints and must return the same reports.
+
+
+def _class_of(n: int) -> ResidueClass:
+    # residue_class is defined on x >= 1; 0 belongs to the class of
+    # multiples of 3.  Only the (x-2)/3 probe at x = 2 needs this.
+    return residue_class(n) if n >= 1 else ResidueClass.C0
+
+
+_ODD_PRED_CLASS = {
+    ResidueClass.C1: ResidueClass.C0,
+    ResidueClass.C0: ResidueClass.C1,
+    ResidueClass.C2: ResidueClass.C2,
+}
+_EVEN_PRED_CLASS = {
+    ResidueClass.C0: ResidueClass.C0,
+    ResidueClass.C1: ResidueClass.C2,
+    ResidueClass.C2: ResidueClass.C1,
+}
+
+
+def reference_predecessor_structure(lo: int, hi: int) -> RangeReport:
+    violations = []
+    for x in range(lo, hi + 1):
+        cls = residue_class(x)
+        preds = predecessors(x)
+        pe = pred_even(x)
+        po = pred_odd(x)
+
+        if preds[0] != (pe, Rule.R1):
+            violations.append((x, f"even predecessor not listed first: {preds}"))
+            continue
+        if step(pe) != (x, Rule.R1):
+            violations.append((x, f"step({pe}) does not return to {x} via R1"))
+            continue
+        if residue_class(pe) is not _EVEN_PRED_CLASS[cls]:
+            violations.append(
+                (x, f"even predecessor {pe} in {residue_class(pe).name}, "
+                    f"expected {_EVEN_PRED_CLASS[cls].name}")
+            )
+            continue
+
+        if cls is ResidueClass.C2:
+            if po is None or len(preds) != 2 or preds[1] != (po, Rule.R2):
+                violations.append((x, f"odd predecessor missing or mislisted: {preds}"))
+                continue
+            if po % 2 == 0 or step(po) != (x, Rule.R2):
+                violations.append((x, f"odd predecessor {po} does not round-trip via R2"))
+                continue
+            probe_cls = _class_of((x - 2) // 3)
+            if residue_class(po) is not _ODD_PRED_CLASS[probe_cls]:
+                violations.append(
+                    (x, f"odd predecessor {po} in {residue_class(po).name}, "
+                        f"expected {_ODD_PRED_CLASS[probe_cls].name} since "
+                        f"(x-2)/3 is in {probe_cls.name}")
+                )
+        else:
+            if po is not None or len(preds) != 1:
+                violations.append((x, f"unexpected odd predecessor outside C2: {preds}"))
+    return RangeReport("predecessor-structure", lo, hi, hi - lo + 1, violations)
+
+
+def reference_transitions(lo: int, hi: int) -> RangeReport:
+    violations = []
+    for x in range(lo, hi + 1):
+        cls = residue_class(x)
+        t, _rule = step(x)
+        tcls = residue_class(t)
+        if cls is ResidueClass.C0:
+            want = ResidueClass.C0 if (x // 3) % 2 == 0 else ResidueClass.C2
+        elif cls is ResidueClass.C1:
+            want = ResidueClass.C2
+        else:
+            want = ResidueClass.C1 if x % 2 == 0 else ResidueClass.C2
+        if tcls is not want:
+            violations.append(
+                (x, f"{cls.name} -> {tcls.name} at step({x}) = {t}, expected {want.name}")
+            )
+    return RangeReport("class-transitions", lo, hi, hi - lo + 1, violations)
+
+
+def reference_reduction(lo, hi, budget=DEFAULT_BUDGET, include_correspondence=True):
+    violations = []
+    inconclusive = []
+    for x in range(lo, hi + 1):
+        cls = residue_class(x)
+        if cls is ResidueClass.C2:
+            t, _rule = reduced_step(x)
+            if residue_class(t) is not ResidueClass.C2:
+                violations.append((x, f"reduced_step({x}) = {t} left class C2"))
+                continue
+            if include_correspondence:
+                try:
+                    if not correspondence(x, budget):
+                        violations.append((x, "reduced orbit diverges from C2 subsequence"))
+                except BudgetExhaustedError as exc:
+                    inconclusive.append((x, str(exc)))
+        elif cls is ResidueClass.C1:
+            pe = pred_even(x)
+            if residue_class(pe) is not ResidueClass.C2:
+                violations.append((x, f"even predecessor {pe} of C1 vertex not in C2"))
+                continue
+            t, _rule = step(x)
+            if residue_class(t) is not ResidueClass.C2:
+                violations.append((x, f"successor {t} of C1 vertex not in C2"))
+    return RangeReport("reduction", lo, hi, hi - lo + 1, violations, inconclusive)
+
+
+def fields(report: RangeReport) -> tuple:
+    """Everything in a report but the wall time."""
+    return (report.fact_id, report.lo, report.hi, report.checked,
+            report.violations, report.inconclusive)
+
+
+los = st.one_of(
+    st.integers(1, 3000),
+    st.integers(10**6 - 3000, 10**6 + 3000),
+    st.integers(10**12 - 3000, 10**12 + 3000),
+)
+widths = st.integers(0, 3000)
+budgets = st.one_of(st.integers(0, 40), st.just(DEFAULT_BUDGET))
+
+
+class TestFusedAgainstReference:
+    """Each fused verifier returns its per-value reference body's report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(los, widths)
+    @example(2, 0)  # the (x-2)/3 probe is 0
+    def test_predecessor_structure(self, lo, width):
+        want = reference_predecessor_structure(lo, lo + width)
+        assert fields(verify_predecessor_structure(lo, lo + width)) == fields(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(los, widths)
+    @example(1, 0)
+    def test_transitions(self, lo, width):
+        assert fields(verify_transitions(lo, lo + width)) == fields(
+            reference_transitions(lo, lo + width)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(los, widths, budgets, st.booleans())
+    @example(2, 0, 0, True)
+    def test_reduction(self, lo, width, budget, with_correspondence):
+        got = verify_reduction(lo, lo + width, budget, with_correspondence)
+        want = reference_reduction(lo, lo + width, budget, with_correspondence)
+        assert fields(got) == fields(want)
+
+    @pytest.mark.parametrize("budget", [*range(0, 41), DEFAULT_BUDGET])
+    def test_reduction_witnesses_at_every_budget(self, budget):
+        """The budget-limited witnesses are the non-empty lists the true map produces."""
+        lo = 10**6 + 1
+        got = verify_reduction(lo, lo + 300, budget)
+        assert fields(got) == fields(reference_reduction(lo, lo + 300, budget))
+        assert bool(got.inconclusive) == (budget != DEFAULT_BUDGET)
 
 
 class TestPredecessorStructure:

@@ -1,16 +1,38 @@
 """Unit tests for backward tree construction and DOT/JSON export."""
 
+import json
+
 import pytest
 
 from collatz_lab.core_map import ReducedRule, Rule, predecessors, reduced_step, step
+from collatz_lab.facts import SCHEMA_VERSION
 from collatz_lab.tree import (
     Edge,
+    Tree,
     TreeFlavor,
     build_tree,
     export_dot,
     export_json,
     tree_from_json,
 )
+
+
+def reference_export_json(tree: Tree) -> str:
+    """The document through the stdlib encoder, which `export_json` writes directly."""
+
+    def edge_dicts(edges):
+        return [{"child": e.child, "parent": e.parent, "rule": e.rule.name} for e in edges]
+
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "flavor": tree.flavor.value,
+        "root": tree.root,
+        "limits": {"max_depth": tree.max_depth, "max_value": tree.max_value},
+        "nodes": list(tree.nodes),
+        "edges": edge_dicts(tree.edges),
+        "suppressed_edges": edge_dicts(tree.suppressed_edges),
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestBuildFull:
@@ -149,9 +171,26 @@ class TestExportDot:
 
 
 class TestExportJson:
-    def test_degenerate_tree_document(self):
-        import json
+    @pytest.mark.parametrize(
+        "flavor, root, kwargs",
+        [
+            (TreeFlavor.FULL, 1, {"max_depth": 0}),  # root only: every list but nodes empty
+            (TreeFlavor.REDUCED, 2, {"max_depth": 0}),
+            (TreeFlavor.FULL, 1, {"max_value": 24}),
+            (TreeFlavor.FULL, 1, {"max_depth": 9}),
+            (TreeFlavor.FULL, 1, {"max_depth": 12, "max_value": 500}),
+            (TreeFlavor.FULL, 5, {"max_depth": 8}),  # no suppressed edge
+            (TreeFlavor.REDUCED, 2, {"max_value": 64}),
+            (TreeFlavor.REDUCED, 2, {"max_depth": 6}),
+            (TreeFlavor.REDUCED, 5, {"max_depth": 5, "max_value": 10**4}),  # no suppressed edge
+            (TreeFlavor.REDUCED, 2, {"max_value": 10**4}),
+        ],
+    )
+    def test_bytes_equal_the_stdlib_encoder(self, flavor, root, kwargs):
+        tree = build_tree(flavor, root, **kwargs)
+        assert export_json(tree) == reference_export_json(tree)
 
+    def test_degenerate_tree_document(self):
         doc = json.loads(export_json(build_tree(TreeFlavor.FULL, 1, max_depth=0)))
         assert doc["flavor"] == "full"
         assert doc["root"] == 1
