@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +24,6 @@ from .tree import TreeFlavor, build_tree, export_dot, export_json
 
 # Not used here; perfbench/run.py reads the checkpoint functions from this module.
 from .sweep import load_checkpoint, write_checkpoint  # noqa: F401
-
-WORKERS_ENV = "COLLATZ_LAB_WORKERS"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -214,13 +211,6 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 # parser
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.isdigit() and int(raw) >= 1:
-        return int(raw)
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatz-lab",
@@ -238,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-range", help="confirm convergence to 1 for a whole range")
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--checkpoint", type=Path, default=None)

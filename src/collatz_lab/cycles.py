@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core_map import ResidueClass, Rule, residue_class, step
+from .core_map import ResidueClass, Rule, residue_class
 from .facts import RangeReport
-from .trajectory import DEFAULT_BUDGET
+from .trajectory import DEFAULT_BUDGET, orbit
 
 #: Enumeration is 2^k words per length; lengths beyond this are refused.
 MAX_SEARCH_LEN = 30
@@ -104,12 +104,9 @@ def drives(seq: RuleSequence | Iterable[Rule], x: int) -> bool:
     does, the final value is checked to have returned to x.
     """
     seq = _coerce(seq)
-    v = x
-    for rule in seq.rules:
-        v, fired = step(v)
-        if fired is not rule:
-            return False
-    return v == x
+    # Target 0 is never reached, so the orbit walks exactly len(word) steps.
+    walk = orbit(x, seq.length, 0, seq.length + 1)
+    return walk.rules == seq.rules and walk.final == x
 
 
 def _minimal_period(rules: tuple[Rule, ...]) -> int:
@@ -206,12 +203,8 @@ def cycle_values(candidate: CycleCandidate) -> tuple[int, ...]:
     """The values a consistent candidate visits, starting at x (length = word length)."""
     if not candidate.consistent:
         raise ValueError("cycle values are defined for consistent candidates only")
-    values = [candidate.x]
-    v = candidate.x
-    for _ in range(candidate.seq.length - 1):
-        v, _rule = step(v)
-        values.append(v)
-    return tuple(values)
+    k = candidate.seq.length
+    return orbit(candidate.x, k - 1, 0, k).values
 
 
 def verify_no_small_cycles(range_max: int) -> RangeReport:

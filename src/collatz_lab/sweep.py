@@ -1,22 +1,21 @@
 """Checkpointed convergence sweeps over a range of starts.
 
 `RangeVerifier` confirms that every start in [lo, hi] iterates to 1.  It
-works through the range in ascending chunks, optionally in a worker pool,
-and after every chunk it writes an atomic JSON checkpoint that a later
-run can resume from.
+works through the range in ascending chunks, in a worker pool when a pass
+has two or more of them, and after every chunk it writes an atomic JSON
+checkpoint that a later run can resume from.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
 
 from .facts import SCHEMA_VERSION, RangeReport, witnesses_from_json, witnesses_to_json
 from .trajectory import DEFAULT_BUDGET
@@ -70,33 +69,22 @@ class SweepStats:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "max_steps_at": self.max_steps_at,
-            "max_peak": self.max_peak,
-            "max_peak_at": self.max_peak_at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepStats":
-        return cls(
-            max_steps=int(doc["max_steps"]),
-            max_steps_at=int(doc["max_steps_at"]),
-            max_peak=int(doc["max_peak"]),
-            max_peak_at=int(doc["max_peak_at"]),
-        )
+        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass
 class Checkpoint:
-    """Atomic progress snapshot of a range sweep.
+    """Atomic progress snapshot of a `verify-range` sweep.
 
     Resuming from a checkpoint and running to completion yields the same
     final report as an uninterrupted run; witnesses found so far are part
     of the snapshot for exactly that reason.
     """
 
-    task: str
     lo: int
     hi: int
     budget: int
@@ -109,7 +97,7 @@ class Checkpoint:
     def to_json(self) -> str:
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "task": self.task,
+            "task": TASK_VERIFY_RANGE,
             "range": [self.lo, self.hi],
             "budget": self.budget,
             "verified_up_to": self.verified_up_to,
@@ -131,13 +119,16 @@ def load_checkpoint(path: Path) -> Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint schema_version: {doc.get('schema_version')!r}"
             )
+        if doc.get("task") != TASK_VERIFY_RANGE:
+            raise CheckpointError(
+                f"checkpoint {path} is for task {doc.get('task')!r}, not {TASK_VERIFY_RANGE}"
+            )
         if "budget" not in doc:
             raise CheckpointError(
                 f"checkpoint {path} has no budget field; its report cannot be resumed"
             )
         lo, hi = (int(v) for v in doc["range"])
         return Checkpoint(
-            task=str(doc["task"]),
             lo=lo,
             hi=hi,
             budget=int(doc["budget"]),
@@ -149,7 +140,7 @@ def load_checkpoint(path: Path) -> Checkpoint:
         )
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
 
 
@@ -322,9 +313,10 @@ class RangeVerifier:
 
     Chunks are verified strictly in ascending order (a chunk is only
     marked verified once everything below it is), which is what makes the
-    below-floor early exit of each orbit sound.  Per-start results do not
-    depend on worker layout, so any worker count produces the identical
-    report.
+    below-floor early exit of each orbit sound.  A pass over C chunks with
+    W workers starts min(W, C) processes, and none when that is one.
+    Per-start results do not depend on worker layout, so any worker count
+    produces the identical report.
     """
 
     def __init__(
@@ -363,11 +355,8 @@ class RangeVerifier:
             if self.checkpoint_path is None:
                 raise CheckpointError("resume requires a checkpoint path")
             cp = load_checkpoint(self.checkpoint_path)
-            if cp.task != TASK_VERIFY_RANGE or (cp.lo, cp.hi) != (lo, hi):
-                raise CheckpointError(
-                    f"checkpoint is for {cp.task} [{cp.lo}, {cp.hi}], "
-                    f"not {TASK_VERIFY_RANGE} [{lo}, {hi}]"
-                )
+            if (cp.lo, cp.hi) != (lo, hi):
+                raise CheckpointError(f"checkpoint is for [{cp.lo}, {cp.hi}], not [{lo}, {hi}]")
             if cp.budget != budget:
                 raise CheckpointError(
                     f"checkpoint was written with budget {cp.budget}, not {budget}"
@@ -378,9 +367,7 @@ class RangeVerifier:
                 )
             self._record = cp
         else:
-            self._record = Checkpoint(
-                TASK_VERIFY_RANGE, lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats()
-            )
+            self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats())
 
     @property
     def stats(self) -> SweepStats:
@@ -399,14 +386,6 @@ class RangeVerifier:
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
 
-    def _pending_chunks(self) -> Iterator[tuple[int, int, int, int]]:
-        # Lazy, so that a short pass over a huge range does not build every tuple first.
-        a = self._record.verified_up_to + 1
-        while a <= self.hi:
-            b = min(a + self.chunk_size - 1, self.hi)
-            yield (a, b, self.lo, self.budget)
-            a = b + 1
-
     def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
         chunk_hi, stats, violations, inconclusive = result
         record = self._record
@@ -423,21 +402,21 @@ class RangeVerifier:
         Returns the final report once the whole range is verified, None if
         chunks remain (partial pass).
         """
+        if max_chunks is not None and max_chunks < 0:
+            raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")
         t0 = time.perf_counter()
-        # Chunks this pass runs (ceiling division); a pool pays off only for two or more.
-        pending = -(-(self.hi - self._record.verified_up_to) // self.chunk_size)
-        if max_chunks is not None:
-            pending = min(pending, max_chunks)
-        tasks = itertools.islice(self._pending_chunks(), max_chunks)
-        if self.workers == 1 or pending <= 1:
-            for task in tasks:
-                self._consume(_sweep_chunk(task))
-        else:
-            with multiprocessing.Pool(self.workers) as pool:
-                # imap preserves submission order: chunks are consumed, and
-                # therefore checkpointed, strictly ascending.
-                for result in pool.imap(_sweep_chunk, tasks):
-                    self._consume(result)
+        # The plan is a lazy range of chunk starts; its full length is never taken.
+        size = self.chunk_size
+        starts = range(self._record.verified_up_to + 1, self.hi + 1, size)[:max_chunks]
+        tasks = ((a, min(a + size - 1, self.hi), self.lo, self.budget) for a in starts)
+        processes = len(starts[: self.workers])
+        # A pool pays off only for two or more chunks.  imap preserves
+        # submission order: chunks are consumed, and therefore checkpointed,
+        # strictly ascending.
+        pool = multiprocessing.Pool(processes) if processes > 1 else None
+        with pool or contextlib.nullcontext():
+            for result in (pool.imap if pool else map)(_sweep_chunk, tasks):
+                self._consume(result)
         if self._record.verified_up_to < self.hi:
             return None
         return RangeReport(

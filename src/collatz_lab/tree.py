@@ -75,7 +75,9 @@ def build_tree(
     A predecessor is admitted iff it respects the value cap, lies within
     the depth cap, is not already present, and does not close the known
     limit cycle.  Expansion is breadth-first with ascending tie-break, so
-    node and edge enumeration is deterministic.  None means no cap.
+    node and edge enumeration is deterministic.  None means no cap, but
+    at least one cap must be set: every node's even predecessor is new, so
+    an uncapped expansion never ends.
     """
     if flavor is TreeFlavor.REDUCED:
         if residue_class(root) is not ResidueClass.C2:
@@ -87,6 +89,8 @@ def build_tree(
         expand = predecessors
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if max_depth is None and max_value is None:
+        raise ValueError("need max_depth and/or max_value: an uncapped tree is infinite")
     if max_value is not None and max_value < root:
         raise ValueError(f"max_value {max_value} excludes the root {root}")
 

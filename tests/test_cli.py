@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from collatz_lab.cli import build_parser, main
+from collatz_lab.cli import main
 from collatz_lab.sweep import (
     Checkpoint,
     CheckpointError,
@@ -151,6 +151,10 @@ class TestRangeVerifier:
             RangeVerifier(10, 1)
         with pytest.raises(ValueError):
             RangeVerifier(1, 10, workers=0)
+        with pytest.raises(ValueError):
+            RangeVerifier(1, 10, chunk_size=0)
+        with pytest.raises(ValueError):
+            RangeVerifier(1, 10, budget=-1)
 
 
 class TestSweepStats:
@@ -381,18 +385,6 @@ class TestCyclesCommand:
         assert json.loads(path.read_text())["only_known_family"] is True
 
 
-class TestWorkersEnvDefault:
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("COLLATZ_LAB_WORKERS", "3")
-        args = build_parser().parse_args(["verify-range", "1", "10"])
-        assert args.workers == 3
-
-    def test_garbage_env_var_falls_back_to_1(self, monkeypatch):
-        monkeypatch.setenv("COLLATZ_LAB_WORKERS", "many")
-        args = build_parser().parse_args(["verify-range", "1", "10"])
-        assert args.workers == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -410,11 +402,30 @@ def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda doc: json.dumps({**doc, "verified_up_to": float("inf")}),  # int() overflows
+        lambda doc: "[" * 10**5,  # the parser runs out of recursion
+    ],
+    ids=["verified-up-to-infinity", "deep-nesting"],
+)
+def test_malformed_checkpoint_exits_2(capsys, tmp_path, mangle):
+    path = tmp_path / "cp.json"
+    RangeVerifier(1, 100, chunk_size=10, checkpoint_path=path).run(max_chunks=5)
+    path.write_text(mangle(json.loads(path.read_text())))
+    code, _, err = run_cli(
+        capsys, "verify-range", "1", "100", "--chunk-size", "10",
+        "--checkpoint", str(path), "--resume",
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
 class TestCheckpointFile:
     def test_atomic_write_and_load(self, tmp_path):
         path = tmp_path / "cp.json"
         cp = Checkpoint(
-            task="verify-range",
             lo=1,
             hi=100,
             budget=1000,

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from collatz_lab import facts
 from collatz_lab.core_map import (
     ResidueClass,
     Rule,
@@ -296,3 +297,33 @@ class TestReportShape:
         assert report.ok
         report.violations.append((1, "witness"))
         assert not report.ok
+
+
+class TestWitnesses:
+    """A wrong class schedule must surface as exact, re-checkable witnesses."""
+
+    def test_even_predecessor_class(self, monkeypatch):
+        monkeypatch.setattr(facts, "_EVEN_PRED_CLASS", (1, 2, 0))
+        assert verify_predecessor_structure(1, 8).violations == [
+            (2, "even predecessor 4 in C1, expected C0"),
+            (3, "even predecessor 6 in C0, expected C1"),
+            (5, "even predecessor 10 in C1, expected C0"),
+            (6, "even predecessor 12 in C0, expected C1"),
+            (8, "even predecessor 16 in C1, expected C0"),
+        ]
+
+    def test_odd_predecessor_class(self, monkeypatch):
+        monkeypatch.setattr(facts, "_ODD_PRED_CLASS", (0, 1, 2))
+        assert verify_predecessor_structure(1, 14).violations == [
+            (2, "odd predecessor 1 in C1, expected C0 since (x-2)/3 is in C0"),
+            (5, "odd predecessor 3 in C0, expected C1 since (x-2)/3 is in C1"),
+            (11, "odd predecessor 7 in C1, expected C0 since (x-2)/3 is in C0"),
+            (14, "odd predecessor 9 in C0, expected C1 since (x-2)/3 is in C1"),
+        ]
+
+    def test_step_class(self, monkeypatch):
+        monkeypatch.setattr(facts, "_STEP_CLASS", (0, 2, 1, 2, 2, 1))
+        assert verify_transitions(1, 12).violations == [
+            (5, "C2 -> C2 at step(5) = 8, expected C1"),
+            (11, "C2 -> C2 at step(11) = 17, expected C1"),
+        ]

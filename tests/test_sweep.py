@@ -1,6 +1,7 @@
 """The sweep kernel against a per-start reference, and checkpoint safety of RangeVerifier."""
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,3 +345,95 @@ def test_unwritable_checkpoint_fails_before_any_chunk(monkeypatch, tmp_path):
     with pytest.raises(CheckpointError, match="checkpoint"):
         RangeVerifier(1, 400_000, checkpoint_path=tmp_path / "missing" / "cp.json").run()
     assert calls == []
+
+
+class TestRunPasses:
+    def test_negative_max_chunks_rejected(self):
+        verifier = RangeVerifier(1, 100, chunk_size=10)
+        with pytest.raises(ValueError, match="max_chunks"):
+            verifier.run(max_chunks=-1)
+
+    def test_checkpoint_before_any_chunk(self):
+        with pytest.raises(CheckpointError, match="no chunk"):
+            RangeVerifier(1, 100, chunk_size=10).checkpoint()
+
+    @pytest.mark.parametrize("verified_up_to", [0, 101])
+    def test_resume_outside_the_range_rejected(self, tmp_path, verified_up_to):
+        path = tmp_path / "cp.json"
+        _interrupted(path, 1000)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "verified_up_to": verified_up_to}))
+        with pytest.raises(CheckpointError, match="outside"):
+            RangeVerifier(1, 100, chunk_size=10, budget=1000, checkpoint_path=path, resume=True)
+
+    def test_other_task_rejected(self, tmp_path):
+        path = tmp_path / "cp.json"
+        _interrupted(path, 1000)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "task": "facts"}))
+        with pytest.raises(CheckpointError, match="task 'facts'"):
+            load_checkpoint(path)
+
+    def test_pass_over_a_huge_range(self):
+        # len(range(1, 10**30, 65536)) overflows; the plan never takes it.
+        verifier = RangeVerifier(1, 10**30, workers=2)
+        assert verifier.run(max_chunks=2) is None
+        assert verifier.checkpoint().verified_up_to == 131072
+
+    def test_unlimited_pass_over_a_huge_range_starts(self, monkeypatch):
+        # [1, 10^30] holds more chunk starts than len() can count.
+        class FirstChunk(Exception):
+            pass
+
+        def first_chunk(task):
+            raise FirstChunk(task)
+
+        monkeypatch.setattr(sweep, "_sweep_chunk", first_chunk)
+        with pytest.raises(FirstChunk):
+            RangeVerifier(1, 10**30).run()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by an in-process map that records its process count."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, hi, max_chunks, want",
+    [
+        (8, 20, None, [2]),
+        (2, 100, None, [2]),
+        (8, 100, 3, [3]),
+        (8, 100, 1, []),
+        (8, 10, None, []),
+        (1, 100, None, []),
+    ],
+)
+def test_pool_has_one_process_per_chunk_up_to_workers(pool_sizes, workers, hi, max_chunks, want):
+    verifier = RangeVerifier(1, hi, chunk_size=10, workers=workers)
+    verifier.run(max_chunks=max_chunks)
+    assert pool_sizes == want
+
+
+def test_each_pass_sizes_its_own_pool(pool_sizes):
+    verifier = RangeVerifier(1, 100, chunk_size=10, workers=8)
+    assert verifier.run(max_chunks=8) is None
+    assert verifier.run() is not None
+    assert pool_sizes == [8, 2]

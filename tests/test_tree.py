@@ -152,6 +152,12 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             build_tree(TreeFlavor.FULL, 1, max_depth=-1)
 
+    @pytest.mark.parametrize("flavor, root", [(TreeFlavor.FULL, 1), (TreeFlavor.REDUCED, 2)])
+    def test_no_cap(self, flavor, root):
+        # Every node's even predecessor is new: without a cap the expansion never ends.
+        with pytest.raises(ValueError, match="max_depth and/or max_value"):
+            build_tree(flavor, root)
+
 
 class TestExportDot:
     def test_single_node(self):
