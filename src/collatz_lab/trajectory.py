@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core_map import (
-    ReducedRule,
-    ResidueClass,
-    Rule,
-    reduced_step,
-    residue_class,
-    step,
-)
+from .core_map import ReducedRule, ResidueClass, Rule, residue_class
 
 #: Default per-orbit step budget of every verifier and CLI command.
 DEFAULT_BUDGET = 10**6
@@ -70,37 +63,48 @@ class OrbitStatus:
     peak: int
 
 
-def _walk(step_fn, x: int, budget: int, target: int, value_cap: int) -> Trajectory:
-    """Apply `step_fn` from x until `target` is hit or `budget` steps elapse.
+#: The rule each map fires at v, by v mod 4.
+_RULES = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
+_REDUCED_RULES = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
 
-    The one loop behind `orbit` (step) and `reduced_orbit` (reduced_step).
+
+def _walk(reduced: bool, x: int, budget: int, target: int, value_cap: int) -> Trajectory:
+    """Apply the full (or reduced) map from x until `target` is hit or `budget` steps elapse.
+
+    The one loop behind `orbit` and `reduced_orbit`.  The map's arithmetic
+    is inline, as in `converges`; the loop keeps only the values, and the
+    rule at each kept value is read off the value once the walk is over.
+    Agreement with step() and reduced_step() is pinned by tests.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    if value_cap < 1:
+        raise ValueError(f"value_cap must be >= 1, got {value_cap}")
     values = [x]
-    rules: list[Rule | ReducedRule] = []
-    v = x
-    peak = x
+    v = peak = x
     steps = 0
-    truncated = False
     while v != target and steps < budget:
-        v, rule = step_fn(v)
-        steps += 1
-        if v > peak:
-            peak = v
-        if len(values) < value_cap:
-            values.append(v)
-            rules.append(rule)
+        if v & 1:
+            v = (3 * v + 1) >> 1
+            if v > peak:
+                peak = v
+        elif reduced:
+            v = (3 * v + 2) >> 2 if v & 2 else v >> 2
         else:
-            truncated = True
+            v >>= 1
+        steps += 1
+        if steps < value_cap:
+            values.append(v)
+    table = _REDUCED_RULES if reduced else _RULES
+    rules = tuple([table[u & 3] for u in values[:-1]])
     return Trajectory(
         start=x,
         values=tuple(values),
-        rules=tuple(rules),
+        rules=rules,
         steps=steps,
         peak=peak,
         final=v,
-        truncated=truncated,
+        truncated=steps >= value_cap,
     )
 
 
@@ -112,7 +116,7 @@ def orbit(x: int, budget: int, target: int, value_cap: int = DEFAULT_VALUE_CAP) 
     """
     if x < 1:
         raise ValueError(f"map domain is x >= 1, got {x}")
-    return _walk(step, x, budget, target, value_cap)
+    return _walk(False, x, budget, target, value_cap)
 
 
 def converges(x: int, budget: int, floor: int) -> OrbitStatus:
@@ -149,7 +153,7 @@ def reduced_orbit(x: int, budget: int, value_cap: int = DEFAULT_VALUE_CAP) -> Tr
     """Iterate the reduced map from x (in C2) until 2 is hit or `budget` steps elapse."""
     if residue_class(x) is not ResidueClass.C2:
         raise ValueError(f"reduced orbits start in class C2, got {x}")
-    return _walk(reduced_step, x, budget, 2, value_cap)
+    return _walk(True, x, budget, 2, value_cap)
 
 
 def correspondence(x: int, budget: int) -> bool:

@@ -11,18 +11,12 @@ edges are kept as metadata rather than discarded.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .core_map import (
-    ReducedRule,
-    ResidueClass,
-    Rule,
-    predecessors,
-    reduced_predecessors,
-    residue_class,
-)
+from .core_map import ReducedRule, ResidueClass, Rule, residue_class
 from .facts import SCHEMA_VERSION
 
 
@@ -58,12 +52,6 @@ class Tree:
     suppressed_edges: tuple[Edge, ...]
 
 
-def _closes_limit_cycle(flavor: TreeFlavor, child: int, parent: int, nodes: set[int]) -> bool:
-    if flavor is TreeFlavor.FULL:
-        return child in nodes and {child, parent} == {1, 2}
-    return child == parent
-
-
 def build_tree(
     flavor: TreeFlavor,
     root: int,
@@ -74,19 +62,18 @@ def build_tree(
 
     A predecessor is admitted iff it respects the value cap, lies within
     the depth cap, is not already present, and does not close the known
-    limit cycle.  Expansion is breadth-first with ascending tie-break, so
-    node and edge enumeration is deterministic.  None means no cap, but
-    at least one cap must be set: every node's even predecessor is new, so
-    an uncapped expansion never ends.
+    limit cycle.  None means no cap, but at least one cap must be set:
+    every node's even predecessor is new, so an uncapped expansion never
+    ends.  Every node has one parent, its forward step, so one dict
+    child -> Edge holds the nodes and the edges, and listing it by child
+    gives both in order.
     """
-    if flavor is TreeFlavor.REDUCED:
+    reduced = flavor is TreeFlavor.REDUCED
+    if reduced:
         if residue_class(root) is not ResidueClass.C2:
             raise ValueError(f"reduced trees are rooted in class C2, got {root}")
-        expand = reduced_predecessors
-    else:
-        if root < 1:
-            raise ValueError(f"tree root must be >= 1, got {root}")
-        expand = predecessors
+    elif root < 1:
+        raise ValueError(f"tree root must be >= 1, got {root}")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_depth is None and max_value is None:
@@ -94,37 +81,41 @@ def build_tree(
     if max_value is not None and max_value < root:
         raise ValueError(f"max_value {max_value} excludes the root {root}")
 
-    nodes = {root}
-    edges: list[Edge] = []
+    cap = math.inf if max_value is None else max_value
+    levels = math.inf if max_depth is None else max_depth
+    links: dict[int, Edge | None] = {root: None}
     suppressed: list[Edge] = []
     frontier = [root]
     depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
+    while frontier and depth < levels:
         depth += 1
-        next_frontier: list[int] = []
-        for parent in sorted(frontier):
-            for child, rule in expand(parent):
-                if _closes_limit_cycle(flavor, child, parent, nodes):
-                    suppressed.append(Edge(child, parent, rule))
-                    continue
-                if child in nodes:
-                    continue
-                if max_value is not None and child > max_value:
-                    continue
-                nodes.add(child)
-                edges.append(Edge(child, parent, rule))
-                next_frontier.append(child)
-        frontier = next_frontier
+        found: list[int] = []
+        for p in frontier:  # `predecessors` and `reduced_predecessors`, inline
+            if reduced:
+                r = p % 9  # (4p-2)/3 is in C2 iff p = 2 (mod 9), (2p-1)/3 iff p = 8
+                if r == 2:
+                    kids = ((4 * p, ReducedRule.Q1), ((4 * p - 2) // 3, ReducedRule.Q2))
+                elif r == 8:
+                    kids = ((4 * p, ReducedRule.Q1), ((2 * p - 1) // 3, ReducedRule.Q3))
+                else:
+                    kids = ((4 * p, ReducedRule.Q1),)
+            elif p % 3 == 2:
+                kids = ((2 * p, Rule.R1), ((2 * p - 1) // 3, Rule.R2))
+            else:
+                kids = ((2 * p, Rule.R1),)
+            for c, rule in kids:
+                if c in links:
+                    if c == p or c + p == 3:  # 2-2 (reduced map) or 1-2 (full map)
+                        suppressed.append(Edge(c, p, rule))
+                elif c <= cap:
+                    links[c] = Edge(c, p, rule)
+                    found.append(c)
+        frontier = found
 
-    return Tree(
-        flavor=flavor,
-        root=root,
-        max_depth=max_depth,
-        max_value=max_value,
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(sorted(edges, key=lambda e: (e.child, e.parent))),
-        suppressed_edges=tuple(sorted(suppressed, key=lambda e: (e.child, e.parent))),
-    )
+    nodes = sorted(links)
+    edges = tuple(filter(None, map(links.get, nodes)))  # the root's entry is None
+    # At most one suppressed edge: the limit cycle closes once.
+    return Tree(flavor, root, max_depth, max_value, tuple(nodes), edges, tuple(suppressed))
 
 
 def export_dot(tree: Tree) -> str:
@@ -173,28 +164,54 @@ def export_json(tree: Tree) -> str:
     )
 
 
+class _RuleNames(dict):
+    """One flavor's rules by name; an unknown name raises ValueError, not KeyError."""
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown rule name {name!r} in a tree of this flavor")
+
+
+_RULES_BY_NAME = {
+    TreeFlavor.FULL: _RuleNames({r.name: r for r in Rule}),
+    TreeFlavor.REDUCED: _RuleNames({r.name: r for r in ReducedRule}),
+}
+
+
+def _require_ints(what: str, values: list) -> None:
+    """Exact ints only: bool, float and str would not round-trip."""
+    if kinds := {*map(type, values)} - {int}:
+        raise ValueError(f"non-integer tree {what}: {', '.join(sorted(k.__name__ for k in kinds))}")
+
+
 def tree_from_json(text: str) -> Tree:
-    """Parse the export_json format back into a Tree."""
+    """Parse the export_json format back into a Tree.
+
+    Anything else raises ValueError with a message: a top level that is
+    not an object, a missing key, a rule name of the other flavor, or a
+    root, limit, node or edge value that is not an integer.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a tree document is a JSON object, got {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported tree schema_version: {version!r}")
-    flavor = TreeFlavor(doc["flavor"])
-    rule_type = Rule if flavor is TreeFlavor.FULL else ReducedRule
-
-    def edges_of(key: str) -> tuple[Edge, ...]:
-        return tuple(
-            Edge(int(e["child"]), int(e["parent"]), rule_type[e["rule"]])
-            for e in doc[key]
+    try:
+        flavor = TreeFlavor(doc["flavor"])
+        rules = _RULES_BY_NAME[flavor]
+        root, limits, nodes = doc["root"], doc["limits"], tuple(doc["nodes"])
+        max_depth, max_value = limits["max_depth"], limits["max_value"]
+        edges, suppressed = (
+            tuple([Edge(e["child"], e["parent"], rules[e["rule"]]) for e in doc[key]])
+            for key in ("edges", "suppressed_edges")
         )
-
-    limits = doc["limits"]
-    return Tree(
-        flavor=flavor,
-        root=int(doc["root"]),
-        max_depth=limits["max_depth"],
-        max_value=limits["max_value"],
-        nodes=tuple(int(n) for n in doc["nodes"]),
-        edges=edges_of("edges"),
-        suppressed_edges=edges_of("suppressed_edges"),
-    )
+    except KeyError as exc:
+        raise ValueError(f"tree document has no {exc} key") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed tree document: {exc}") from None
+    every_edge = edges + suppressed
+    _require_ints("root", [root])
+    _require_ints("limits", [v for v in (max_depth, max_value) if v is not None])
+    _require_ints("nodes", nodes)
+    _require_ints("edges", [e.child for e in every_edge] + [e.parent for e in every_edge])
+    return Tree(flavor, root, max_depth, max_value, nodes, edges, suppressed)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collatz_lab import trajectory
-from collatz_lab.core_map import ReducedRule, ResidueClass, Rule, residue_class, step
+from collatz_lab.core_map import ReducedRule, ResidueClass, Rule, reduced_step, residue_class, step
 from collatz_lab.trajectory import (
     BudgetExhaustedError,
     OrbitOutcome,
+    Trajectory,
     converges,
     correspondence,
     orbit,
@@ -19,6 +20,41 @@ from collatz_lab.trajectory import (
 
 positives = st.integers(min_value=1, max_value=10**5)
 c2_values = st.integers(min_value=0, max_value=33_332).map(lambda k: 3 * k + 2)
+
+
+def reference_walk(step_fn, x, budget, target, value_cap):
+    """Apply `step_fn` from x until `target` is hit or `budget` steps elapse.
+
+    The loop `trajectory._walk` inlines: one `step`/`reduced_step` call, and
+    one (value, rule) pair kept, per step.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    values = [x]
+    rules = []
+    v = x
+    peak = x
+    steps = 0
+    truncated = False
+    while v != target and steps < budget:
+        v, rule = step_fn(v)
+        steps += 1
+        if v > peak:
+            peak = v
+        if len(values) < value_cap:
+            values.append(v)
+            rules.append(rule)
+        else:
+            truncated = True
+    return Trajectory(
+        start=x,
+        values=tuple(values),
+        rules=tuple(rules),
+        steps=steps,
+        peak=peak,
+        final=v,
+        truncated=truncated,
+    )
 
 
 class TestOrbit:
@@ -60,6 +96,21 @@ class TestOrbit:
         assert capped.steps == steps
         assert capped.peak == peak
         assert capped.final == final
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda cap: orbit(27, 1000, 1, value_cap=cap),
+            lambda cap: reduced_orbit(41, 1000, value_cap=cap),
+        ],
+        ids=["orbit", "reduced_orbit"],
+    )
+    def test_value_cap_below_one_rejected(self, walk):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="value_cap must be >= 1"):
+                walk(cap)
+        one = walk(1)
+        assert one.values == (one.start,) and one.rules == () and one.truncated
 
     @given(positives)
     def test_shape_and_rule_agreement(self, x):
@@ -187,7 +238,7 @@ def reference_correspondence(x, budget, full_step=step):
     """
     if residue_class(x) is not ResidueClass.C2:
         raise ValueError(f"correspondence is defined on class C2, got {x}")
-    full = trajectory._walk(full_step, x, budget, 2, budget + 1)
+    full = reference_walk(full_step, x, budget, 2, budget + 1)
     if full.final != 2:
         raise BudgetExhaustedError(
             f"orbit of {x} did not reach 2 within {budget} steps"
@@ -281,6 +332,51 @@ class TestCorrespondenceAgainstTwoOrbits:
             correspondence(5, -1)
         with pytest.raises(ValueError):
             reference_correspondence(5, -1)
+
+
+near_1e12 = st.integers(10**12, 10**12 + 10**6)
+
+
+class TestWalkAgainstStepFunctions:
+    """The inline loop returns exactly the Trajectory of the step-function walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(positives, near_1e12),
+        st.integers(0, 300),
+        st.sampled_from([0, 1, 2]),
+        st.one_of(st.sampled_from([1, 2]), st.integers(3, 12), st.integers(301, 400)),
+    )
+    @example(27, 300, 1, 1)
+    @example(27, 70, 1, 71)  # the cap holds every value: not truncated
+    @example(27, 70, 1, 70)  # one value short: truncated
+    @example(1, 5, 0, 2)  # target 0 is never reached: the 1-2 cycle runs the budget out
+    def test_orbit(self, x, budget, target, value_cap):
+        got = orbit(x, budget, target, value_cap)
+        assert got == reference_walk(step, x, budget, target, value_cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(positives, near_1e12).map(lambda k: 3 * k + 2),
+        st.integers(0, 300),
+        st.one_of(st.sampled_from([1, 2]), st.integers(3, 12), st.integers(301, 400)),
+    )
+    @example(26, 300, 1)
+    @example(41, 48, 49)
+    @example(41, 48, 48)
+    def test_reduced_orbit(self, x, budget, value_cap):
+        got = reduced_orbit(x, budget, value_cap)
+        assert got == reference_walk(reduced_step, x, budget, 2, value_cap)
+
+    @pytest.mark.parametrize("cap", [5, 10**4])
+    def test_every_rule_on_both_sides_of_the_cap(self, cap):
+        full, reduced = orbit(27, 300, 1, cap), reduced_orbit(41, 300, cap)
+        assert full == reference_walk(step, 27, 300, 1, cap)
+        assert reduced == reference_walk(reduced_step, 41, 300, 2, cap)
+        assert full.truncated == reduced.truncated == (cap == 5)
+        if cap > 5:
+            assert set(full.rules) == set(Rule)
+            assert set(reduced.rules) == set(ReducedRule)
 
 
 class TestStepsAccounting:

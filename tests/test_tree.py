@@ -3,8 +3,18 @@
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from collatz_lab.core_map import ReducedRule, Rule, predecessors, reduced_step, step
+from collatz_lab.core_map import (
+    ReducedRule,
+    ResidueClass,
+    Rule,
+    predecessors,
+    reduced_predecessors,
+    reduced_step,
+    residue_class,
+    step,
+)
 from collatz_lab.facts import SCHEMA_VERSION
 from collatz_lab.tree import (
     Edge,
@@ -33,6 +43,107 @@ def reference_export_json(tree: Tree) -> str:
         "suppressed_edges": edge_dicts(tree.suppressed_edges),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_build_tree(flavor, root, max_depth=None, max_value=None) -> Tree:
+    """Breadth-first expansion through `predecessors`/`reduced_predecessors`.
+
+    The body `build_tree` replaces with inline arithmetic and one dict:
+    frontiers in ascending order, a node set, an edge list sorted at the end.
+    """
+    if flavor is TreeFlavor.REDUCED:
+        if residue_class(root) is not ResidueClass.C2:
+            raise ValueError(f"reduced trees are rooted in class C2, got {root}")
+        expand = reduced_predecessors
+    else:
+        if root < 1:
+            raise ValueError(f"tree root must be >= 1, got {root}")
+        expand = predecessors
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if max_depth is None and max_value is None:
+        raise ValueError("need max_depth and/or max_value: an uncapped tree is infinite")
+    if max_value is not None and max_value < root:
+        raise ValueError(f"max_value {max_value} excludes the root {root}")
+
+    def closes_limit_cycle(child, parent, nodes):
+        if flavor is TreeFlavor.FULL:
+            return child in nodes and {child, parent} == {1, 2}
+        return child == parent
+
+    nodes = {root}
+    edges = []
+    suppressed = []
+    frontier = [root]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        next_frontier = []
+        for parent in sorted(frontier):
+            for child, rule in expand(parent):
+                if closes_limit_cycle(child, parent, nodes):
+                    suppressed.append(Edge(child, parent, rule))
+                    continue
+                if child in nodes:
+                    continue
+                if max_value is not None and child > max_value:
+                    continue
+                nodes.add(child)
+                edges.append(Edge(child, parent, rule))
+                next_frontier.append(child)
+        frontier = next_frontier
+
+    return Tree(
+        flavor=flavor,
+        root=root,
+        max_depth=max_depth,
+        max_value=max_value,
+        nodes=tuple(sorted(nodes)),
+        edges=tuple(sorted(edges, key=lambda e: (e.child, e.parent))),
+        suppressed_edges=tuple(sorted(suppressed, key=lambda e: (e.child, e.parent))),
+    )
+
+
+@st.composite
+def tree_args(draw):
+    flavor = draw(st.sampled_from(TreeFlavor))
+    if flavor is TreeFlavor.REDUCED:
+        root = 3 * draw(st.integers(0, 666)) + 2
+    else:
+        root = draw(st.integers(1, 2000))
+    max_depth = draw(st.one_of(st.none(), st.integers(0, 12)))
+    max_value = draw(st.one_of(st.none(), st.integers(root, 5000)))
+    assume(max_depth is not None or max_value is not None)
+    return flavor, root, max_depth, max_value
+
+
+class TestBuildAgainstPredecessorFunctions:
+    """The inline build is the Tree of the predecessor-function build, to the byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_args())
+    @example((TreeFlavor.FULL, 1, None, 5000))  # suppressed (1, 2, R2)
+    @example((TreeFlavor.FULL, 2, 12, None))  # suppressed (2, 1, R1)
+    @example((TreeFlavor.FULL, 1, 1, None))  # the cycle edge lies past the depth cap
+    @example((TreeFlavor.REDUCED, 2, None, 5000))  # suppressed (2, 2, Q2)
+    @example((TreeFlavor.REDUCED, 2, 0, None))
+    @example((TreeFlavor.REDUCED, 5, 12, 5000))
+    def test_equal_trees_and_bytes(self, args):
+        got, want = build_tree(*args), reference_build_tree(*args)
+        assert got == want
+        assert export_json(got) == export_json(want)
+        assert export_dot(got) == export_dot(want)
+
+    def test_every_suppressed_edge(self):
+        """The examples above reach each of the three limit-cycle edges."""
+        cases = {
+            (TreeFlavor.FULL, 1, None, 50): Edge(1, 2, Rule.R2),
+            (TreeFlavor.FULL, 2, 3, None): Edge(2, 1, Rule.R1),
+            (TreeFlavor.REDUCED, 2, None, 50): Edge(2, 2, ReducedRule.Q2),
+        }
+        for args, edge in cases.items():
+            assert build_tree(*args).suppressed_edges == (edge,)
+            assert reference_build_tree(*args).suppressed_edges == (edge,)
 
 
 class TestBuildFull:
@@ -225,3 +336,95 @@ class TestExportJson:
         text = export_json(build_tree(TreeFlavor.FULL, 1, max_depth=0))
         with pytest.raises(ValueError):
             tree_from_json(text.replace('"schema_version": 1', '"schema_version": 99'))
+
+
+def _tree_doc():
+    return json.loads(export_json(build_tree(TreeFlavor.FULL, 1, max_value=24)))
+
+
+class TestMalformedDocument:
+    """A document `export_json` cannot write raises ValueError with a message."""
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"tree"', "null"])
+    def test_top_level_not_an_object(self, text):
+        with pytest.raises(ValueError, match="a tree document is a JSON object"):
+            tree_from_json(text)
+
+    @pytest.mark.parametrize(
+        "key", ["flavor", "root", "limits", "nodes", "edges", "suppressed_edges"]
+    )
+    def test_missing_key(self, key):
+        doc = _tree_doc()
+        del doc[key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["child", "parent", "rule"])
+    def test_missing_edge_key(self, key):
+        doc = _tree_doc()
+        del doc["edges"][0][key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.update(limits=[]),
+            lambda doc: doc.update(edges=3),
+            lambda doc: doc["edges"].__setitem__(0, [2, 1, "R1"]),
+            lambda doc: doc["edges"][0].update(rule=["R1"]),
+        ],
+        ids=["limits-list", "edges-int", "edge-list", "rule-list"],
+    )
+    def test_wrong_container(self, mutate):
+        doc = _tree_doc()
+        mutate(doc)
+        with pytest.raises(ValueError, match="malformed tree document"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "R3", "r1"])
+    def test_unknown_rule_name(self, name):
+        doc = _tree_doc()
+        doc["suppressed_edges"][0]["rule"] = name
+        with pytest.raises(ValueError, match=f"unknown rule name '{name}'"):
+            tree_from_json(json.dumps(doc))
+
+    def test_full_rule_name_in_reduced_tree(self):
+        doc = json.loads(export_json(build_tree(TreeFlavor.REDUCED, 2, max_value=32)))
+        doc["edges"][0]["rule"] = "R1"
+        with pytest.raises(ValueError, match="unknown rule name 'R1'"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(2.5, "float"), (2.0, "float"), (True, "bool"), ("2", "str"), (None, "NoneType")],
+    )
+    @pytest.mark.parametrize("where", ["child", "parent", "node", "root", "suppressed"])
+    def test_non_integer_value(self, where, value, kind):
+        """`int()` used to turn 2.5 into 2 and true into 1: the round trip was not lossless."""
+        doc = _tree_doc()
+        if where == "node":
+            doc["nodes"][0] = value
+            what = "nodes"
+        elif where == "root":
+            doc["root"] = value
+            what = "root"
+        elif where == "suppressed":
+            doc["suppressed_edges"][0]["child"] = value
+            what = "edges"
+        else:
+            doc["edges"][0][where] = value
+            what = "edges"
+        with pytest.raises(ValueError, match=f"non-integer tree {what}: {kind}$"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_limit(self, value):
+        doc = _tree_doc()
+        doc["limits"]["max_value"] = value
+        with pytest.raises(ValueError, match="non-integer tree limits"):
+            tree_from_json(json.dumps(doc))
+
+    def test_well_formed_document_still_parses(self):
+        tree = build_tree(TreeFlavor.FULL, 1, max_value=24)
+        assert tree_from_json(json.dumps(_tree_doc())) == tree
