@@ -31,6 +31,12 @@ def witnesses_from_json(docs: list[dict]) -> list[tuple[int, str]]:
     return [(int(e["x"]), str(e["detail"])) for e in docs]
 
 
+def require_ints(what: str, values: list) -> None:
+    """Exact ints only in a parsed document: bool, float and str would not round-trip."""
+    if kinds := {*map(type, values)} - {int}:
+        raise ValueError(f"non-integer {what}: {', '.join(sorted(k.__name__ for k in kinds))}")
+
+
 @dataclass
 class RangeReport:
     """Outcome of sweeping one fact over [lo, hi].

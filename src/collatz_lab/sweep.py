@@ -17,7 +17,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .facts import SCHEMA_VERSION, RangeReport, witnesses_from_json, witnesses_to_json
+from .facts import (
+    SCHEMA_VERSION,
+    RangeReport,
+    require_ints,
+    witnesses_from_json,
+    witnesses_to_json,
+)
 from .trajectory import DEFAULT_BUDGET
 
 TASK_VERIFY_RANGE = "verify-range"
@@ -73,7 +79,9 @@ class SweepStats:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepStats":
-        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
+        values = [doc[f.name] for f in fields(cls)]
+        require_ints("checkpoint stats", values)
+        return cls(*values)
 
 
 @dataclass
@@ -127,12 +135,16 @@ def load_checkpoint(path: Path) -> Checkpoint:
             raise CheckpointError(
                 f"checkpoint {path} has no budget field; its report cannot be resumed"
             )
-        lo, hi = (int(v) for v in doc["range"])
+        lo, hi = doc["range"]
+        budget, verified_up_to = doc["budget"], doc["verified_up_to"]
+        require_ints("checkpoint range", [lo, hi])
+        require_ints("checkpoint budget", [budget])
+        require_ints("checkpoint verified_up_to", [verified_up_to])
         return Checkpoint(
             lo=lo,
             hi=hi,
-            budget=int(doc["budget"]),
-            verified_up_to=int(doc["verified_up_to"]),
+            budget=budget,
+            verified_up_to=verified_up_to,
             stats=SweepStats.from_json_dict(doc["stats"]),
             violations=witnesses_from_json(doc["violations"]),
             inconclusive=witnesses_from_json(doc["inconclusive"]),
@@ -159,6 +171,8 @@ def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
 K = 8
 _WIDTH = 1 << K
 _MASK = _WIDTH - 1
+#: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
+B = 12
 
 
 def _residue_table(addend: int) -> tuple[tuple, tuple]:
@@ -204,7 +218,36 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
     return tuple(jumps), tuple(sieve)
 
 
+def _tail_table(addend: int) -> tuple[tuple, tuple]:
+    """Steps to 1 and peak on the way for every v < 2^B under x -> x/2, (3x + addend)/2.
+
+    Filled in ascending order: each v is iterated until it drops below
+    itself, onto an entry already finished, whose steps and peak it adds.
+    Raises ValueError, instead of looping, if some v does not drop within
+    2^B steps (it sits on a cycle or climbs away).
+    """
+    width = 1 << B
+    steps, peaks = [0, 0], [0, 1]
+    for n in range(2, width):
+        v, s, peak = n, 0, n
+        while v >= n:
+            if v & 1:
+                # Every cycle and every climb takes odd steps, so this check ends both.
+                if s >= width:
+                    raise ValueError(f"{n} does not drop below itself within {width} steps")
+                v = (3 * v + addend) >> 1
+                if v > peak:
+                    peak = v
+            else:
+                v >>= 1
+            s += 1
+        steps.append(s + steps[v])
+        peaks.append(peaks[v] if peaks[v] > peak else peak)
+    return tuple(steps), tuple(peaks)
+
+
 _JUMPS, _SIEVE = _residue_table(1)
+_TAIL_STEPS, _TAIL_PEAK = _tail_table(1)
 
 
 def _cycle_detail(n: int, length: int, addend: int) -> str:
@@ -225,6 +268,12 @@ def _sweep_chunk(
     since nothing below range_lo is covered by this run.  An orbit that
     returns to n is a cycle, reported as a violation.
 
+    A chase runs only to its first value v < 2^B and then adds the tail
+    table's steps and peak from v to 1 (`_tail_table`) in one lookup.  The
+    lookup is exact: it is taken only when those steps fit in the budget,
+    and otherwise the chase goes on in single steps, so an inconclusive
+    start spends exactly its budget, as without the table.
+
     The residue n mod 2^K fixes the first K steps (`_residue_table`).  A
     class that drops within s <= min(K, budget) steps is settled in closed
     form from its first member whose drop lands at or above range_lo: it
@@ -236,10 +285,16 @@ def _sweep_chunk(
     lists are sorted by start before they are returned.
 
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
-    another value than 1 (the 3x - 1 map has cycles to find).
+    another value than 1 (the 3x - 1 map has cycles to find), and their
+    chases go to 1 in single steps, without a tail table.
     """
     lo, hi, range_lo, budget = task
-    jumps, sieve = (_JUMPS, _SIEVE) if addend == 1 else _residue_table(addend)
+    if addend == 1:
+        jumps, sieve = _JUMPS, _SIEVE
+        tail_steps, tail_peak, edge = _TAIL_STEPS, _TAIL_PEAK, (1 << B) - 1
+    else:
+        jumps, sieve = _residue_table(addend)
+        tail_steps, tail_peak, edge = (), (), 1  # chases go to 1
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     no_conclusion = f"no conclusion within {budget} steps"
@@ -268,7 +323,7 @@ def _sweep_chunk(
             v = n
             steps = 0
             peak = n
-            floor = n  # then 1 while a drop below range_lo is chased
+            floor = n  # then edge while a drop below range_lo is chased, then 1
             while True:
                 while steps < budget:
                     t = v >> K
@@ -297,7 +352,14 @@ def _sweep_chunk(
                     break
                 if v >= range_lo or v == 1:
                     break
-                floor = 1
+                if v > edge:
+                    floor = edge
+                elif steps + tail_steps[v] <= budget:
+                    steps += tail_steps[v]
+                    peak = max(peak, tail_peak[v])
+                    break
+                else:
+                    floor = 1
             if steps >= max_steps and (steps > max_steps or n < max_steps_at):
                 max_steps, max_steps_at = steps, n
             if peak >= max_peak and (peak > max_peak or n < max_peak_at):

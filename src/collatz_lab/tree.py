@@ -17,7 +17,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core_map import ReducedRule, ResidueClass, Rule, residue_class
-from .facts import SCHEMA_VERSION
+from .facts import SCHEMA_VERSION, require_ints
 
 
 class TreeFlavor(Enum):
@@ -177,12 +177,6 @@ _RULES_BY_NAME = {
 }
 
 
-def _require_ints(what: str, values: list) -> None:
-    """Exact ints only: bool, float and str would not round-trip."""
-    if kinds := {*map(type, values)} - {int}:
-        raise ValueError(f"non-integer tree {what}: {', '.join(sorted(k.__name__ for k in kinds))}")
-
-
 def tree_from_json(text: str) -> Tree:
     """Parse the export_json format back into a Tree.
 
@@ -210,8 +204,8 @@ def tree_from_json(text: str) -> Tree:
     except TypeError as exc:
         raise ValueError(f"malformed tree document: {exc}") from None
     every_edge = edges + suppressed
-    _require_ints("root", [root])
-    _require_ints("limits", [v for v in (max_depth, max_value) if v is not None])
-    _require_ints("nodes", nodes)
-    _require_ints("edges", [e.child for e in every_edge] + [e.parent for e in every_edge])
+    require_ints("tree root", [root])
+    require_ints("tree limits", [v for v in (max_depth, max_value) if v is not None])
+    require_ints("tree nodes", nodes)
+    require_ints("tree edges", [e.child for e in every_edge] + [e.parent for e in every_edge])
     return Tree(flavor, root, max_depth, max_value, nodes, edges, suppressed)

@@ -407,8 +407,22 @@ def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
     [
         lambda doc: json.dumps({**doc, "verified_up_to": float("inf")}),  # int() overflows
         lambda doc: "[" * 10**5,  # the parser runs out of recursion
+        # int() would turn each of these into the value the run expects
+        lambda doc: json.dumps({**doc, "budget": 1000000.5}),
+        lambda doc: json.dumps({**doc, "range": [1.9, 100]}),
+        lambda doc: json.dumps({**doc, "range": [True, 100]}),
+        lambda doc: json.dumps({**doc, "verified_up_to": "50"}),
+        lambda doc: json.dumps({**doc, "stats": {**doc["stats"], "max_steps": 2.7}}),
     ],
-    ids=["verified-up-to-infinity", "deep-nesting"],
+    ids=[
+        "verified-up-to-infinity",
+        "deep-nesting",
+        "budget-float",
+        "range-float",
+        "range-bool",
+        "verified-up-to-str",
+        "stats-float",
+    ],
 )
 def test_malformed_checkpoint_exits_2(capsys, tmp_path, mangle):
     path = tmp_path / "cp.json"

@@ -11,6 +11,7 @@ from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_c
 from collatz_lab.trajectory import OrbitOutcome, converges
 
 K, WIDTH = sweep.K, 1 << sweep.K
+EDGE = 1 << sweep.B  # chases end at the first value below EDGE with a tail lookup
 
 
 def reference_chunk(task):
@@ -38,7 +39,10 @@ def reference_chunk(task):
 
 
 range_los = st.one_of(
-    st.just(1), st.integers(2, 500), st.integers(10**12, 10**12 + 10**6)
+    st.just(1),
+    st.integers(2, 500),
+    st.integers(10**12, 10**12 + 10**6),
+    st.integers(EDGE - 300, EDGE + 300),  # chases that end on both sides of the tail table
 )
 budgets = st.one_of(st.integers(0, 3), st.sampled_from([5, 10, 50, 10**6]))
 
@@ -101,6 +105,10 @@ def test_chunk_equals_reference_near_fold_bounds(task):
         # 684 and 701 inconclusive starts, listed across classes: witness order
         (1000, 1800, 1000, 3),
         (10**12, 10**12 + 700, 10**12, 9),
+        # First drops onto 2^B (from 2^(B+1) and from (2^(B+2) - 1)/3) and onto 2^B - 1
+        (2 * EDGE, 2 * EDGE, 2 * EDGE, 10**6),
+        ((4 * EDGE - 1) // 3, (4 * EDGE - 1) // 3, EDGE + 1, 10**6),
+        (2 * EDGE - 2, 2 * EDGE - 2, 2 * EDGE - 2, 10**6),
     ],
 )
 def test_chunk_equals_reference_at_the_edges(task):
@@ -128,6 +136,57 @@ def test_verifier_equals_reference(lo, width, budget, chunk_size, workers):
 
 def _step(v, addend):
     return (3 * v + addend) >> 1 if v & 1 else v >> 1
+
+
+def test_tail_table_against_single_steps():
+    assert len(sweep._TAIL_STEPS) == len(sweep._TAIL_PEAK) == EDGE
+    for v in range(1, EDGE):
+        x, steps, peak = v, 0, v
+        while x != 1:
+            x = _step(x, 1)
+            steps += 1
+            peak = max(peak, x)
+        assert (sweep._TAIL_STEPS[v], sweep._TAIL_PEAK[v]) == (steps, peak), v
+
+
+def test_tail_table_of_a_map_with_cycles_raises():
+    # Under 3x - 1, 5 -> 7 -> 10 -> 5 never drops below 5.
+    with pytest.raises(ValueError, match="^5 does not drop"):
+        sweep._tail_table(-1)
+
+
+class _Reads(tuple):
+    """A tuple that records the indices it is read at."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def _first_under_edge(n):
+    """The first value below 2^B after n drops below itself."""
+    v = _step(n, 1)
+    while v >= n:
+        v = _step(v, 1)
+    while v >= EDGE:
+        v = _step(v, 1)
+    return v
+
+
+@pytest.mark.parametrize("n", [10**12 + 1, 1000000040914])  # the latter holds 449 steps
+def test_chase_ends_with_one_tail_lookup_exactly_at_the_budget(monkeypatch, n):
+    peaks = _Reads(sweep._TAIL_PEAK)
+    peaks.reads = []
+    monkeypatch.setattr(sweep, "_TAIL_PEAK", peaks)
+    total = reference_chunk((n, n, n, 10**6))[1].max_steps
+    # At budget S the chase converges with one lookup, at its first value below
+    # 2^B; at S - 1 the lookup does not fit and single steps run out the budget.
+    for budget, lookups in [(total, [_first_under_edge(n)]), (total - 1, [])]:
+        peaks.reads.clear()
+        task = (n, n, n, budget)
+        assert sweep._sweep_chunk(task) == reference_chunk(task)
+        assert peaks.reads == lookups
+    assert reference_chunk((n, n, n, total - 1))[3] != []
 
 
 def _values(n, addend, count):
