@@ -28,7 +28,12 @@ def witnesses_to_json(entries: list[tuple[int, str]]) -> list[dict]:
 
 
 def witnesses_from_json(docs: list[dict]) -> list[tuple[int, str]]:
-    return [(int(e["x"]), str(e["detail"])) for e in docs]
+    """Parse (x, detail) witnesses; ValueError unless each x is an int and each detail a str."""
+    entries = [(e["x"], e["detail"]) for e in docs]
+    require_ints("witness x", [x for x, _ in entries])
+    if not all(type(d) is str for _, d in entries):
+        raise ValueError("non-string witness detail")
+    return entries
 
 
 def require_ints(what: str, values: list) -> None:

@@ -13,8 +13,10 @@ import json
 import multiprocessing
 import os
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from .facts import (
@@ -249,6 +251,28 @@ def _tail_table(addend: int) -> tuple[tuple, tuple]:
 _JUMPS, _SIEVE = _residue_table(1)
 _TAIL_STEPS, _TAIL_PEAK = _tail_table(1)
 
+#: Past the ancestor cut a sweep iterates only the starts in these classes mod 9.
+_KEPT_MOD_9 = frozenset({0, 1, 3, 6, 7})
+_STRIDE = 9 * _WIDTH
+
+
+def _ancestor_cut(range_lo: int) -> int:
+    """First start from which every x ≡ 2, 4, 5 or 8 (mod 9) has its ancestor in the sweep.
+
+    Every x ≡ 2 (mod 3) is the first step of its odd predecessor
+    m = (2x - 1)/3 (the paper's class C2), and every x ≡ 4 (mod 9) the
+    third step of a = (8x - 5)/9, along a -> (4x - 1)/3 -> 2x -> x with
+    every value above a.  From the returned x on, both ancestors are at
+    least max(range_lo, 2): starts of the same sweep whose runs pass
+    through x (start 1 has no run).
+    """
+    return (3 * max(range_lo, 2) + 2) // 2
+
+
+def _covered_by(w: int) -> tuple[int, int]:
+    """The starts that w is the ancestor of (0 for none): T(w) and T^3(w) along R2 R2 R1."""
+    return (3 * w + 1) >> 1 if w & 1 else 0, (9 * w + 5) >> 3 if w & 7 == 3 else 0
+
 
 def _cycle_detail(n: int, length: int, addend: int) -> str:
     values = [n]
@@ -259,7 +283,7 @@ def _cycle_detail(n: int, length: int, addend: int) -> str:
 
 
 def _sweep_chunk(
-    task: tuple[int, int, int, int], addend: int = 1
+    task: tuple[int, int, int, int], addend: int = 1, skip_covered: bool = True
 ) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
@@ -284,9 +308,20 @@ def _sweep_chunk(
     drops and witnesses are exactly those of single steps.  The witness
     lists are sorted by start before they are returned.
 
+    An iterated start x from `_ancestor_cut(range_lo)` on is skipped when
+    x ≡ 2, 4, 5 or 8 (mod 9): its ancestor a < x is a start of the same
+    sweep whose run passes through x.  Unless a's run is a witness, x
+    converges with fewer steps than a and a peak no higher, so it never
+    holds a record (ties go to the smaller start).  Past the cut each
+    class walks only its 5 kept residues mod 9, with stride 9 * 2^K.  The
+    chunk's records and witnesses leave the skipped starts out, and
+    `RangeVerifier._consume` re-verifies alone, with `skip_covered=False`,
+    those whose ancestor is a witness.  Only tests pass False otherwise,
+    to compare every start with a reference.
+
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
     another value than 1 (the 3x - 1 map has cycles to find), and their
-    chases go to 1 in single steps, without a tail table.
+    chases go to 1 in single steps, without a tail table or the skip.
     """
     lo, hi, range_lo, budget = task
     if addend == 1:
@@ -300,6 +335,7 @@ def _sweep_chunk(
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
     last_jump = budget - K
+    cut = _ancestor_cut(range_lo) if addend == 1 and skip_covered else hi + 1
     # Records over the whole chunk; n does not ascend across classes, so
     # ties go to the smaller n, as _pick does.
     max_steps, max_steps_at, max_peak, max_peak_at = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
@@ -319,7 +355,16 @@ def _sweep_chunk(
                 peak = max(cj * last + dj for cj, dj in forms)
                 max_steps, max_steps_at = _pick(max_steps, max_steps_at, s, end)
                 max_peak, max_peak_at = _pick(max_peak, max_peak_at, peak, (last << K) | r)
-        for n in range(head, end, _WIDTH):
+        starts = range(head, end, _WIDTH)
+        if end > cut:
+            split = min(end, max(head, cut + ((head - cut) & mask)))  # first member >= cut
+            kept = (
+                range(m, end, _STRIDE)
+                for m in range(split, min(split + _STRIDE, end), _WIDTH)
+                if m % 9 in _KEPT_MOD_9
+            )
+            starts = chain(range(head, split, _WIDTH), *kept)
+        for n in starts:
             v = n
             steps = 0
             peak = n
@@ -366,7 +411,8 @@ def _sweep_chunk(
                 max_peak, max_peak_at = peak, n
     violations.sort()
     inconclusive.sort()
-    stats = SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
+    # max_steps is still -1 when every start was skipped: nothing was observed.
+    stats = SweepStats(max(max_steps, 0), max_steps_at, max_peak, max_peak_at)
     return hi, stats, violations, inconclusive
 
 
@@ -449,14 +495,57 @@ class RangeVerifier:
         )
 
     def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
+        """Merge the next chunk in ascending order, then checkpoint."""
         chunk_hi, stats, violations, inconclusive = result
         record = self._record
+        chunk_lo = record.verified_up_to + 1
         record.verified_up_to = chunk_hi
         record.stats.merge(stats)
         record.violations.extend(violations)
         record.inconclusive.extend(inconclusive)
+        lo = max(chunk_lo, _ancestor_cut(self.lo))
+        if lo <= chunk_hi:  # the chunk reaches the ancestor cut
+            self._recheck_skipped(lo, chunk_hi)
         if self.checkpoint_path is not None:
             write_checkpoint(self.checkpoint_path, self.checkpoint())
+
+    def _recheck_skipped(self, lo: int, hi: int) -> None:
+        """Verify alone each start in [lo, hi] that its chunk skipped behind a witness.
+
+        The chunk skipped its starts x whose ancestor a (`_sweep_chunk`) is
+        a smaller start of the sweep.  That is exact unless a's run is a
+        witness: it ran out of budget, possibly before it reached x or x's
+        peak, or a is a cycle.  So every skipped x that is T(w), or T^3(w)
+        along R2 R2 R1, of a witness w is verified without the skip, and
+        its stats and witnesses are merged; a new witness is an ancestor in
+        turn.  The w are found by bisecting the record's ascending witness
+        lists over the ancestors of [lo, hi]; a witness stays in the
+        record, so later chunks and resumes find it.
+        """
+        record = self._record
+        witnesses = (record.violations, record.inconclusive)
+        # The ancestors (2x - 1)/3 and (8x - 5)/9 of the x in [lo, hi].
+        windows = ((2 * lo - 1) // 3, (2 * hi - 1) // 3), ((8 * lo - 5) // 9, (8 * hi - 5) // 9)
+        pending = {
+            x
+            for a, b in windows
+            for found in witnesses
+            for w, _ in found[bisect_left(found, (a,)) : bisect_left(found, (b + 1,))]
+            for x in _covered_by(w)
+            if lo <= x <= hi
+        }
+        while pending:
+            x = pending.pop()
+            _, stats, *found_x = _sweep_chunk((x, x, self.lo, self.budget), skip_covered=False)
+            record.stats.merge(stats)
+            for found, new in zip(witnesses, found_x):
+                for witness in new:
+                    found.append(witness)
+                    pending.update(c for c in _covered_by(witness[0]) if lo <= c <= hi)
+        for found in witnesses:
+            # Only starts >= lo were appended, so the bisection still splits there.
+            i = bisect_left(found, (lo,))
+            found[i:] = sorted(found[i:])
 
     def run(self, max_chunks: int | None = None) -> RangeReport | None:
         """Process pending chunks (all of them unless `max_chunks` limits the pass).

@@ -436,6 +436,22 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, mangle):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("field, value", [("x", 7.5), ("x", True), ("detail", 3)])
+def test_checkpoint_witness_of_another_type_exits_2(capsys, tmp_path, field, value):
+    # int() and str() would resume this as witness 7, 1 or detail "3" and exit 0.
+    path = tmp_path / "cp.json"
+    RangeVerifier(1, 100, chunk_size=10, budget=5, checkpoint_path=path).run(max_chunks=5)
+    doc = json.loads(path.read_text())
+    doc["inconclusive"][0][field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "verify-range", "1", "100", "--chunk-size", "10", "--budget", "5",
+        "--checkpoint", str(path), "--resume", "--json",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "witness" in err
+
+
 class TestCheckpointFile:
     def test_atomic_write_and_load(self, tmp_path):
         path = tmp_path / "cp.json"

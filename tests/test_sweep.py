@@ -2,9 +2,11 @@
 
 import json
 import multiprocessing
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_lab import core_map, sweep
 from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_checkpoint
@@ -14,12 +16,15 @@ K, WIDTH = sweep.K, 1 << sweep.K
 EDGE = 1 << sweep.B  # chases end at the first value below EDGE with a tail lookup
 
 
-def reference_chunk(task):
-    """One `converges` call per start (plus a tail chase below range_lo), observed one by one."""
+def reference_chunk(task, starts=None):
+    """One `converges` call per start (plus a tail chase below range_lo), observed one by one.
+
+    `starts` limits the starts observed to a subset of [lo, hi].
+    """
     lo, hi, range_lo, budget = task
     stats = SweepStats()
     inconclusive = []
-    for n in range(lo, hi + 1):
+    for n in range(lo, hi + 1) if starts is None else starts:
         status = converges(n, budget, n)
         steps = status.steps_used
         peak = status.peak
@@ -61,7 +66,7 @@ def chunks(draw):
 @settings(max_examples=300, deadline=None)
 @given(chunks())
 def test_chunk_equals_reference(task):
-    assert sweep._sweep_chunk(task) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
 
 
 SETTLED = [r for r, row in enumerate(sweep._SIEVE) if row is not None]
@@ -90,7 +95,7 @@ def chunks_near_fold_bounds(draw):
 @settings(max_examples=200, deadline=None)
 @given(chunks_near_fold_bounds())
 def test_chunk_equals_reference_near_fold_bounds(task):
-    assert sweep._sweep_chunk(task) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +117,42 @@ def test_chunk_equals_reference_near_fold_bounds(task):
     ],
 )
 def test_chunk_equals_reference_at_the_edges(task):
-    assert sweep._sweep_chunk(task) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
+
+
+def skipped_starts(task):
+    """The starts of a chunk that the ancestor sieve leaves out.
+
+    Those are the iterated (not folded) starts n whose ancestor, (2n - 1)/3
+    for n ≡ 2 (mod 3) or (8n - 5)/9 for n ≡ 4 (mod 9), is a start of the
+    sweep, counted from the first n at which (2n - 1)/3 >= max(range_lo, 2).
+    """
+    lo, hi, range_lo, budget = task
+    first = -(-(3 * max(range_lo, 2) + 1) // 2)
+    left_out = set()
+    for n in range(max(lo, first), hi + 1):
+        row = sweep._SIEVE[n % WIDTH]
+        folded = row is not None and row[0] <= budget and n >= fold_bound(n % WIDTH, range_lo)
+        if n % 9 in (2, 4, 5, 8) and not folded:
+            left_out.add(n)
+    return left_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(chunks(), chunks_near_fold_bounds()))
+def test_sieved_chunk_equals_reference_over_the_starts_it_keeps(task):
+    lo, hi, _, _ = task
+    left_out = skipped_starts(task)
+    kept = [n for n in range(lo, hi + 1) if n not in left_out]
+    assert sweep._sweep_chunk(task) == reference_chunk(task, kept)
+
+
+@pytest.mark.parametrize("budget", [0, 3, 9, 300, 10**6])
+def test_sieve_leaves_a_chunk_whose_ancestors_are_below_range_lo_alone(budget):
+    # Below 3*range_lo/2 no ancestor is a start of the sweep, so a chunk there,
+    # such as every chunk of a window near 10^12 narrower than 5*10^11, is unchanged.
+    task = (10**12, 10**12 + 500, 10**12, budget)
+    assert sweep._sweep_chunk(task) == sweep._sweep_chunk(task, skip_covered=False)
 
 
 @settings(max_examples=25, deadline=None)
@@ -337,11 +377,40 @@ def test_each_start_alone_equals_single_steps(addend):
         for range_lo in (1, n):
             task = (n, n, range_lo, 300)
             if addend == 1:
-                assert sweep._sweep_chunk(task) == reference_chunk(task)
+                assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
                 continue
             hi, stats, violations, inconclusive = sweep._sweep_chunk(task, addend=addend)
             want = addend_reference_chunk(task, addend)
             assert (hi, stats, [x for x, _ in violations], inconclusive) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    range_los,
+    st.integers(0, 1500),
+    st.integers(0, 40),
+    st.integers(1, 400),
+    st.lists(st.integers(0, 6), max_size=4),
+)
+# 1183 runs out of budget before 1775, which it covers, reaches its peak 5993.
+@example(lo=1, width=1776, budget=3, chunk_size=7, passes=[100])
+# Start 1 is no ancestor: at budget 0, start 2 stays inconclusive.
+@example(lo=1, width=9, budget=0, chunk_size=1, passes=[1])
+def test_sieved_verifier_with_resumes_equals_reference(lo, width, budget, chunk_size, passes):
+    hi = lo + width
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cp.json"
+        verifier = RangeVerifier(lo, hi, budget=budget, chunk_size=chunk_size, checkpoint_path=path)
+        for max_chunks in passes:
+            verifier.run(max_chunks=max_chunks)
+            if path.exists():
+                verifier = RangeVerifier(
+                    lo, hi, budget=budget, chunk_size=chunk_size, checkpoint_path=path, resume=True
+                )
+        report = verifier.run()
+    _, stats, violations, inconclusive = reference_chunk((lo, hi, lo, budget))
+    assert (report.violations, report.inconclusive) == (violations, inconclusive)
+    assert verifier.stats == stats
 
 
 def _interrupted(path, budget):
