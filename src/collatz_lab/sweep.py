@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import time
 from bisect import bisect_left
@@ -564,7 +563,11 @@ class RangeVerifier:
         # A pool pays off only for two or more chunks.  imap preserves
         # submission order: chunks are consumed, and therefore checkpointed,
         # strictly ascending.
-        pool = multiprocessing.Pool(processes) if processes > 1 else None
+        pool = None
+        if processes > 1:
+            import multiprocessing  # only a pass with a pool pays for the import
+
+            pool = multiprocessing.Pool(processes)
         with pool or contextlib.nullcontext():
             for result in (pool.imap if pool else map)(_sweep_chunk, tasks):
                 self._consume(result)

@@ -2,12 +2,16 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import collatz_lab
 from collatz_lab import core_map, sweep
 from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_checkpoint
 from collatz_lab.trajectory import OrbitOutcome, converges
@@ -565,3 +569,13 @@ def test_each_pass_sizes_its_own_pool(pool_sizes):
     assert verifier.run(max_chunks=8) is None
     assert verifier.run() is not None
     assert pool_sizes == [8, 2]
+
+
+def test_importing_the_package_leaves_multiprocessing_unimported():
+    """Only a pass that starts a pool imports `multiprocessing`; one worker is the default."""
+    src = str(Path(collatz_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, collatz_lab, collatz_lab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "False\n"

@@ -45,11 +45,23 @@ def reference_export_json(tree: Tree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def reference_export_dot(tree: Tree) -> str:
+    """The per-line DOT writer that `export_dot` replaces with two f-string comprehensions."""
+    lines = ["digraph collatz_tree {"]
+    for n in tree.nodes:
+        lines.append(f'  {n} [label="{n}"];')
+    for e in tree.edges:
+        lines.append(f'  {e.child} -> {e.parent} [label="{e.rule.name}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def reference_build_tree(flavor, root, max_depth=None, max_value=None) -> Tree:
     """Breadth-first expansion through `predecessors`/`reduced_predecessors`.
 
-    The body `build_tree` replaces with inline arithmetic and one dict:
-    frontiers in ascending order, a node set, an edge list sorted at the end.
+    The body `build_tree` replaces with inline arithmetic and one parent
+    map: frontiers in ascending order, a node set, an edge list with each
+    rule taken from the predecessor function, sorted at the end.
     """
     if flavor is TreeFlavor.REDUCED:
         if residue_class(root) is not ResidueClass.C2:
@@ -118,7 +130,11 @@ def tree_args(draw):
 
 
 class TestBuildAgainstPredecessorFunctions:
-    """The inline build is the Tree of the predecessor-function build, to the byte."""
+    """The inline build is the Tree of the predecessor-function build, to the byte.
+
+    Its exports are the bytes of the reference writers, and it survives a
+    round trip through the structural checks of `tree_from_json`.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(tree_args())
@@ -131,8 +147,9 @@ class TestBuildAgainstPredecessorFunctions:
     def test_equal_trees_and_bytes(self, args):
         got, want = build_tree(*args), reference_build_tree(*args)
         assert got == want
-        assert export_json(got) == export_json(want)
-        assert export_dot(got) == export_dot(want)
+        assert export_json(got) == reference_export_json(want)
+        assert export_dot(got) == reference_export_dot(want)
+        assert tree_from_json(export_json(got)) == got
 
     def test_every_suppressed_edge(self):
         """The examples above reach each of the three limit-cycle edges."""
@@ -325,12 +342,19 @@ class TestExportJson:
             (TreeFlavor.REDUCED, {"max_value": 128}),
             (TreeFlavor.FULL, {"max_value": 24}),
             (TreeFlavor.FULL, {"max_depth": 6, "max_value": 1000}),
+            (TreeFlavor.FULL, {"max_depth": 0}),  # root only: empty edge columns
+            (TreeFlavor.REDUCED, {"max_depth": 0}),
         ],
     )
     def test_round_trip_lossless(self, flavor, kwargs):
         root = 2 if flavor is TreeFlavor.REDUCED else 1
         tree = build_tree(flavor, root, **kwargs)
-        assert tree_from_json(export_json(tree)) == tree
+        parsed = tree_from_json(export_json(tree))
+        assert parsed == tree
+        # Edges made from columns are Edges, not plain tuples that compare equal.
+        for e in parsed.edges + parsed.suppressed_edges:
+            assert type(e) is Edge
+            assert (e.child, e.parent, e.rule) == tuple(e)
 
     def test_rejects_unknown_schema_version(self):
         text = export_json(build_tree(TreeFlavor.FULL, 1, max_depth=0))
@@ -363,6 +387,13 @@ class TestMalformedDocument:
     def test_missing_edge_key(self, key):
         doc = _tree_doc()
         del doc["edges"][0][key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            tree_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["child", "parent", "rule"])
+    def test_missing_suppressed_edge_key(self, key):
+        doc = _tree_doc()
+        del doc["suppressed_edges"][0][key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
             tree_from_json(json.dumps(doc))
 
@@ -428,3 +459,135 @@ class TestMalformedDocument:
     def test_well_formed_document_still_parses(self):
         tree = build_tree(TreeFlavor.FULL, 1, max_value=24)
         assert tree_from_json(json.dumps(_tree_doc())) == tree
+
+
+def _doc(flavor, root, **caps):
+    return json.loads(export_json(build_tree(flavor, root, **caps)))
+
+
+def _add(doc, *edges):
+    """Add nodes with their edges, keeping both lists sorted as `export_json` writes them."""
+    for child, parent, rule in edges:
+        doc["nodes"].append(child)
+        doc["edges"].append({"child": child, "parent": parent, "rule": rule})
+    doc["nodes"].sort()
+    doc["edges"].sort(key=lambda e: e["child"])
+    return doc
+
+
+def _edge_of(doc, child):
+    return next(e for e in doc["edges"] if e["child"] == child)
+
+
+def _set_limits(doc, **limits):
+    doc["limits"].update(limits)
+    return doc
+
+
+def _structure_cases():
+    """(document, message) pairs: each document breaks one structural rule."""
+    full, reduced = TreeFlavor.FULL, TreeFlavor.REDUCED
+    cases = {}
+    doc = _tree_doc()  # the first three documents parsed before the structural checks
+    _edge_of(doc, 2)["parent"] = 7
+    cases["parent-1-to-7"] = doc, "tree edge 2 -> 7: the map sends 2 to 1"
+    doc = _tree_doc()
+    doc["nodes"].reverse()
+    cases["nodes-reversed"] = doc, "tree nodes do not strictly ascend"
+    doc = _tree_doc()
+    doc["nodes"].append(999)
+    cases["extra-node-999"] = doc, "tree node 999 exceeds max_value 24"
+    doc = _doc(full, 1, max_depth=4)
+    doc["nodes"].append(999)
+    cases["extra-node-999-depth-cap"] = doc, "children are not the nodes other than the root"
+    doc = _tree_doc()
+    doc["nodes"].remove(1)
+    cases["root-not-a-node"] = doc, "tree nodes do not include the root 1"
+    doc = _add(_tree_doc(), (0, 0, "R1"))
+    cases["node-0"] = doc, "tree node 0 is not a positive integer"
+    doc = _add(_doc(reduced, 2, max_value=32), (3, 5, "Q3"))
+    cases["reduced-node-in-c0"] = doc, "reduced tree nodes lie outside class C2"
+    doc = _tree_doc()
+    _edge_of(doc, 2)["rule"] = "R2"
+    cases["wrong-rule"] = doc, "tree edge from 2 has rule R2, but the map fires R1"
+    doc = _add(_doc(full, 5, max_depth=1), (12, 6, "R1"))
+    cases["parent-not-a-node"] = doc, "tree edge parent 6 is not a node"
+    doc = _tree_doc()
+    doc["suppressed_edges"].append({"child": 2, "parent": 1, "rule": "R1"})
+    cases["two-suppressed"] = doc, "a tree cuts at most one limit-cycle edge, got 2"
+    doc = _tree_doc()
+    doc["suppressed_edges"] = [{"child": 4, "parent": 2, "rule": "R1"}]
+    cases["suppressed-not-a-cycle-edge"] = doc, r"suppressed edge \(4, 2\) is not a limit-cycle"
+    doc = _doc(full, 5, max_depth=1)
+    doc["suppressed_edges"] = [{"child": 1, "parent": 2, "rule": "R2"}]
+    cases["suppressed-off-the-tree"] = doc, r"suppressed edge \(1, 2\) is not a limit-cycle"
+    doc = _add(_doc(full, 4, max_depth=1), (1, 2, "R2"), (2, 1, "R1"))
+    cases["full-cycle-closed"] = doc, "regular tree edges close the limit cycle"
+    doc = _add(_doc(reduced, 5, max_depth=1), (2, 2, "Q2"))
+    cases["reduced-cycle-closed"] = doc, "regular tree edges close the limit cycle"
+    doc = _set_limits(_tree_doc(), max_value=None)
+    cases["uncapped"] = doc, "need max_depth and/or max_value"
+    doc = _set_limits(_tree_doc(), max_depth=-1)
+    cases["negative-depth"] = doc, "max_depth must be >= 0"
+    doc = _tree_doc()
+    doc["root"] = 0
+    cases["root-0"] = doc, "tree root must be >= 1"
+    doc = _doc(reduced, 2, max_depth=0)
+    doc["root"] = doc["nodes"][0] = 3
+    cases["reduced-root-in-c0"] = doc, "reduced trees are rooted in class C2"
+    return cases
+
+
+_STRUCTURE_CASES = _structure_cases()
+
+
+class TestStructure:
+    """A document that `build_tree` could never have returned raises ValueError."""
+
+    @pytest.mark.parametrize("name", list(_STRUCTURE_CASES))
+    def test_not_a_tree(self, name):
+        doc, message = _STRUCTURE_CASES[name]
+        with pytest.raises(ValueError, match=message):
+            tree_from_json(json.dumps(doc))
+
+    def test_other_flavor_rule_name_is_reported_first(self):
+        """A rule name of the other flavor fails before the structural checks."""
+        doc = _tree_doc()
+        _edge_of(doc, 2)["rule"] = "Q1"
+        doc["nodes"].reverse()
+        with pytest.raises(ValueError, match="unknown rule name 'Q1'"):
+            tree_from_json(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_args(), st.data())
+    def test_one_mutated_field_raises(self, args, data):
+        """Any other value in one field of an exported tree makes it no tree of its flavor.
+
+        Raising `max_value` or `max_depth` is left out: it only makes the
+        tree one cut short, which the parse does not detect.
+        """
+        doc = json.loads(export_json(build_tree(*args)))
+        fields = ("child", "parent", "rule")
+        places = [("root",), *[("nodes", i) for i in range(len(doc["nodes"]))]]
+        for key in ("edges", "suppressed_edges"):
+            places += [(key, i, f) for i in range(len(doc[key])) for f in fields]
+        if doc["edges"]:  # a root-only tree may be a tree of the other flavor too
+            places.append(("flavor",))
+        if doc["limits"]["max_value"] is not None:
+            places.append(("limits", "max_value"))
+        *path, last = data.draw(st.sampled_from(places))
+        holder = doc
+        for key in path:
+            holder = holder[key]
+        old, top = holder[last], doc["nodes"][-1]
+        if last == "flavor":
+            new = "reduced" if old == "full" else "full"
+        elif last == "rule":
+            new = data.draw(st.sampled_from(["R1", "R2", "Q1", "Q2", "Q3"]).filter(old.__ne__))
+        elif last == "max_value":
+            new = data.draw(st.integers(-3, top - 1))
+        else:
+            new = data.draw(st.integers(-3, 2 * top + 3).filter(old.__ne__))
+        holder[last] = new
+        with pytest.raises(ValueError):
+            tree_from_json(json.dumps(doc))
