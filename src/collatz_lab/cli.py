@@ -3,7 +3,8 @@
 This module parses arguments and renders output; the work happens in the
 library modules.  Exit codes: 0 success, 1 mathematical violation (or,
 with --strict, inconclusive results), 2 usage or IO errors, including
-unreadable or mismatched checkpoints and unwritable output paths.  All
+unreadable or mismatched checkpoints and unwritable output paths, 130 a
+`verify-range` stopped by Ctrl-C.  All
 machine-readable output is JSON with a schema_version field; human output
 is stable line-oriented text.
 """
@@ -18,16 +19,23 @@ from pathlib import Path
 from . import cycles as cycles_mod
 from . import facts as facts_mod
 from .facts import SCHEMA_VERSION, RangeReport, witnesses_to_json
-from .sweep import DEFAULT_CHUNK_SIZE, TASK_VERIFY_RANGE, CheckpointError, RangeVerifier
+from .sweep import (
+    DEFAULT_CHUNK_SIZE,
+    TASK_VERIFY_RANGE,
+    CheckpointError,
+    RangeVerifier,
+    load_checkpoint,
+)
 from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
 from .tree import TreeFlavor, build_tree, export_dot, export_json
 
-# Not used here; perfbench/run.py reads the checkpoint functions from this module.
-from .sweep import load_checkpoint, write_checkpoint  # noqa: F401
+# Not used here; perfbench/run.py reads write_checkpoint from this module.
+from .sweep import write_checkpoint  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +105,11 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
     )
-    report = verifier.run()
+    try:
+        report = verifier.run()
+    except KeyboardInterrupt:
+        print(_interruption(args), file=sys.stderr)
+        return EXIT_INTERRUPTED
     assert report is not None
     stats = verifier.stats
     if args.json:
@@ -120,6 +132,22 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
         print(f"max steps: {stats.max_steps} at n={stats.max_steps_at}")
         print(f"max peak: {stats.max_peak} at n={stats.max_peak_at}")
     return _report_exit(len(report.violations), len(report.inconclusive), args.strict)
+
+
+def _interruption(args: argparse.Namespace) -> str:
+    """One line on where an interrupted sweep can resume from."""
+    if args.checkpoint is None:
+        return "interrupted: no --checkpoint was given, so no progress was saved"
+    try:
+        cp = load_checkpoint(args.checkpoint)
+    except CheckpointError:
+        cp = None
+    if cp is None or (cp.lo, cp.hi, cp.budget) != (args.lo, args.hi, args.budget):
+        return f"interrupted before checkpoint {args.checkpoint} was written"
+    return (
+        f"interrupted: checkpoint {args.checkpoint} holds verified_up_to "
+        f"{cp.verified_up_to}; rerun with --resume to continue"
+    )
 
 
 _FACT_SUITES = ("predecessors", "transitions", "reduction", "small-cycles", "c0-structure")

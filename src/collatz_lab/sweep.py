@@ -2,8 +2,9 @@
 
 `RangeVerifier` confirms that every start in [lo, hi] iterates to 1.  It
 works through the range in ascending chunks, in a worker pool when a pass
-has two or more of them, and after every chunk it writes an atomic JSON
-checkpoint that a later run can resume from.
+has two or more of them.  At a chunk boundary at most once every
+`CHECKPOINT_INTERVAL` seconds, and after the last chunk a pass consumes,
+it writes an atomic JSON checkpoint that a later run can resume from.
 """
 
 from __future__ import annotations
@@ -174,6 +175,10 @@ _WIDTH = 1 << K
 _MASK = _WIDTH - 1
 #: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
 B = 12
+#: Least seconds between two checkpoint writes within a pass (Young, CACM 17(9), 1974).
+CHECKPOINT_INTERVAL = 1.0
+#: The clock that paces checkpoint writes; tests replace it.
+_clock = time.monotonic
 
 
 def _residue_table(addend: int) -> tuple[tuple, tuple]:
@@ -475,6 +480,10 @@ class RangeVerifier:
             self._record = cp
         else:
             self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats())
+        # Whether the record holds whole chunks that the checkpoint file does not, and when
+        # the pass started or last wrote it.
+        self._unsaved = False
+        self._saved_at = 0.0
 
     @property
     def stats(self) -> SweepStats:
@@ -494,9 +503,17 @@ class RangeVerifier:
         )
 
     def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
-        """Merge the next chunk in ascending order, then checkpoint."""
+        """Merge the next chunk in ascending order; checkpoint if the interval has passed.
+
+        The checkpoint is written only when `CHECKPOINT_INTERVAL` seconds
+        have passed since the pass started or last wrote it; `run` writes
+        the rest.  A merge cut short (an exception or KeyboardInterrupt
+        inside this call) leaves a half-merged record, so until the merge
+        is done there is nothing unsaved that may be written.
+        """
         chunk_hi, stats, violations, inconclusive = result
         record = self._record
+        self._unsaved = False
         chunk_lo = record.verified_up_to + 1
         record.verified_up_to = chunk_hi
         record.stats.merge(stats)
@@ -505,8 +522,14 @@ class RangeVerifier:
         lo = max(chunk_lo, _ancestor_cut(self.lo))
         if lo <= chunk_hi:  # the chunk reaches the ancestor cut
             self._recheck_skipped(lo, chunk_hi)
-        if self.checkpoint_path is not None:
-            write_checkpoint(self.checkpoint_path, self.checkpoint())
+        self._unsaved = self.checkpoint_path is not None
+        if self._unsaved and _clock() - self._saved_at >= CHECKPOINT_INTERVAL:
+            self._save()
+
+    def _save(self) -> None:
+        write_checkpoint(self.checkpoint_path, self.checkpoint())
+        self._unsaved = False
+        self._saved_at = _clock()
 
     def _recheck_skipped(self, lo: int, hi: int) -> None:
         """Verify alone each start in [lo, hi] that its chunk skipped behind a witness.
@@ -550,7 +573,16 @@ class RangeVerifier:
         """Process pending chunks (all of them unless `max_chunks` limits the pass).
 
         Returns the final report once the whole range is verified, None if
-        chunks remain (partial pass).
+        chunks remain (partial pass).  However the pass ends, when it has
+        run out of chunks, reached `max_chunks` or is unwinding from an
+        exception or KeyboardInterrupt, the checkpoint is written for the
+        last chunk it consumed, unless that one is written already or its
+        merge was cut short (`_consume`).  A
+        failed write then does not mask the exception that ended the pass:
+        that one propagates, with the write error as its cause.  Only a
+        hard kill (SIGKILL, power loss) can lose the chunks consumed since
+        the last write, at most about `CHECKPOINT_INTERVAL` seconds of
+        them; a resume verifies them again and ends with the same report.
         """
         if max_chunks is not None and max_chunks < 0:
             raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")
@@ -568,9 +600,20 @@ class RangeVerifier:
             import multiprocessing  # only a pass with a pool pays for the import
 
             pool = multiprocessing.Pool(processes)
-        with pool or contextlib.nullcontext():
-            for result in (pool.imap if pool else map)(_sweep_chunk, tasks):
-                self._consume(result)
+        self._saved_at = _clock()
+        try:
+            with pool or contextlib.nullcontext():
+                for result in (pool.imap if pool else map)(_sweep_chunk, tasks):
+                    self._consume(result)
+        except BaseException as exc:
+            if self._unsaved:
+                try:
+                    self._save()
+                except Exception as write_error:
+                    raise exc from write_error
+            raise
+        if self._unsaved:
+            self._save()
         if self._record.verified_up_to < self.hi:
             return None
         return RangeReport(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatz_lab
-from collatz_lab import core_map, sweep
+from collatz_lab import cli, core_map, sweep
 from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_checkpoint
 from collatz_lab.trajectory import OrbitOutcome, converges
 
@@ -579,3 +579,202 @@ def test_importing_the_package_leaves_multiprocessing_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# checkpoint cadence: a write per CHECKPOINT_INTERVAL and one at the end of a pass
+
+
+def _cadence_verifier(path=None, resume=False):
+    """[1, 630] in 63 chunks of 10 at budget 5, which leaves 78 starts inconclusive."""
+    return RangeVerifier(1, 630, chunk_size=10, budget=5, checkpoint_path=path, resume=resume)
+
+
+def _doc(text):
+    """A checkpoint document without its timestamp."""
+    doc = json.loads(text)
+    del doc["timestamp"]
+    return doc
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Wrap `write_checkpoint`: the documents it wrote, in order, without timestamps."""
+    written = []
+    write = sweep.write_checkpoint
+
+    def recording(path, checkpoint):
+        write(path, checkpoint)
+        written.append(_doc(Path(path).read_text()))
+
+    monkeypatch.setattr(sweep, "write_checkpoint", recording)
+    return written
+
+
+@pytest.fixture
+def still_clock(monkeypatch):
+    monkeypatch.setattr(sweep, "_clock", lambda: 0.0)
+
+
+_KERNEL = sweep._sweep_chunk
+
+
+class StopAt:
+    """The sweep kernel, raising `exc` instead of verifying the chunk [lo, hi].
+
+    A module-level class that holds no function, so that a pool can
+    pickle it; the one-start re-checks of `_consume` go through.
+    """
+
+    def __init__(self, lo, hi, exc):
+        self.task, self.exc = (lo, hi), exc
+
+    def __call__(self, task, **kwargs):
+        if task[:2] == self.task:
+            raise self.exc(f"stopped at chunk [{task[0]}, {task[1]}]")
+        return _KERNEL(task, **kwargs)
+
+
+def _uninterrupted():
+    verifier = _cadence_verifier()
+    report = verifier.run()
+    return report.violations, report.inconclusive, verifier.stats
+
+
+def test_a_pass_on_a_still_clock_writes_once_after_its_last_chunk(still_clock, writes, tmp_path):
+    path = tmp_path / "cp.json"
+    lo = 10**12
+    verifier = RangeVerifier(lo, lo + 10**5, chunk_size=64, checkpoint_path=path)
+    assert verifier.run(max_chunks=63) is None
+    want = _doc(verifier.checkpoint().to_json())
+    assert [doc["verified_up_to"] for doc in writes] == [lo + 63 * 64 - 1]
+    assert writes == [want] and _doc(path.read_text()) == want
+
+
+def _pace(monkeypatch, k, kernel=_KERNEL):
+    """Run `kernel` as the sweep kernel, on a clock that passes the interval every k chunks."""
+    chunks = []
+
+    def counting(task, **kwargs):
+        if task[0] < task[1]:  # a chunk, not a one-start re-check
+            chunks.append(task)
+        return kernel(task, **kwargs)
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", counting)
+    monkeypatch.setattr(sweep, "_clock", lambda: len(chunks) // k * sweep.CHECKPOINT_INTERVAL)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 62, 63, 64])
+def test_a_write_every_k_chunks_when_the_clock_passes_the_interval(monkeypatch, writes, tmp_path,
+                                                                   k):
+    _pace(monkeypatch, k)
+    assert _cadence_verifier(tmp_path / "cp.json").run() is not None
+    at = sorted({*range(k, 64, k), 63})
+    assert [doc["verified_up_to"] for doc in writes] == [10 * j for j in at]
+    monkeypatch.undo()
+    reference = _cadence_verifier()
+    for doc, j, previous in zip(writes, at, [0] + at):
+        reference.run(max_chunks=j - previous)
+        assert doc == _doc(reference.checkpoint().to_json())
+
+
+def test_a_pass_without_chunks_writes_nothing(writes, tmp_path):
+    path = tmp_path / "cp.json"
+    verifier = _cadence_verifier(path)
+    assert verifier.run(max_chunks=0) is None
+    assert writes == [] and not path.exists()
+    assert verifier.run() is not None
+    assert len(writes) == 1
+    assert verifier.run() is not None
+    assert _cadence_verifier(path, resume=True).run() is not None
+    assert len(writes) == 1
+
+
+def _stop_at_chunk_5(monkeypatch, exc, path, workers):
+    """Run the cadence sweep with a kernel that raises on chunk 5, [41, 50]."""
+    monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, exc))
+    verifier = _cadence_verifier(path)
+    verifier.workers = workers
+    with pytest.raises(exc, match=r"chunk \[41, 50\]"):
+        verifier.run()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_pass_keeps_the_chunks_before(pool_sizes, monkeypatch, tmp_path, exc,
+                                                     workers):
+    path = tmp_path / "cp.json"
+    _stop_at_chunk_5(monkeypatch, exc, path, workers)
+    assert pool_sizes == ([2] if workers == 2 else [])
+    assert load_checkpoint(path).verified_up_to == 40
+    monkeypatch.undo()
+    resumed = _cadence_verifier(path, resume=True)
+    report = resumed.run()
+    assert (report.violations, report.inconclusive, resumed.stats) == _uninterrupted()
+
+
+def test_a_pass_stopped_in_a_worker_process_keeps_the_chunks_before(monkeypatch, tmp_path):
+    path = tmp_path / "cp.json"
+    _stop_at_chunk_5(monkeypatch, RuntimeError, path, workers=2)
+    assert load_checkpoint(path).verified_up_to == 40
+
+
+def test_a_merge_cut_short_is_not_written(monkeypatch, tmp_path):
+    # Chunk 3 is written, chunk 4 is not yet, and chunk 5, [41, 50], is stopped
+    # while it re-checks 47 = T(31) behind the witness 31.
+    path = tmp_path / "cp.json"
+    _pace(monkeypatch, 3, StopAt(47, 47, KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        _cadence_verifier(path).run()
+    assert load_checkpoint(path).verified_up_to == 30
+    monkeypatch.undo()
+    resumed = _cadence_verifier(path, resume=True)
+    report = resumed.run()
+    assert (report.violations, report.inconclusive, resumed.stats) == _uninterrupted()
+
+
+def test_a_failed_final_write_does_not_mask_the_error(still_clock, monkeypatch, tmp_path):
+    def failing(path, checkpoint):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(sweep, "write_checkpoint", failing)
+    monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, RuntimeError))
+    with pytest.raises(RuntimeError, match="chunk") as info:
+        _cadence_verifier(tmp_path / "cp.json").run()
+    assert isinstance(info.value.__cause__, OSError)
+
+
+class TestCtrlC:
+    ARGV = ["verify-range", "1", "630", "--chunk-size", "10", "--budget", "5", "--json"]
+
+    def test_names_the_checkpoint_and_exits_130(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        argv = self.ARGV + ["--checkpoint", str(path)]
+        monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, KeyboardInterrupt))
+        assert cli.main(argv) == cli.EXIT_INTERRUPTED == 130
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"interrupted: checkpoint {path} holds verified_up_to 40; "
+                       "rerun with --resume to continue\n")
+        monkeypatch.undo()
+        assert cli.main(argv + ["--resume"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert cli.main(self.ARGV) == 0
+        uninterrupted = json.loads(capsys.readouterr().out)
+        del resumed["elapsed"], uninterrupted["elapsed"]
+        assert resumed == uninterrupted
+
+    def test_without_a_checkpoint(self, monkeypatch, capsys):
+        monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, KeyboardInterrupt))
+        assert cli.main(self.ARGV) == 130
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "interrupted: no --checkpoint was given, so no progress was saved\n"
+
+    def test_before_the_first_write(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "cp.json"
+        monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(1, 10, KeyboardInterrupt))
+        assert cli.main(self.ARGV + ["--checkpoint", str(path)]) == 130
+        out, err = capsys.readouterr()
+        assert out == "" and not path.exists()
+        assert err == f"interrupted before checkpoint {path} was written\n"
