@@ -10,13 +10,14 @@ it writes an atomic JSON checkpoint that a later run can resume from.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 
 from .facts import (
@@ -142,15 +143,23 @@ def load_checkpoint(path: Path) -> Checkpoint:
         require_ints("checkpoint range", [lo, hi])
         require_ints("checkpoint budget", [budget])
         require_ints("checkpoint verified_up_to", [verified_up_to])
+        witnesses = {k: witnesses_from_json(doc[k]) for k in ("violations", "inconclusive")}
+        for name, found in witnesses.items():
+            # A sweep bisects these lists, and a resume appends to them.
+            xs = [lo - 1, *(x for x, _ in found), verified_up_to + 1]
+            if found and not all(a < b for a, b in pairwise(xs)):
+                raise CheckpointError(
+                    f"checkpoint {path} {name} witnesses are not strictly ascending "
+                    f"within [{lo}, {verified_up_to}]"
+                )
         return Checkpoint(
             lo=lo,
             hi=hi,
             budget=budget,
             verified_up_to=verified_up_to,
             stats=SweepStats.from_json_dict(doc["stats"]),
-            violations=witnesses_from_json(doc["violations"]),
-            inconclusive=witnesses_from_json(doc["inconclusive"]),
             timestamp=str(doc.get("timestamp", "")),
+            **witnesses,
         )
     except CheckpointError:
         raise
@@ -181,6 +190,7 @@ CHECKPOINT_INTERVAL = 1.0
 _clock = time.monotonic
 
 
+@functools.cache
 def _residue_table(addend: int) -> tuple[tuple, tuple]:
     """Affine forms of the first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K.
 
@@ -224,6 +234,7 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
     return tuple(jumps), tuple(sieve)
 
 
+@functools.cache
 def _tail_table(addend: int) -> tuple[tuple, tuple]:
     """Steps to 1 and peak on the way for every v < 2^B under x -> x/2, (3x + addend)/2.
 
@@ -252,11 +263,10 @@ def _tail_table(addend: int) -> tuple[tuple, tuple]:
     return tuple(steps), tuple(peaks)
 
 
-_JUMPS, _SIEVE = _residue_table(1)
-_TAIL_STEPS, _TAIL_PEAK = _tail_table(1)
-
-#: Past the ancestor cut a sweep iterates only the starts in these classes mod 9.
+#: Past the ancestor cut a chunk's first pass walks the starts in these classes mod 9,
+#: and a second pass, when a witness may hide something, the others.
 _KEPT_MOD_9 = frozenset({0, 1, 3, 6, 7})
+_SKIPPED_MOD_9 = frozenset({2, 4, 5, 8})
 _STRIDE = 9 * _WIDTH
 
 
@@ -287,7 +297,7 @@ def _cycle_detail(n: int, length: int, addend: int) -> str:
 
 
 def _sweep_chunk(
-    task: tuple[int, int, int, int], addend: int = 1, skip_covered: bool = True
+    task: tuple[int, int, int, int], addend: int = 1, residues: frozenset = _KEPT_MOD_9
 ) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
@@ -312,34 +322,33 @@ def _sweep_chunk(
     drops and witnesses are exactly those of single steps.  The witness
     lists are sorted by start before they are returned.
 
-    An iterated start x from `_ancestor_cut(range_lo)` on is skipped when
-    x ≡ 2, 4, 5 or 8 (mod 9): its ancestor a < x is a start of the same
-    sweep whose run passes through x.  Unless a's run is a witness, x
+    From `_ancestor_cut(range_lo)` on, an iterated start is walked only if
+    its residue mod 9 is in `residues`; each class then walks those
+    residues with stride 9 * 2^K.  By default these are the kept five: a
+    start x ≡ 2, 4, 5 or 8 (mod 9) has an ancestor a < x, a start of the
+    same sweep whose run passes through x.  Unless a's run is a witness, x
     converges with fewer steps than a and a peak no higher, so it never
-    holds a record (ties go to the smaller start).  Past the cut each
-    class walks only its 5 kept residues mod 9, with stride 9 * 2^K.  The
-    chunk's records and witnesses leave the skipped starts out, and
-    `RangeVerifier._consume` re-verifies alone, with `skip_covered=False`,
-    those whose ancestor is a witness.  Only tests pass False otherwise,
-    to compare every start with a reference.
+    holds a record (ties go to the smaller start) and may be left out.
+    `RangeVerifier._consume` walks the skipped four in a second pass when
+    a witness may hide something; tests walk all nine to compare every
+    start with a reference.
 
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
     another value than 1 (the 3x - 1 map has cycles to find), and their
     chases go to 1 in single steps, without a tail table or the skip.
     """
     lo, hi, range_lo, budget = task
+    jumps, sieve = _residue_table(addend)
     if addend == 1:
-        jumps, sieve = _JUMPS, _SIEVE
-        tail_steps, tail_peak, edge = _TAIL_STEPS, _TAIL_PEAK, (1 << B) - 1
+        tail_steps, tail_peak = _tail_table(1)
+        edge, cut = (1 << B) - 1, _ancestor_cut(range_lo)
     else:
-        jumps, sieve = _residue_table(addend)
-        tail_steps, tail_peak, edge = (), (), 1  # chases go to 1
+        tail_steps, tail_peak, edge, cut = (), (), 1, hi + 1  # chases go to 1, no skip
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
     last_jump = budget - K
-    cut = _ancestor_cut(range_lo) if addend == 1 and skip_covered else hi + 1
     # Records over the whole chunk; n does not ascend across classes, so
     # ties go to the smaller n, as _pick does.
     max_steps, max_steps_at, max_peak, max_peak_at = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
@@ -365,7 +374,7 @@ def _sweep_chunk(
             kept = (
                 range(m, end, _STRIDE)
                 for m in range(split, min(split + _STRIDE, end), _WIDTH)
-                if m % 9 in _KEPT_MOD_9
+                if m % 9 in residues
             )
             starts = chain(range(head, split, _WIDTH), *kept)
         for n in starts:
@@ -505,23 +514,45 @@ class RangeVerifier:
     def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
         """Merge the next chunk in ascending order; checkpoint if the interval has passed.
 
+        The chunk's first pass left out the starts past the ancestor cut
+        whose ancestor is a smaller start of the sweep (`_sweep_chunk`).
+        That is exact unless an ancestor's run is a witness, and a left-out
+        witness has a witness ancestor in turn.  So if a witness of the
+        record or of the chunk covers (`_covered_by`) a start in the chunk's
+        part past the cut, the kernel walks the left-out residues of that
+        part in a second pass, which verifies each of them exactly.  Both
+        passes are merged before the record is touched: the record takes
+        whole chunks only.
+
         The checkpoint is written only when `CHECKPOINT_INTERVAL` seconds
         have passed since the pass started or last wrote it; `run` writes
         the rest.  A merge cut short (an exception or KeyboardInterrupt
-        inside this call) leaves a half-merged record, so until the merge
-        is done there is nothing unsaved that may be written.
+        inside it) leaves a half-merged record, so until the merge is done
+        there is nothing unsaved that may be written.
         """
-        chunk_hi, stats, violations, inconclusive = result
+        hi, stats, violations, inconclusive = result
         record = self._record
+        lo = max(record.verified_up_to + 1, _ancestor_cut(self.lo))
+        # The ancestors (2x - 1)/3 and (8x - 5)/9 of the x in [lo, hi]; the witness
+        # lists ascend, so bisection finds the witnesses among them.
+        windows = ((2 * lo - 1) // 3, (2 * hi - 1) // 3), ((8 * lo - 5) // 9, (8 * hi - 5) // 9)
+        if lo <= hi and any(
+            lo <= x <= hi
+            for found in (record.violations, record.inconclusive, violations, inconclusive)
+            for a, b in windows
+            for w, _ in found[bisect_left(found, (a,)) : bisect_left(found, (b + 1,))]
+            for x in _covered_by(w)
+        ):
+            task = (lo, hi, self.lo, self.budget)
+            _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9)
+            stats.merge(more)
+            violations = sorted(violations + skipped[0])
+            inconclusive = sorted(inconclusive + skipped[1])
         self._unsaved = False
-        chunk_lo = record.verified_up_to + 1
-        record.verified_up_to = chunk_hi
+        record.verified_up_to = hi
         record.stats.merge(stats)
         record.violations.extend(violations)
         record.inconclusive.extend(inconclusive)
-        lo = max(chunk_lo, _ancestor_cut(self.lo))
-        if lo <= chunk_hi:  # the chunk reaches the ancestor cut
-            self._recheck_skipped(lo, chunk_hi)
         self._unsaved = self.checkpoint_path is not None
         if self._unsaved and _clock() - self._saved_at >= CHECKPOINT_INTERVAL:
             self._save()
@@ -531,58 +562,23 @@ class RangeVerifier:
         self._unsaved = False
         self._saved_at = _clock()
 
-    def _recheck_skipped(self, lo: int, hi: int) -> None:
-        """Verify alone each start in [lo, hi] that its chunk skipped behind a witness.
-
-        The chunk skipped its starts x whose ancestor a (`_sweep_chunk`) is
-        a smaller start of the sweep.  That is exact unless a's run is a
-        witness: it ran out of budget, possibly before it reached x or x's
-        peak, or a is a cycle.  So every skipped x that is T(w), or T^3(w)
-        along R2 R2 R1, of a witness w is verified without the skip, and
-        its stats and witnesses are merged; a new witness is an ancestor in
-        turn.  The w are found by bisecting the record's ascending witness
-        lists over the ancestors of [lo, hi]; a witness stays in the
-        record, so later chunks and resumes find it.
-        """
-        record = self._record
-        witnesses = (record.violations, record.inconclusive)
-        # The ancestors (2x - 1)/3 and (8x - 5)/9 of the x in [lo, hi].
-        windows = ((2 * lo - 1) // 3, (2 * hi - 1) // 3), ((8 * lo - 5) // 9, (8 * hi - 5) // 9)
-        pending = {
-            x
-            for a, b in windows
-            for found in witnesses
-            for w, _ in found[bisect_left(found, (a,)) : bisect_left(found, (b + 1,))]
-            for x in _covered_by(w)
-            if lo <= x <= hi
-        }
-        while pending:
-            x = pending.pop()
-            _, stats, *found_x = _sweep_chunk((x, x, self.lo, self.budget), skip_covered=False)
-            record.stats.merge(stats)
-            for found, new in zip(witnesses, found_x):
-                for witness in new:
-                    found.append(witness)
-                    pending.update(c for c in _covered_by(witness[0]) if lo <= c <= hi)
-        for found in witnesses:
-            # Only starts >= lo were appended, so the bisection still splits there.
-            i = bisect_left(found, (lo,))
-            found[i:] = sorted(found[i:])
-
     def run(self, max_chunks: int | None = None) -> RangeReport | None:
         """Process pending chunks (all of them unless `max_chunks` limits the pass).
 
         Returns the final report once the whole range is verified, None if
-        chunks remain (partial pass).  However the pass ends, when it has
-        run out of chunks, reached `max_chunks` or is unwinding from an
+        chunks remain (partial pass).  The pool, or this process when there
+        is none, runs each chunk's first kernel pass, and `_consume` a
+        second one where a witness needs it.  However the pass ends, when it
+        has run out of chunks, reached `max_chunks` or is unwinding from an
         exception or KeyboardInterrupt, the checkpoint is written for the
         last chunk it consumed, unless that one is written already or its
-        merge was cut short (`_consume`).  A
-        failed write then does not mask the exception that ended the pass:
-        that one propagates, with the write error as its cause.  Only a
-        hard kill (SIGKILL, power loss) can lose the chunks consumed since
-        the last write, at most about `CHECKPOINT_INTERVAL` seconds of
-        them; a resume verifies them again and ends with the same report.
+        merge was cut short; a chunk stopped in either kernel pass is not
+        consumed.  A failed write then does not mask the exception that
+        ended the pass: that one propagates, with the write error as its
+        cause.  Only a hard kill (SIGKILL, power loss) can lose the chunks
+        consumed since the last write, at most about `CHECKPOINT_INTERVAL`
+        seconds of them; a resume verifies them again and ends with the
+        same report.
         """
         if max_chunks is not None and max_chunks < 0:
             raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")

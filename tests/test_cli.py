@@ -452,6 +452,29 @@ def test_checkpoint_witness_of_another_type_exits_2(capsys, tmp_path, field, val
     assert err.startswith("error:") and "witness" in err
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda found, doc: found.reverse(),
+        lambda found, doc: found.insert(1, found[1]),
+        lambda found, doc: found.append({"x": doc["verified_up_to"] + 1, "detail": "x"}),
+    ],
+    ids=["reversed", "duplicate", "above-verified-up-to"],
+)
+def test_checkpoint_witnesses_out_of_order_exit_2(capsys, tmp_path, mangle):
+    # Resumed, a reversed list hid witnesses from the sweep's bisection and changed
+    # the report with exit 0; an x above verified_up_to was reported twice.
+    path = tmp_path / "cp.json"
+    argv = ["verify-range", "1", "3000", "--chunk-size", "500", "--budget", "5", "--json"]
+    RangeVerifier(1, 3000, chunk_size=500, budget=5, checkpoint_path=path).run(max_chunks=2)
+    doc = json.loads(path.read_text())
+    mangle(doc["inconclusive"], doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--checkpoint", str(path), "--resume")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "inconclusive witnesses are not strictly ascending" in err
+
+
 class TestCheckpointFile:
     def test_atomic_write_and_load(self, tmp_path):
         path = tmp_path / "cp.json"

@@ -18,6 +18,8 @@ from collatz_lab.trajectory import OrbitOutcome, converges
 
 K, WIDTH = sweep.K, 1 << sweep.K
 EDGE = 1 << sweep.B  # chases end at the first value below EDGE with a tail lookup
+SIEVE = sweep._residue_table(1)[1]
+EVERY = frozenset(range(9))  # the kernel walks every residue mod 9: no start is skipped
 
 
 def reference_chunk(task, starts=None):
@@ -70,16 +72,16 @@ def chunks(draw):
 @settings(max_examples=300, deadline=None)
 @given(chunks())
 def test_chunk_equals_reference(task):
-    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
-SETTLED = [r for r, row in enumerate(sweep._SIEVE) if row is not None]
+SETTLED = [r for r, row in enumerate(SIEVE) if row is not None]
 budgets_near_k = st.one_of(st.sampled_from([K - 1, K, K + 1]), budgets)
 
 
 def fold_bound(r, range_lo):
     """First start of class r whose drop lands at or above range_lo."""
-    s, t_drop, forms = sweep._SIEVE[r]
+    s, t_drop, forms = SIEVE[r]
     c, d = forms[s]
     return max(t_drop, -((d - range_lo) // c)) * WIDTH + r
 
@@ -99,7 +101,7 @@ def chunks_near_fold_bounds(draw):
 @settings(max_examples=200, deadline=None)
 @given(chunks_near_fold_bounds())
 def test_chunk_equals_reference_near_fold_bounds(task):
-    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
 @pytest.mark.parametrize(
@@ -121,7 +123,7 @@ def test_chunk_equals_reference_near_fold_bounds(task):
     ],
 )
 def test_chunk_equals_reference_at_the_edges(task):
-    assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
+    assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
 def skipped_starts(task):
@@ -135,7 +137,7 @@ def skipped_starts(task):
     first = -(-(3 * max(range_lo, 2) + 1) // 2)
     left_out = set()
     for n in range(max(lo, first), hi + 1):
-        row = sweep._SIEVE[n % WIDTH]
+        row = SIEVE[n % WIDTH]
         folded = row is not None and row[0] <= budget and n >= fold_bound(n % WIDTH, range_lo)
         if n % 9 in (2, 4, 5, 8) and not folded:
             left_out.add(n)
@@ -156,7 +158,7 @@ def test_sieve_leaves_a_chunk_whose_ancestors_are_below_range_lo_alone(budget):
     # Below 3*range_lo/2 no ancestor is a start of the sweep, so a chunk there,
     # such as every chunk of a window near 10^12 narrower than 5*10^11, is unchanged.
     task = (10**12, 10**12 + 500, 10**12, budget)
-    assert sweep._sweep_chunk(task) == sweep._sweep_chunk(task, skip_covered=False)
+    assert sweep._sweep_chunk(task) == sweep._sweep_chunk(task, residues=EVERY)
 
 
 @settings(max_examples=25, deadline=None)
@@ -183,14 +185,15 @@ def _step(v, addend):
 
 
 def test_tail_table_against_single_steps():
-    assert len(sweep._TAIL_STEPS) == len(sweep._TAIL_PEAK) == EDGE
+    tail_steps, tail_peak = sweep._tail_table(1)
+    assert len(tail_steps) == len(tail_peak) == EDGE
     for v in range(1, EDGE):
         x, steps, peak = v, 0, v
         while x != 1:
             x = _step(x, 1)
             steps += 1
             peak = max(peak, x)
-        assert (sweep._TAIL_STEPS[v], sweep._TAIL_PEAK[v]) == (steps, peak), v
+        assert (tail_steps[v], tail_peak[v]) == (steps, peak), v
 
 
 def test_tail_table_of_a_map_with_cycles_raises():
@@ -219,9 +222,10 @@ def _first_under_edge(n):
 
 @pytest.mark.parametrize("n", [10**12 + 1, 1000000040914])  # the latter holds 449 steps
 def test_chase_ends_with_one_tail_lookup_exactly_at_the_budget(monkeypatch, n):
-    peaks = _Reads(sweep._TAIL_PEAK)
+    tail_steps, tail_peak = sweep._tail_table(1)
+    peaks = _Reads(tail_peak)
     peaks.reads = []
-    monkeypatch.setattr(sweep, "_TAIL_PEAK", peaks)
+    monkeypatch.setattr(sweep, "_tail_table", lambda addend: (tail_steps, peaks))
     total = reference_chunk((n, n, n, 10**6))[1].max_steps
     # At budget S the chase converges with one lookup, at its first value below
     # 2^B; at S - 1 the lookup does not fit and single steps run out the budget.
@@ -245,8 +249,7 @@ def _values(n, addend, count):
 @pytest.mark.parametrize("addend", [1, -1, 5])
 def test_table_rows_against_single_steps(addend):
     jumps, sieve = sweep._residue_table(addend)
-    if addend == 1:
-        assert (jumps, sieve) == (sweep._JUMPS, sweep._SIEVE)
+    assert sweep._residue_table(addend)[0] is jumps  # built once, on first use
     for r in range(WIDTH):
         c, d, minc, threshold, cp, dp = jumps[r]
         for t in {0, 1, 2, threshold - 1, threshold, threshold + 1, 10**12 + r}:
@@ -381,7 +384,7 @@ def test_each_start_alone_equals_single_steps(addend):
         for range_lo in (1, n):
             task = (n, n, range_lo, 300)
             if addend == 1:
-                assert sweep._sweep_chunk(task, skip_covered=False) == reference_chunk(task)
+                assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
                 continue
             hi, stats, violations, inconclusive = sweep._sweep_chunk(task, addend=addend)
             want = addend_reference_chunk(task, addend)
@@ -393,28 +396,42 @@ def test_each_start_alone_equals_single_steps(addend):
     range_los,
     st.integers(0, 1500),
     st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(1, 400)), max_size=4),
     st.integers(1, 400),
-    st.lists(st.integers(0, 6), max_size=4),
 )
 # 1183 runs out of budget before 1775, which it covers, reaches its peak 5993.
-@example(lo=1, width=1776, budget=3, chunk_size=7, passes=[100])
+@example(lo=1, width=1776, budget=3, passes=[(100, 7)], chunk_size=7)
 # Start 1 is no ancestor: at budget 0, start 2 stays inconclusive.
-@example(lo=1, width=9, budget=0, chunk_size=1, passes=[1])
-def test_sieved_verifier_with_resumes_equals_reference(lo, width, budget, chunk_size, passes):
+@example(lo=1, width=9, budget=0, passes=[(1, 1)], chunk_size=1)
+def test_sieved_verifier_with_resumes_equals_reference(lo, width, budget, passes, chunk_size):
+    # Each pass resumes the last one's checkpoint, if there is one, with its own chunk size.
     hi = lo + width
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cp.json"
-        verifier = RangeVerifier(lo, hi, budget=budget, chunk_size=chunk_size, checkpoint_path=path)
-        for max_chunks in passes:
-            verifier.run(max_chunks=max_chunks)
-            if path.exists():
-                verifier = RangeVerifier(
-                    lo, hi, budget=budget, chunk_size=chunk_size, checkpoint_path=path, resume=True
-                )
-        report = verifier.run()
+        for max_chunks, size in passes + [(None, chunk_size)]:
+            verifier = RangeVerifier(
+                lo, hi, budget=budget, chunk_size=size, checkpoint_path=path, resume=path.exists()
+            )
+            report = verifier.run(max_chunks=max_chunks)
     _, stats, violations, inconclusive = reference_chunk((lo, hi, lo, budget))
     assert (report.violations, report.inconclusive) == (violations, inconclusive)
     assert verifier.stats == stats
+
+
+@pytest.mark.parametrize("budget", [0, 3, 10, 100, 10**6])
+def test_a_chunk_takes_at_most_two_kernel_passes(monkeypatch, budget):
+    # A chunk behind a witness walks its skipped residues in one more pass, not start by start.
+    tasks, kernel = [], sweep._sweep_chunk
+
+    def counting(task, **kwargs):
+        tasks.append(task)
+        return kernel(task, **kwargs)
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", counting)
+    RangeVerifier(1, 10**5, budget=budget, chunk_size=4096).run()
+    chunks = -(-10**5 // 4096)
+    assert len({task[1] for task in tasks}) == chunks
+    assert len(tasks) <= 2 * chunks
 
 
 def _interrupted(path, budget):
@@ -581,6 +598,17 @@ def test_importing_the_package_leaves_multiprocessing_unimported():
     assert out.stdout == "False\n"
 
 
+def test_importing_the_package_builds_no_sweep_table():
+    """The kernel's tables are built on its first call, not by `import collatz_lab`."""
+    src = str(Path(collatz_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import collatz_lab.cli; from collatz_lab import sweep; "
+            "print([f.cache_info().currsize for f in (sweep._residue_table, sweep._tail_table)])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[0, 0]\n"
+
+
 # ---------------------------------------------------------------------------
 # checkpoint cadence: a write per CHECKPOINT_INTERVAL and one at the end of a pass
 
@@ -620,25 +648,32 @@ _KERNEL = sweep._sweep_chunk
 
 
 class StopAt:
-    """The sweep kernel, raising `exc` instead of verifying the chunk [lo, hi].
+    """The sweep kernel, raising `exc` instead of walking `residues` of the chunk [lo, hi].
 
-    A module-level class that holds no function, so that a pool can
-    pickle it; the one-start re-checks of `_consume` go through.
+    By default that is the chunk's first pass; the skipped residues stop
+    its second pass in `_consume` instead.  A module-level class that holds
+    no function, so that a pool can pickle it.
     """
 
-    def __init__(self, lo, hi, exc):
-        self.task, self.exc = (lo, hi), exc
+    def __init__(self, lo, hi, exc, residues=sweep._KEPT_MOD_9):
+        self.task, self.exc, self.residues = (lo, hi), exc, residues
 
-    def __call__(self, task, **kwargs):
-        if task[:2] == self.task:
+    def __call__(self, task, residues=sweep._KEPT_MOD_9):
+        if (task[:2], residues) == (self.task, self.residues):
             raise self.exc(f"stopped at chunk [{task[0]}, {task[1]}]")
-        return _KERNEL(task, **kwargs)
+        return _KERNEL(task, residues=residues)
 
 
 def _uninterrupted():
     verifier = _cadence_verifier()
     report = verifier.run()
     return report.violations, report.inconclusive, verifier.stats
+
+
+def _resumes_to_the_uninterrupted_report(path):
+    resumed = _cadence_verifier(path, resume=True)
+    report = resumed.run()
+    assert (report.violations, report.inconclusive, resumed.stats) == _uninterrupted()
 
 
 def test_a_pass_on_a_still_clock_writes_once_after_its_last_chunk(still_clock, writes, tmp_path):
@@ -655,10 +690,10 @@ def _pace(monkeypatch, k, kernel=_KERNEL):
     """Run `kernel` as the sweep kernel, on a clock that passes the interval every k chunks."""
     chunks = []
 
-    def counting(task, **kwargs):
-        if task[0] < task[1]:  # a chunk, not a one-start re-check
+    def counting(task, residues=sweep._KEPT_MOD_9):
+        if residues == sweep._KEPT_MOD_9:  # a first pass, not the second one of `_consume`
             chunks.append(task)
-        return kernel(task, **kwargs)
+        return kernel(task, residues=residues)
 
     monkeypatch.setattr(sweep, "_sweep_chunk", counting)
     monkeypatch.setattr(sweep, "_clock", lambda: len(chunks) // k * sweep.CHECKPOINT_INTERVAL)
@@ -708,9 +743,7 @@ def test_an_interrupted_pass_keeps_the_chunks_before(pool_sizes, monkeypatch, tm
     assert pool_sizes == ([2] if workers == 2 else [])
     assert load_checkpoint(path).verified_up_to == 40
     monkeypatch.undo()
-    resumed = _cadence_verifier(path, resume=True)
-    report = resumed.run()
-    assert (report.violations, report.inconclusive, resumed.stats) == _uninterrupted()
+    _resumes_to_the_uninterrupted_report(path)
 
 
 def test_a_pass_stopped_in_a_worker_process_keeps_the_chunks_before(monkeypatch, tmp_path):
@@ -719,18 +752,37 @@ def test_a_pass_stopped_in_a_worker_process_keeps_the_chunks_before(monkeypatch,
     assert load_checkpoint(path).verified_up_to == 40
 
 
-def test_a_merge_cut_short_is_not_written(monkeypatch, tmp_path):
+def test_a_chunk_stopped_in_its_second_pass_is_not_consumed(monkeypatch, tmp_path):
     # Chunk 3 is written, chunk 4 is not yet, and chunk 5, [41, 50], is stopped
-    # while it re-checks 47 = T(31) behind the witness 31.
+    # in the pass over the residues it skipped: 47 = T(31) is behind the witness 31.
     path = tmp_path / "cp.json"
-    _pace(monkeypatch, 3, StopAt(47, 47, KeyboardInterrupt))
+    _pace(monkeypatch, 3, StopAt(41, 50, KeyboardInterrupt, sweep._SKIPPED_MOD_9))
     with pytest.raises(KeyboardInterrupt):
         _cadence_verifier(path).run()
+    assert load_checkpoint(path).verified_up_to == 40
+    monkeypatch.undo()
+    _resumes_to_the_uninterrupted_report(path)
+
+
+def test_a_merge_cut_short_is_not_written(monkeypatch, tmp_path):
+    # Chunk 3 is written, chunk 4 is not yet, and chunk 5, [41, 50], is stopped
+    # while it is merged into the record, which then holds half of it.
+    path = tmp_path / "cp.json"
+    _pace(monkeypatch, 3)
+    verifier = _cadence_verifier(path)
+    merge = SweepStats.merge
+
+    def cut_short(stats, other):
+        if stats is verifier.stats and verifier._record.verified_up_to == 50:
+            raise KeyboardInterrupt
+        merge(stats, other)
+
+    monkeypatch.setattr(SweepStats, "merge", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        verifier.run()
     assert load_checkpoint(path).verified_up_to == 30
     monkeypatch.undo()
-    resumed = _cadence_verifier(path, resume=True)
-    report = resumed.run()
-    assert (report.violations, report.inconclusive, resumed.stats) == _uninterrupted()
+    _resumes_to_the_uninterrupted_report(path)
 
 
 def test_a_failed_final_write_does_not_mask_the_error(still_clock, monkeypatch, tmp_path):
