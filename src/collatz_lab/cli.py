@@ -24,13 +24,12 @@ from .sweep import (
     TASK_VERIFY_RANGE,
     CheckpointError,
     RangeVerifier,
-    load_checkpoint,
 )
 from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
 from .tree import TreeFlavor, build_tree, export_dot, export_json
 
-# Not used here; perfbench/run.py reads write_checkpoint from this module.
-from .sweep import write_checkpoint  # noqa: F401
+# Not used here; perfbench/run.py reads load_checkpoint and write_checkpoint from this module.
+from .sweep import load_checkpoint, write_checkpoint  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -108,7 +107,7 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
     try:
         report = verifier.run()
     except KeyboardInterrupt:
-        print(_interruption(args), file=sys.stderr)
+        print(_interruption(args.checkpoint, verifier.saved_up_to), file=sys.stderr)
         return EXIT_INTERRUPTED
     assert report is not None
     stats = verifier.stats
@@ -134,19 +133,15 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
     return _report_exit(len(report.violations), len(report.inconclusive), args.strict)
 
 
-def _interruption(args: argparse.Namespace) -> str:
+def _interruption(checkpoint: Path | None, saved_up_to: int | None) -> str:
     """One line on where an interrupted sweep can resume from."""
-    if args.checkpoint is None:
+    if checkpoint is None:
         return "interrupted: no --checkpoint was given, so no progress was saved"
-    try:
-        cp = load_checkpoint(args.checkpoint)
-    except CheckpointError:
-        cp = None
-    if cp is None or (cp.lo, cp.hi, cp.budget) != (args.lo, args.hi, args.budget):
-        return f"interrupted before checkpoint {args.checkpoint} was written"
+    if saved_up_to is None:
+        return f"interrupted before checkpoint {checkpoint} was written"
     return (
-        f"interrupted: checkpoint {args.checkpoint} holds verified_up_to "
-        f"{cp.verified_up_to}; rerun with --resume to continue"
+        f"interrupted: checkpoint {checkpoint} holds verified_up_to "
+        f"{saved_up_to}; rerun with --resume to continue"
     )
 
 

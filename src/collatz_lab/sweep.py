@@ -63,12 +63,6 @@ class SweepStats:
     max_peak: int = 0
     max_peak_at: int = 0
 
-    def observe(self, n: int, steps: int, peak: int) -> None:
-        self.max_steps, self.max_steps_at = _pick(
-            self.max_steps, self.max_steps_at, steps, n
-        )
-        self.max_peak, self.max_peak_at = _pick(self.max_peak, self.max_peak_at, peak, n)
-
     def merge(self, other: "SweepStats") -> None:
         self.max_steps, self.max_steps_at = _pick(
             self.max_steps, self.max_steps_at, other.max_steps, other.max_steps_at
@@ -121,7 +115,7 @@ class Checkpoint:
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
-    """Read and validate a checkpoint file; CheckpointError on anything off."""
+    """Read a checkpoint file and check every rule within it; CheckpointError on anything off."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
@@ -143,6 +137,14 @@ def load_checkpoint(path: Path) -> Checkpoint:
         require_ints("checkpoint range", [lo, hi])
         require_ints("checkpoint budget", [budget])
         require_ints("checkpoint verified_up_to", [verified_up_to])
+        stats = SweepStats.from_json_dict(doc["stats"])
+        # The chunk at lo always sets both records, so they name starts swept so far.
+        at = sorted((stats.max_steps_at, stats.max_peak_at))
+        if not lo <= at[0] <= at[1] <= verified_up_to <= hi:
+            raise CheckpointError(
+                f"checkpoint {path} has stats at {at[0]} and {at[1]} and verified_up_to "
+                f"{verified_up_to}, outside the order {lo} <= stats <= verified_up_to <= {hi}"
+            )
         witnesses = {k: witnesses_from_json(doc[k]) for k in ("violations", "inconclusive")}
         for name, found in witnesses.items():
             # A sweep bisects these lists, and a resume appends to them.
@@ -157,12 +159,10 @@ def load_checkpoint(path: Path) -> Checkpoint:
             hi=hi,
             budget=budget,
             verified_up_to=verified_up_to,
-            stats=SweepStats.from_json_dict(doc["stats"]),
+            stats=stats,
             timestamp=str(doc.get("timestamp", "")),
             **witnesses,
         )
-    except CheckpointError:
-        raise
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
 
@@ -235,24 +235,18 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
 
 
 @functools.cache
-def _tail_table(addend: int) -> tuple[tuple, tuple]:
-    """Steps to 1 and peak on the way for every v < 2^B under x -> x/2, (3x + addend)/2.
+def _tail_table() -> tuple[tuple, tuple]:
+    """Steps to 1 and peak on the way for every v < 2^B under x -> x/2, (3x + 1)/2.
 
     Filled in ascending order: each v is iterated until it drops below
     itself, onto an entry already finished, whose steps and peak it adds.
-    Raises ValueError, instead of looping, if some v does not drop within
-    2^B steps (it sits on a cycle or climbs away).
     """
-    width = 1 << B
     steps, peaks = [0, 0], [0, 1]
-    for n in range(2, width):
+    for n in range(2, 1 << B):
         v, s, peak = n, 0, n
         while v >= n:
             if v & 1:
-                # Every cycle and every climb takes odd steps, so this check ends both.
-                if s >= width:
-                    raise ValueError(f"{n} does not drop below itself within {width} steps")
-                v = (3 * v + addend) >> 1
+                v = (3 * v + 1) >> 1
                 if v > peak:
                     peak = v
             else:
@@ -340,7 +334,7 @@ def _sweep_chunk(
     lo, hi, range_lo, budget = task
     jumps, sieve = _residue_table(addend)
     if addend == 1:
-        tail_steps, tail_peak = _tail_table(1)
+        tail_steps, tail_peak = _tail_table()
         edge, cut = (1 << B) - 1, _ancestor_cut(range_lo)
     else:
         tail_steps, tail_peak, edge, cut = (), (), 1, hi + 1  # chases go to 1, no skip
@@ -476,19 +470,16 @@ class RangeVerifier:
             if self.checkpoint_path is None:
                 raise CheckpointError("resume requires a checkpoint path")
             cp = load_checkpoint(self.checkpoint_path)
-            if (cp.lo, cp.hi) != (lo, hi):
-                raise CheckpointError(f"checkpoint is for [{cp.lo}, {cp.hi}], not [{lo}, {hi}]")
-            if cp.budget != budget:
+            if (cp.lo, cp.hi, cp.budget) != (lo, hi, budget):
                 raise CheckpointError(
-                    f"checkpoint was written with budget {cp.budget}, not {budget}"
-                )
-            if not lo <= cp.verified_up_to <= hi:
-                raise CheckpointError(
-                    f"checkpoint verified_up_to {cp.verified_up_to} outside [{lo}, {hi}]"
+                    f"checkpoint is for [{cp.lo}, {cp.hi}] at budget {cp.budget}, "
+                    f"not [{lo}, {hi}] at budget {budget}"
                 )
             self._record = cp
         else:
             self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats())
+        # verified_up_to of the checkpoint file as this run resumed or last wrote it, else None.
+        self.saved_up_to = self._record.verified_up_to if resume else None
         # Whether the record holds whole chunks that the checkpoint file does not, and when
         # the pass started or last wrote it.
         self._unsaved = False
@@ -559,6 +550,7 @@ class RangeVerifier:
 
     def _save(self) -> None:
         write_checkpoint(self.checkpoint_path, self.checkpoint())
+        self.saved_up_to = self._record.verified_up_to
         self._unsaved = False
         self._saved_at = _clock()
 

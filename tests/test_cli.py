@@ -159,10 +159,8 @@ class TestRangeVerifier:
 
 class TestSweepStats:
     def test_merge_is_order_independent(self):
-        a = SweepStats()
-        a.observe(3, 7, 100)
-        b = SweepStats()
-        b.observe(9, 7, 250)
+        a = SweepStats(max_steps=7, max_steps_at=3, max_peak=100, max_peak_at=3)
+        b = SweepStats(max_steps=7, max_steps_at=9, max_peak=250, max_peak_at=9)
         ab = SweepStats()
         ab.merge(a)
         ab.merge(b)
@@ -402,6 +400,10 @@ def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+def _with_stats(doc, **stats):
+    return json.dumps({**doc, "stats": {**doc["stats"], **stats}})
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -413,6 +415,11 @@ def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
         lambda doc: json.dumps({**doc, "range": [True, 100]}),
         lambda doc: json.dumps({**doc, "verified_up_to": "50"}),
         lambda doc: json.dumps({**doc, "stats": {**doc["stats"], "max_steps": 2.7}}),
+        # a resume reported these records at starts it had not swept, with exit 0
+        lambda doc: _with_stats(doc, max_peak=10**30, max_peak_at=999999),
+        lambda doc: _with_stats(doc, max_peak_at=doc["verified_up_to"] + 1),
+        lambda doc: _with_stats(doc, max_steps_at=doc["verified_up_to"] + 1),
+        lambda doc: _with_stats(doc, max_peak=10**30, max_peak_at=0),
     ],
     ids=[
         "verified-up-to-infinity",
@@ -422,17 +429,21 @@ def test_bad_path_or_checkpoint_exits_2(capsys, tmp_path, argv):
         "range-bool",
         "verified-up-to-str",
         "stats-float",
+        "max-peak-outside-the-range",
+        "max-peak-at-above-verified-up-to",
+        "max-steps-at-above-verified-up-to",
+        "max-peak-at-zero",
     ],
 )
 def test_malformed_checkpoint_exits_2(capsys, tmp_path, mangle):
     path = tmp_path / "cp.json"
     RangeVerifier(1, 100, chunk_size=10, checkpoint_path=path).run(max_chunks=5)
     path.write_text(mangle(json.loads(path.read_text())))
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "verify-range", "1", "100", "--chunk-size", "10",
         "--checkpoint", str(path), "--resume",
     )
-    assert code == 2
+    assert (code, out) == (2, "")
     assert err.startswith("error:")
 
 
@@ -492,6 +503,14 @@ class TestCheckpointFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("verified_up_to", [0, 101])
+    def test_verified_up_to_outside_its_range(self, tmp_path, verified_up_to):
+        path = tmp_path / "cp.json"
+        stats = SweepStats(max_steps=7, max_steps_at=1, max_peak=100, max_peak_at=1)
+        write_checkpoint(path, Checkpoint(1, 100, 1000, verified_up_to, stats))
+        with pytest.raises(CheckpointError, match=f"verified_up_to {verified_up_to}, outside"):
+            load_checkpoint(path)
 
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "cp.json"

@@ -23,7 +23,7 @@ EVERY = frozenset(range(9))  # the kernel walks every residue mod 9: no start is
 
 
 def reference_chunk(task, starts=None):
-    """One `converges` call per start (plus a tail chase below range_lo), observed one by one.
+    """One `converges` call per start (plus a tail chase below range_lo), merged one by one.
 
     `starts` limits the starts observed to a subset of [lo, hi].
     """
@@ -45,7 +45,7 @@ def reference_chunk(task, starts=None):
             peak = max(peak, tail.peak)
             if tail.outcome is not OrbitOutcome.REACHED_TARGET:
                 inconclusive.append((n, f"no conclusion within {budget} steps"))
-        stats.observe(n, steps, peak)
+        stats.merge(SweepStats(steps, n, peak, n))
     return hi, stats, [], inconclusive
 
 
@@ -185,7 +185,7 @@ def _step(v, addend):
 
 
 def test_tail_table_against_single_steps():
-    tail_steps, tail_peak = sweep._tail_table(1)
+    tail_steps, tail_peak = sweep._tail_table()
     assert len(tail_steps) == len(tail_peak) == EDGE
     for v in range(1, EDGE):
         x, steps, peak = v, 0, v
@@ -194,12 +194,6 @@ def test_tail_table_against_single_steps():
             steps += 1
             peak = max(peak, x)
         assert (tail_steps[v], tail_peak[v]) == (steps, peak), v
-
-
-def test_tail_table_of_a_map_with_cycles_raises():
-    # Under 3x - 1, 5 -> 7 -> 10 -> 5 never drops below 5.
-    with pytest.raises(ValueError, match="^5 does not drop"):
-        sweep._tail_table(-1)
 
 
 class _Reads(tuple):
@@ -222,10 +216,10 @@ def _first_under_edge(n):
 
 @pytest.mark.parametrize("n", [10**12 + 1, 1000000040914])  # the latter holds 449 steps
 def test_chase_ends_with_one_tail_lookup_exactly_at_the_budget(monkeypatch, n):
-    tail_steps, tail_peak = sweep._tail_table(1)
+    tail_steps, tail_peak = sweep._tail_table()
     peaks = _Reads(tail_peak)
     peaks.reads = []
-    monkeypatch.setattr(sweep, "_tail_table", lambda addend: (tail_steps, peaks))
+    monkeypatch.setattr(sweep, "_tail_table", lambda: (tail_steps, peaks))
     total = reference_chunk((n, n, n, 10**6))[1].max_steps
     # At budget S the chase converges with one lookup, at its first value below
     # 2^B; at S - 1 the lookup does not fit and single steps run out the budget.
@@ -306,7 +300,7 @@ def addend_reference_chunk(task, addend):
             if values[-1] in (n, 1) or values[-1] >= range_lo:
                 break
             floor = 1
-        stats.observe(n, len(values) - 1, max(values))
+        stats.merge(SweepStats(len(values) - 1, n, max(values), n))
     return hi, stats, cycles, inconclusive
 
 
@@ -829,4 +823,51 @@ class TestCtrlC:
         assert cli.main(self.ARGV + ["--checkpoint", str(path)]) == 130
         out, err = capsys.readouterr()
         assert out == "" and not path.exists()
+        assert err == f"interrupted before checkpoint {path} was written\n"
+
+    def test_a_resume_stopped_before_its_first_write_names_what_it_resumed(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        path = tmp_path / "cp.json"
+        argv = self.ARGV + ["--checkpoint", str(path)]
+        monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, KeyboardInterrupt))
+        assert cli.main(argv) == 130
+        capsys.readouterr()
+        assert cli.main(argv + ["--resume"]) == 130
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"interrupted: checkpoint {path} holds verified_up_to 40; "
+                       "rerun with --resume to continue\n")
+
+    def test_a_failed_final_write_names_the_last_write(self, monkeypatch, capsys, tmp_path):
+        # Chunk 3 is written; the write of chunk 4, as chunk 5 is stopped, fails.
+        path = tmp_path / "cp.json"
+        write = sweep.write_checkpoint
+
+        def first_only(at, checkpoint):
+            if at.exists():
+                raise OSError(f"cannot write {at}")
+            write(at, checkpoint)
+
+        monkeypatch.setattr(sweep, "write_checkpoint", first_only)
+        _pace(monkeypatch, 3, StopAt(41, 50, KeyboardInterrupt))
+        assert cli.main(self.ARGV + ["--checkpoint", str(path)]) == 130
+        out, err = capsys.readouterr()
+        assert out == "" and load_checkpoint(path).verified_up_to == 30
+        assert err == (f"interrupted: checkpoint {path} holds verified_up_to 30; "
+                       "rerun with --resume to continue\n")
+
+    def test_a_file_of_an_earlier_run_is_not_this_runs_progress(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # The file matches this run's range and budget, but this run wrote none of it.
+        path = tmp_path / "cp.json"
+        argv = self.ARGV + ["--checkpoint", str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        earlier = path.read_text()
+        monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(1, 10, KeyboardInterrupt))
+        assert cli.main(argv) == 130
+        out, err = capsys.readouterr()
+        assert out == "" and path.read_text() == earlier
         assert err == f"interrupted before checkpoint {path} was written\n"
