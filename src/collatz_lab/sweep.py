@@ -14,7 +14,8 @@ import functools
 import json
 import os
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import chain, pairwise
@@ -182,6 +183,9 @@ def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
 K = 8
 _WIDTH = 1 << K
 _MASK = _WIDTH - 1
+#: A chunk of 2^S starts or more can walk only the residues mod 2^S that survive S steps.
+S = 16
+_PERIOD = 1 << S
 #: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
 B = 12
 #: Least seconds between two checkpoint writes within a pass (Young, CACM 17(9), 1974).
@@ -190,13 +194,30 @@ CHECKPOINT_INTERVAL = 1.0
 _clock = time.monotonic
 
 
+def _forms(r: int, k: int, addend: int = 1) -> list[tuple[int, int]]:
+    """The first k steps of x -> x/2, (3x + addend)/2 on n = 2^k*t + r, as affine forms in t.
+
+    The j-th value is T^j(n) = c_j*t + d_j with c_j = 3^a * 2^(k-j) (a odd
+    steps so far) and d_j = T^j(r) (Terras 1976); returns the k + 1 pairs
+    (c_j, d_j).  The c_j are distinct, so max(forms) is the form with the
+    largest c_j.
+    """
+    c, d = 1 << k, r
+    forms = [(c, d)]
+    for _ in range(k):
+        if d & 1:
+            c, d = (3 * c) >> 1, (3 * d + addend) >> 1
+        else:
+            c, d = c >> 1, d >> 1
+        forms.append((c, d))
+    return forms
+
+
 @functools.cache
 def _residue_table(addend: int) -> tuple[tuple, tuple]:
-    """Affine forms of the first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K.
+    """The first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K (`_forms`).
 
-    For n = 2^K*t + r the j-th value is T^j(n) = c_j*t + d_j with
-    c_j = 3^a * 2^(K-j) (a odd steps so far) and d_j = T^j(r) (Terras 1976).
-    Returns (jumps, sieve), both indexed by r:
+    Returns (jumps, sieve), both indexed by r, for n = 2^K*t + r:
 
     * jumps[r] = (c_K, d_K, minc, threshold, cp, dp): the value after K
       steps; minc, the smallest c_j over the K-1 values in between; the
@@ -205,20 +226,15 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
     * sieve[r] = (s, t_drop, forms) when the class drops within K steps,
       else None: for every t >= t_drop the start n drops below itself for
       the first time at step s, onto c_s*t + d_s, after values above n;
-      forms = ((c_0, d_0), ..., (c_s, d_s)) give its peak.
+      forms = ((c_0, d_0), ..., (c_s, d_s)) give its peak.  For the 3x + 1
+      map the 19 classes with no row are split further, mod 2^S, by
+      `_survivor_table`.
     """
     jumps = []
     sieve = []
     for r in range(_WIDTH):
-        c, d = _WIDTH, r
-        forms = [(c, d)]
-        for _ in range(K):
-            if d & 1:
-                c, d = (3 * c) >> 1, (3 * d + addend) >> 1
-            else:
-                c, d = c >> 1, d >> 1
-            forms.append((c, d))
-        # The c_j are distinct, so the largest one is the unique peak form.
+        forms = _forms(r, K, addend)
+        c, d = forms[K]
         cp, dp = max(forms)
         threshold = max(-((dp - dj) // (cp - cj)) for cj, dj in forms if cj != cp)
         minc = min(cj for cj, _ in forms[1:K])
@@ -232,6 +248,56 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
         bounds.append((forms[s][1] - r) // (_WIDTH - forms[s][0]) + 1)
         sieve.append((s, max(bounds + [0]), tuple(forms[: s + 1])))
     return tuple(jumps), tuple(sieve)
+
+
+@functools.cache
+def _survivor_table() -> tuple[tuple, tuple[int, int, int], tuple[int, int]]:
+    """The residues mod 2^S that do not drop within S steps, and bounds on all the others.
+
+    For the 3x + 1 map, grown one bit at a time from the one class mod 1.
+    For n = 2^k*t + r the state is (c, d, cp, dm): T^k(n) = c*t + d, the
+    largest coefficient of the k + 1 values so far is cp (`_forms`), and
+    every d_j is at most dm.  As r + b*2^k mod 2^(k+1), each form
+    c_j*t + d_j becomes 2*c_j*t + b*c_j + d_j, and one more step is taken.
+    A residue survives step j while c_j > 2^k (3^a > 2^j); then
+    d_j = T^j(r) > r too (r is odd), so its values stay above n for every
+    t >= 0.  At the first step s with c_s < 2^k it drops, and only bounds
+    are kept.  Returns (by_mod_9, settle, peak), for n = 2^S*t + R:
+
+    * by_mod_9[q]: the survivors R ≡ q (mod 9), ascending; there are 2114
+      of them (OEIS A076227).
+    * settle = (t_min, c, d): for t >= t_min every other start n drops
+      below itself for the first time at its class's step s <= S, onto at
+      least c*t + d.  These classes are the 237 mod 2^K of
+      `_residue_table` that drop within K steps, and 2750 residues mod 2^S
+      under the other 19.
+    * peak = (c, d): the values of those other starts up to their drop
+      are at most c*t + d.
+    """
+    t_min, c_drop, d_drop, c_peak, d_peak = 0, _PERIOD, _PERIOD, 0, 0
+    survivors = []
+    grow = [(0, 0, 1, 0, 1, 0)]  # (k, r, c, d, cp, dm), depth first
+    while grow:
+        k, r, c, d, cp, dm = grow.pop()
+        if k == S:
+            survivors.append(r)
+            continue
+        top = 2 << k  # c_0 mod 2^(k+1)
+        for b in (0, 1):
+            rb, c_b, d_b = r | b << k, 2 * c, b * c + d
+            c_b, d_b = ((3 * c_b) >> 1, (3 * d_b + 1) >> 1) if d_b & 1 else (c_b >> 1, d_b >> 1)
+            cp_b, dm_b = max(2 * cp, c_b), max(dm + b * cp, d_b)
+            if c_b > top:
+                grow.append((k + 1, rb, c_b, d_b, cp_b, dm_b))
+                continue
+            # Below n from (top - c_b)*t > d_b - rb on; n = 2^(k+1)*t + rb has
+            # t = scale*(n >> S) + u with 0 <= u < scale, so t >= n >> S.
+            scale = _PERIOD // top
+            t_min = max(t_min, (d_b - rb) // (top - c_b) + 1)
+            c_drop, d_drop = min(c_drop, c_b * scale), min(d_drop, d_b)
+            c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dm_b + cp_b * (scale - 1))
+    by_mod_9 = tuple(tuple(sorted(r for r in survivors if r % 9 == q)) for q in range(9))
+    return by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak)
 
 
 @functools.cache
@@ -290,67 +356,64 @@ def _cycle_detail(n: int, length: int, addend: int) -> str:
     return f"cycle of length {length}: " + " -> ".join(map(str, values))
 
 
-def _sweep_chunk(
-    task: tuple[int, int, int, int], addend: int = 1, residues: frozenset = _KEPT_MOD_9
-) -> tuple[int, SweepStats, list, list]:
-    """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
+def _takes_survivor_plan(first: int, hi: int, range_lo: int, budget: int, cut: int) -> bool:
+    """Whether the starts [first, hi] take the 2^S survivor plan (`_sweep_chunk`)."""
+    if hi - first < _PERIOD - 1 or budget <= S or first < cut:
+        return False  # checked before the table is built
+    t_min, c, d = _survivor_table()[1]
+    t = first >> S
+    return t >= t_min and c * t + d >= range_lo
 
-    Each start n is followed until it reaches 1 or drops onto a smaller,
-    already-verified start; a drop below the whole range is chased to 1
-    since nothing below range_lo is covered by this run.  An orbit that
-    returns to n is a cycle, reported as a violation.
 
-    A chase runs only to its first value v < 2^B and then adds the tail
-    table's steps and peak from v to 1 (`_tail_table`) in one lookup.  The
-    lookup is exact: it is taken only when those steps fit in the budget,
-    and otherwise the chase goes on in single steps, so an inconclusive
-    start spends exactly its budget, as without the table.
+def _survivor_starts(first: int, hi: int, residues: frozenset) -> Iterator[Iterable[int]]:
+    """The survivors in [first, hi] with a residue mod 9 in `residues`, in ascending runs.
 
-    The residue n mod 2^K fixes the first K steps (`_residue_table`).  A
-    class that drops within s <= min(K, budget) steps is settled in closed
-    form from its first member whose drop lands at or above range_lo: it
-    enters the records once per chunk, steps at its smallest member and
-    peak at its largest.  Every other start is iterated, class by class,
-    K steps per lookup while no value in between can reach the floor and
-    the budget allows, single steps otherwise, so step counts, peaks,
-    drops and witnesses are exactly those of single steps.  The witness
-    lists are sorted by start before they are returned.
-
-    From `_ancestor_cut(range_lo)` on, an iterated start is walked only if
-    its residue mod 9 is in `residues`; each class then walks those
-    residues with stride 9 * 2^K.  By default these are the kept five: a
-    start x ≡ 2, 4, 5 or 8 (mod 9) has an ancestor a < x, a start of the
-    same sweep whose run passes through x.  Unless a's run is a witness, x
-    converges with fewer steps than a and a peak no higher, so it never
-    holds a record (ties go to the smaller start) and may be left out.
-    `RangeVerifier._consume` walks the skipped four in a second pass when
-    a witness may hide something; tests walk all nine to compare every
-    start with a reference.
-
-    `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
-    another value than 1 (the 3x - 1 map has cycles to find), and their
-    chases go to 1 in single steps, without a tail table or the skip.
+    One run per period of 2^S starts and residue mod 9: base + R ≡ q (mod 9)
+    picks the survivors R ≡ q - base.
     """
+    by_mod_9 = _survivor_table()[0]
+    for base in range(first - first % _PERIOD, hi + 1, _PERIOD):
+        for q in residues:
+            rs = by_mod_9[(q - base) % 9]
+            run = rs[bisect_left(rs, first - base) : bisect_right(rs, hi - base)]
+            yield map(base.__add__, run)
+
+
+def _settled_ends(first: int, hi: int) -> list[int]:
+    """The first and the last start in [first, hi] of each class that drops within S steps.
+
+    Those are the 237 classes mod 2^K that drop within K steps and the
+    2750 residues mod 2^S under the other 19 that are not survivors.
+    """
+    survivors = set(chain(*_survivor_table()[0]))
+    ends = set()
+    for r, row in enumerate(_residue_table(1)[1]):
+        if row is not None:
+            classes = [(r, _MASK)]
+        else:
+            classes = [(q, _PERIOD - 1) for q in range(r, _PERIOD, _WIDTH) if q not in survivors]
+        for q, mask in classes:
+            ends.update((first + ((q - first) & mask), hi - ((hi - q) & mask)))
+    return sorted(ends)
+
+
+def _class_plan(
+    task: tuple[int, int, int, int],
+    first: int,
+    cut: int,
+    addend: int,
+    residues: frozenset,
+    records: tuple[int, int, int, int],
+) -> tuple[tuple[int, int, int, int], Iterable[int]]:
+    """The per-class plan of `_sweep_chunk`: the records with its folds, and the starts to walk."""
     lo, hi, range_lo, budget = task
-    jumps, sieve = _residue_table(addend)
-    if addend == 1:
-        tail_steps, tail_peak = _tail_table()
-        edge, cut = (1 << B) - 1, _ancestor_cut(range_lo)
-    else:
-        tail_steps, tail_peak, edge, cut = (), (), 1, hi + 1  # chases go to 1, no skip
-    violations: list[tuple[int, str]] = []
-    inconclusive: list[tuple[int, str]] = []
-    no_conclusion = f"no conclusion within {budget} steps"
-    mask = _MASK
-    last_jump = budget - K
-    # Records over the whole chunk; n does not ascend across classes, so
-    # ties go to the smaller n, as _pick does.
-    max_steps, max_steps_at, max_peak, max_peak_at = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
-    first = max(lo, 2)  # 1 is already at 1
+    sieve = _residue_table(addend)[1]
+    max_steps, max_steps_at, max_peak, max_peak_at = records
+    walks = []
     # head is the first member in the chunk of its class mod 2^K.
-    for head in range(first, min(hi, first + mask) + 1):
-        r = head & mask
-        end = hi + 1  # the class is iterated below end and folded from end on
+    for head in range(first, min(hi, first + _MASK) + 1):
+        r = head & _MASK
+        end = hi + 1  # the class is walked below end and folded from end on
         row = sieve[r]
         if row is not None and row[0] <= budget:
             s, t_drop, forms = row
@@ -362,65 +425,178 @@ def _sweep_chunk(
                 peak = max(cj * last + dj for cj, dj in forms)
                 max_steps, max_steps_at = _pick(max_steps, max_steps_at, s, end)
                 max_peak, max_peak_at = _pick(max_peak, max_peak_at, peak, (last << K) | r)
-        starts = range(head, end, _WIDTH)
-        if end > cut:
-            split = min(end, max(head, cut + ((head - cut) & mask)))  # first member >= cut
-            kept = (
-                range(m, end, _STRIDE)
-                for m in range(split, min(split + _STRIDE, end), _WIDTH)
-                if m % 9 in residues
-            )
-            starts = chain(range(head, split, _WIDTH), *kept)
-        for n in starts:
-            v = n
-            steps = 0
-            peak = n
-            floor = n  # then edge while a drop below range_lo is chased, then 1
-            while True:
-                while steps < budget:
-                    t = v >> K
-                    c, d, minc, threshold, cp, dp = jumps[v & mask]
-                    if minc * t > floor and t >= threshold and steps <= last_jump:
-                        v = c * t + d
-                        top = cp * t + dp
-                        if top > peak:
-                            peak = top
-                        steps += K
-                    elif v & 1:
-                        v = (3 * v + addend) >> 1
-                        if v > peak:
-                            peak = v
-                        steps += 1
-                    else:
-                        v >>= 1
-                        steps += 1
-                    if v <= floor:
-                        break
-                else:
-                    inconclusive.append((n, no_conclusion))
-                    break
-                if v == n:
-                    violations.append((n, _cycle_detail(n, steps, addend)))
-                    break
-                if v >= range_lo or v == 1:
-                    break
-                if v > edge:
-                    floor = edge
-                elif steps + tail_steps[v] <= budget:
-                    steps += tail_steps[v]
-                    peak = max(peak, tail_peak[v])
-                    break
-                else:
-                    floor = 1
-            if steps >= max_steps and (steps > max_steps or n < max_steps_at):
-                max_steps, max_steps_at = steps, n
-            if peak >= max_peak and (peak > max_peak or n < max_peak_at):
-                max_peak, max_peak_at = peak, n
+        if end <= cut:
+            walks.append(range(head, end, _WIDTH))
+            continue
+        split = min(end, max(head, cut + ((head - cut) & _MASK)))  # first member >= cut
+        walks.append(range(head, split, _WIDTH))
+        walks.extend(
+            range(m, end, _STRIDE)
+            for m in range(split, min(split + _STRIDE, end), _WIDTH)
+            if m % 9 in residues
+        )
+    return (max_steps, max_steps_at, max_peak, max_peak_at), chain.from_iterable(walks)
+
+
+def _sweep_chunk(
+    task: tuple[int, int, int, int], addend: int = 1, residues: frozenset = _KEPT_MOD_9
+) -> tuple[int, SweepStats, list, list]:
+    """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
+
+    This is the chunk's class plan: which starts are settled in closed
+    form, which are walked by the orbit loop (`_orbits`) and which are
+    skipped.  There are two plans, and both give every walked start's
+    exact steps, peak and witness.
+
+    The per-class plan.  The residue n mod 2^K fixes the first K steps
+    (`_residue_table`).  A class that drops within s <= min(K, budget)
+    steps is settled in closed form from its first member whose drop
+    lands at or above range_lo: it enters the records once per chunk,
+    steps at its smallest member and peak at its largest.  Its members
+    below that one, and every member of the other classes, are walked.
+
+    The survivor plan.  Of the 19 classes that do not drop within K steps,
+    only 2114 residues mod 2^S do not drop within S steps either
+    (`_survivor_table`).  A chunk takes this plan when it holds at least
+    2^S starts, all past the ancestor cut, budget > S, and t = first >> S
+    is large enough that every other start drops at its class's step
+    s <= S onto a value of at least range_lo (from about 2 * range_lo on).
+    It walks only the survivors.  The other starts have at most S steps
+    and peaks at most c*(hi >> S) + d, the table's bound: if the walked
+    starts' records beat both strictly, none of them can hold a record and
+    they are left out.  Otherwise every class that drops is folded: its
+    first and its last start in the chunk, which hold its step and peak
+    records, are walked.  Apart from that rare fold, the plan costs
+    nothing per settled class.  A chunk that does not take it takes the
+    per-class plan.
+
+    From `_ancestor_cut(range_lo)` on, a walked start is walked only if
+    its residue mod 9 is in `residues`.  By default these are the kept
+    five: a start x ≡ 2, 4, 5 or 8 (mod 9) has an ancestor a < x, a start
+    of the same sweep whose run passes through x.  Unless a's run is a
+    witness, x converges with fewer steps than a and a peak no higher, so
+    it never holds a record (ties go to the smaller start) and may be left
+    out.  `RangeVerifier._consume` walks the skipped four in a second pass
+    when a witness may hide something: the same plans with the other
+    residues.  Tests walk all nine to compare every start with a
+    reference.  Settled starts enter the records whatever their residue
+    mod 9, and the witness lists are sorted by start before they are
+    returned.
+
+    `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
+    another value than 1 (the 3x - 1 map has cycles to find), and their
+    chases go to 1 in single steps, without a tail table, the skip or the
+    survivor plan.
+    """
+    lo, hi, range_lo, budget = task
+    cut = _ancestor_cut(range_lo) if addend == 1 else hi + 1  # other maps skip nothing
+    first = max(lo, 2)  # 1 is already at 1
+    violations: list[tuple[int, str]] = []
+    inconclusive: list[tuple[int, str]] = []
+    walk = functools.partial(_orbits, task, addend, violations, inconclusive)
+    # Records over the whole chunk; n does not ascend across classes, so
+    # ties go to the smaller n, as _pick does.
+    records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
+    if _takes_survivor_plan(first, hi, range_lo, budget, cut):
+        c, d = _survivor_table()[2]
+        records = walk(chain.from_iterable(_survivor_starts(first, hi, residues)), records)
+        if not (records[0] > S and records[2] > c * (hi >> S) + d):
+            records = walk(_settled_ends(first, hi), records)
+    else:
+        records, starts = _class_plan(task, first, cut, addend, residues, records)
+        records = walk(starts, records)
+    max_steps, max_steps_at, max_peak, max_peak_at = records
     violations.sort()
     inconclusive.sort()
     # max_steps is still -1 when every start was skipped: nothing was observed.
     stats = SweepStats(max(max_steps, 0), max_steps_at, max_peak, max_peak_at)
     return hi, stats, violations, inconclusive
+
+
+def _orbits(
+    task: tuple[int, int, int, int],
+    addend: int,
+    violations: list,
+    inconclusive: list,
+    starts: Iterable[int],
+    records: tuple[int, int, int, int],
+) -> tuple[int, int, int, int]:
+    """The orbit loop: follow each start; return `records` (max_steps, at, max_peak, at) with them.
+
+    Each start n is followed until it reaches 1 or drops onto a smaller,
+    already-verified start; a drop below the whole range is chased to 1
+    since nothing below range_lo is covered by this run.  An orbit that
+    returns to n is a cycle, appended to `violations`; one that runs out
+    of budget is appended to `inconclusive`.
+
+    Orbits move K steps per `_residue_table` lookup while no value in
+    between can reach the floor and the budget allows, single steps
+    otherwise, so step counts, peaks, drops and witnesses are exactly
+    those of single steps.
+
+    A chase runs only to its first value v < 2^B and then adds the tail
+    table's steps and peak from v to 1 (`_tail_table`) in one lookup.  The
+    lookup is exact: it is taken only when those steps fit in the budget,
+    and otherwise the chase goes on in single steps, so an inconclusive
+    start spends exactly its budget, as without the table.
+    """
+    _, _, range_lo, budget = task
+    jumps = _residue_table(addend)[0]
+    if addend == 1:
+        tail_steps, tail_peak = _tail_table()
+        edge = (1 << B) - 1
+    else:
+        tail_steps, tail_peak, edge = (), (), 1  # chases go to 1
+    no_conclusion = f"no conclusion within {budget} steps"
+    mask = _MASK
+    last_jump = budget - K
+    max_steps, max_steps_at, max_peak, max_peak_at = records
+    for n in starts:
+        v = n
+        steps = 0
+        peak = n
+        floor = n  # then edge while a drop below range_lo is chased, then 1
+        while True:
+            while steps < budget:
+                t = v >> K
+                c, d, minc, threshold, cp, dp = jumps[v & mask]
+                if minc * t > floor and t >= threshold and steps <= last_jump:
+                    v = c * t + d
+                    top = cp * t + dp
+                    if top > peak:
+                        peak = top
+                    steps += K
+                elif v & 1:
+                    v = (3 * v + addend) >> 1
+                    if v > peak:
+                        peak = v
+                    steps += 1
+                else:
+                    v >>= 1
+                    steps += 1
+                if v <= floor:
+                    break
+            else:
+                inconclusive.append((n, no_conclusion))
+                break
+            if v == n:
+                violations.append((n, _cycle_detail(n, steps, addend)))
+                break
+            if v >= range_lo or v == 1:
+                break
+            if v > edge:
+                floor = edge
+            elif steps + tail_steps[v] <= budget:
+                steps += tail_steps[v]
+                peak = max(peak, tail_peak[v])
+                break
+            else:
+                floor = 1
+        if steps >= max_steps and (steps > max_steps or n < max_steps_at):
+            max_steps, max_steps_at = steps, n
+        if peak >= max_peak and (peak > max_peak or n < max_peak_at):
+            max_peak, max_peak_at = peak, n
+    return max_steps, max_steps_at, max_peak, max_peak_at
 
 
 class RangeVerifier:

@@ -51,7 +51,7 @@ def test_criterion_1_trajectory_of_27():
 
 
 def test_criterion_2_range_sweep_to_ten_million():
-    """Every n in [1, 10^7] converges; < 60 s single-threaded; workers agree."""
+    """Every n in [1, 10^7] converges; < 60 s single-threaded; exact records; workers agree."""
     solo = RangeVerifier(1, 10**7)
     t0 = time.perf_counter()
     solo_report = solo.run()
@@ -61,6 +61,9 @@ def test_criterion_2_range_sweep_to_ten_million():
     assert solo_report.inconclusive == []
     assert solo_report.checked == 10**7
     assert elapsed < 60.0
+    # 8088063 spends 246 steps before it drops below itself; 6631675 climbs to 30171305459816.
+    assert (solo.stats.max_steps, solo.stats.max_steps_at) == (246, 8088063)
+    assert (solo.stats.max_peak, solo.stats.max_peak_at) == (30171305459816, 6631675)
 
     multi = RangeVerifier(1, 10**7, workers=4)
     multi_report = multi.run()

@@ -53,6 +53,22 @@ def test_stdout_is_byte_stable(capsys, command, digest):
 
 
 @pytest.mark.parametrize(
+    "command, digest",
+    [
+        # 62,500 inconclusive starts: below the 2^16 survivor plan's budget, and most
+        # chunks take the second pass over the residues the ancestor sieve skips.
+        ("verify-range 1 1000000 --budget 10 --json",
+         "1041620d0da8994f3765d0724788672ca9f4c72351633ceb2903d448c9db1e34"),
+        # 5,647 inconclusive starts; every full chunk but the first takes the 2^16 plan.
+        ("verify-range 1 1000000 --budget 40 --json",
+         "16bb569b235edd2608550a4ba50c03d6f21debb4edb27f32027d83fffd9feef0"),
+    ],
+)
+def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):
+    assert _digest(_stdout(capsys, command.split())) == digest
+
+
+@pytest.mark.parametrize(
     "command, report_digest, checkpoint_digest",
     [
         ("verify-range 1 2000 --chunk-size 100",

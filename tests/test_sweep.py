@@ -275,6 +275,52 @@ def test_table_rows_against_single_steps(addend):
                 assert [cj * t + dj for cj, dj in forms] == values
 
 
+S, PERIOD = sweep.S, 1 << sweep.S
+ITERATED = [r for r, row in enumerate(SIEVE) if row is None]  # the 19 classes mod 2^K
+
+
+def test_survivor_table_holds_the_2114_survivors_mod_2_16():
+    by_mod_9, (t_min, _, _), _ = sweep._survivor_table()
+    assert sweep._survivor_table()[0] is by_mod_9  # built once, on first use
+    assert t_min == 1  # classes 0 and 1 mod 2^K drop from their second member on
+    assert len(ITERATED) == 19
+    survivors = [r for rs in by_mod_9 for r in rs]
+    assert len(survivors) == 2114  # OEIS A076227
+    for q, rs in enumerate(by_mod_9):
+        assert list(rs) == sorted(rs) and all(r % 9 == q for r in rs)
+    for r in survivors:
+        assert r % WIDTH in ITERATED
+        # Every coefficient c_j, j = 1..S, exceeds 2^S: the residue survives S steps,
+        # and no value up to step S reaches n.
+        assert min(c for c, _ in sweep._forms(r, S)[1:]) > PERIOD
+        for t in (0, 1, 10**12 + r):
+            n = t * PERIOD + r
+            assert min(_values(n, 1, S)[1:]) > n
+
+
+def test_each_settled_residue_drops_at_its_step_from_t_min_on():
+    by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak) = sweep._survivor_table()
+    survivors = {r for rs in by_mod_9 for r in rs}
+    settled = {
+        r: next(j for j, (c, _) in enumerate(sweep._forms(r, S)) if c < PERIOD)
+        for q in ITERATED
+        for r in range(q, PERIOD, WIDTH)
+        if r not in survivors
+    }
+    assert len(settled) == 2750 and min(settled.values()) > K
+    # A class mod 2^K that drops within K steps: its least and its largest residue mod 2^S.
+    settled.update((r, SIEVE[q][0]) for q in SETTLED for r in (q, PERIOD - WIDTH + q))
+    for r, s in settled.items():
+        assert 1 <= s <= S
+        # The scalar peak bound covers the forms up to the drop, coefficient by coefficient.
+        assert all(c <= c_peak and d <= d_peak for c, d in sweep._forms(r, S)[: s + 1])
+        for t in (t_min, t_min + 1, 10**12 + r):
+            n = t * PERIOD + r
+            values = _values(n, 1, s)
+            assert min(values[1:s], default=n + 1) > n > values[s] >= c_drop * t + d_drop
+            assert max(values) <= c_peak * t + d_peak
+
+
 def addend_reference_chunk(task, addend):
     """Single steps of x -> (3x + addend)/2 from each start.
 
@@ -426,6 +472,86 @@ def test_a_chunk_takes_at_most_two_kernel_passes(monkeypatch, budget):
     chunks = -(-10**5 // 4096)
     assert len({task[1] for task in tasks}) == chunks
     assert len(tasks) <= 2 * chunks
+
+
+PASSES = (sweep._KEPT_MOD_9, sweep._SKIPPED_MOD_9)  # the residues mod 9 of a chunk's two passes
+
+
+def _fold_every_settled_residue(monkeypatch):
+    """Give the table a peak bound that no start beats: every survivor-plan chunk then folds."""
+    by_mod_9, settle, _ = sweep._survivor_table()
+    monkeypatch.setattr(sweep, "_survivor_table", lambda: (by_mod_9, settle, (10**30, 0)))
+
+
+@pytest.mark.parametrize("budget", [17, 24, 40, 10**4])
+@pytest.mark.parametrize(
+    "task",
+    [
+        (PERIOD + 5, 2 * PERIOD + 4, 1),  # one period, not aligned
+        (PERIOD, 2 * PERIOD - 1, 2),  # one period, aligned
+        (2 * PERIOD, 4 * PERIOD + 999, 1000),
+        (4 * PERIOD + 123, 5 * PERIOD + 300, 10**5),  # the first t at which 10^5 is settled
+    ],
+)
+def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
+    lo, hi, range_lo = task
+    task = (lo, hi, range_lo, budget)
+    assert sweep._takes_survivor_plan(lo, hi, range_lo, budget, sweep._ancestor_cut(range_lo))
+    plans = {}
+    for plan in ("survivors", "folds", "per class"):
+        if plan == "folds":
+            _fold_every_settled_residue(monkeypatch)
+        if plan == "per class":
+            monkeypatch.setattr(sweep, "_takes_survivor_plan", lambda *args: False)
+        plans[plan] = [sweep._sweep_chunk(task, residues=r) for r in (EVERY, *PASSES)]
+    # Over all nine residues every plan gives each start's exact records.
+    assert plans["survivors"][0] == plans["folds"][0] == plans["per class"][0]
+    # Over the kept five or the skipped four, the survivors beat the bound: the
+    # settled residues are left out.
+    assert plans["survivors"][1:] == plans["per class"][1:]
+    # A fold also counts the settled starts a pass skips mod 9; the witnesses stay the same.
+    assert [p[2:] for p in plans["folds"][1:]] == [p[2:] for p in plans["per class"][1:]]
+
+
+@pytest.mark.parametrize("walked, budget", [("none", 17), ("the lowest peak", 10**4)])
+def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, budget):
+    # Survivors that do not beat the peak bound leave it to the fold to give the records
+    # of every start that drops within S steps; its peak record is at a class's last start.
+    lo, hi = 3 * PERIOD + 7, 4 * PERIOD + PERIOD // 2
+    task = (lo, hi, 1000, budget)
+    survivors = {r for rs in sweep._survivor_table()[0] for r in rs}
+    starts = [n for n in range(lo, hi + 1) if n % PERIOD not in survivors]
+    runs = []
+    if walked == "the lowest peak":
+        n = min((n for n in range(lo, PERIOD + lo) if n % PERIOD in survivors),
+                key=lambda n: converges(n, budget, n).peak / n)
+        c, d = sweep._survivor_table()[2]
+        assert converges(n, budget, n).peak < c * (hi >> S) + d
+        starts.append(n)
+        runs.append([n])
+    monkeypatch.setattr(sweep, "_survivor_starts", lambda *args: runs)
+    assert sweep._sweep_chunk(task) == reference_chunk(task, starts)
+
+
+@pytest.mark.parametrize(
+    "lo, width, budget",
+    [
+        # The ancestor cut and the first chunks on the survivor plan lie in the window.
+        *((lo, 2**18, budget) for lo in (1, 2, 1000) for budget in (16, 17, 24, 40, 10**4)),
+        # Here the plan starts at 3 * 2^16, in a chunk of 2^17 starts as well.
+        *((2**16 + 1, 2**18, budget) for budget in (17, 40)),
+        # No chunk takes the survivor plan, which starts at about 2*lo, so only the chunk
+        # boundaries move.  Most starts drop below lo and are chased: short windows.
+        *((lo, 2**16 + 2**12, budget) for lo in (2**20 + 1, 10**9) for budget in (17, 10**4)),
+    ],
+)
+def test_report_does_not_depend_on_the_chunk_size_across_2_16(lo, width, budget):
+    results = []
+    for chunk_size in (PERIOD, 2 * PERIOD, 4093):
+        verifier = RangeVerifier(lo, lo + width, budget=budget, chunk_size=chunk_size)
+        report = verifier.run()
+        results.append((report.violations, report.inconclusive, verifier.stats))
+    assert results[0] == results[1] == results[2]
 
 
 def _interrupted(path, budget):
@@ -597,10 +723,11 @@ def test_importing_the_package_builds_no_sweep_table():
     src = str(Path(collatz_lab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import collatz_lab.cli; from collatz_lab import sweep; "
-            "print([f.cache_info().currsize for f in (sweep._residue_table, sweep._tail_table)])")
+            "print([f.cache_info().currsize for f in "
+            "(sweep._residue_table, sweep._tail_table, sweep._survivor_table)])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout == "[0, 0]\n"
+    assert out.stdout == "[0, 0, 0]\n"
 
 
 # ---------------------------------------------------------------------------
