@@ -188,6 +188,8 @@ S = 16
 _PERIOD = 1 << S
 #: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
 B = 12
+#: A chase memo holds 2^M slots, direct-mapped on x mod 2^M (`_ChaseMemo`).
+M = 12
 #: Least seconds between two checkpoint writes within a pass (Young, CACM 17(9), 1974).
 CHECKPOINT_INTERVAL = 1.0
 #: The clock that paces checkpoint writes; tests replace it.
@@ -323,6 +325,23 @@ def _tail_table() -> tuple[tuple, tuple]:
     return tuple(steps), tuple(peaks)
 
 
+class _ChaseMemo:
+    """Steps to 1 and peak from x on, for values x that earlier chases of one pass walked.
+
+    Three parallel lists of 2^M slots; x takes slot x mod 2^M and overwrites
+    whatever was there, so the memo never grows.  Both entries are exact
+    and depend on x alone.  A pass (`RangeVerifier.run`), a pool worker
+    (`_start_worker`) or a chunk given none owns it, and drops it when it ends.
+    """
+
+    __slots__ = ("keys", "steps", "peaks")
+
+    def __init__(self) -> None:
+        self.keys = [0] * (1 << M)  # 0 is never chased: an empty slot
+        self.steps = [0] * (1 << M)
+        self.peaks = [0] * (1 << M)
+
+
 #: Past the ancestor cut a chunk's first pass walks the starts in these classes mod 9,
 #: and a second pass, when a witness may hide something, the others.
 _KEPT_MOD_9 = frozenset({0, 1, 3, 6, 7})
@@ -439,7 +458,10 @@ def _class_plan(
 
 
 def _sweep_chunk(
-    task: tuple[int, int, int, int], addend: int = 1, residues: frozenset = _KEPT_MOD_9
+    task: tuple[int, int, int, int],
+    addend: int = 1,
+    residues: frozenset = _KEPT_MOD_9,
+    memo: _ChaseMemo | None = None,
 ) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
@@ -486,14 +508,16 @@ def _sweep_chunk(
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
     another value than 1 (the 3x - 1 map has cycles to find), and their
     chases go to 1 in single steps, without a tail table, the skip or the
-    survivor plan.
+    survivor plan.  `memo` is the pass's chase memo (`_chase`); a chunk
+    given none takes its pool worker's, or else starts its own.
     """
     lo, hi, range_lo, budget = task
     cut = _ancestor_cut(range_lo) if addend == 1 else hi + 1  # other maps skip nothing
     first = max(lo, 2)  # 1 is already at 1
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
-    walk = functools.partial(_orbits, task, addend, violations, inconclusive)
+    memo = memo or _worker_memo or _ChaseMemo()
+    walk = functools.partial(_orbits, task, addend, memo, violations, inconclusive)
     # Records over the whole chunk; n does not ascend across classes, so
     # ties go to the smaller n, as _pick does.
     records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
@@ -516,6 +540,7 @@ def _sweep_chunk(
 def _orbits(
     task: tuple[int, int, int, int],
     addend: int,
+    memo: _ChaseMemo,
     violations: list,
     inconclusive: list,
     starts: Iterable[int],
@@ -525,28 +550,19 @@ def _orbits(
 
     Each start n is followed until it reaches 1 or drops onto a smaller,
     already-verified start; a drop below the whole range is chased to 1
-    since nothing below range_lo is covered by this run.  An orbit that
-    returns to n is a cycle, appended to `violations`; one that runs out
-    of budget is appended to `inconclusive`.
+    (`_chase`) since nothing below range_lo is covered by this run.  An
+    orbit that returns to n is a cycle, appended to `violations`; one that
+    runs out of budget is appended to `inconclusive`.
 
     Orbits move K steps per `_residue_table` lookup while no value in
     between can reach the floor and the budget allows, single steps
     otherwise, so step counts, peaks, drops and witnesses are exactly
-    those of single steps.
-
-    A chase runs only to its first value v < 2^B and then adds the tail
-    table's steps and peak from v to 1 (`_tail_table`) in one lookup.  The
-    lookup is exact: it is taken only when those steps fit in the budget,
-    and otherwise the chase goes on in single steps, so an inconclusive
-    start spends exactly its budget, as without the table.
+    those of single steps.  Other maps than 3x + 1 chase on in this loop,
+    to 1, without the tail table or the memo.
     """
     _, _, range_lo, budget = task
     jumps = _residue_table(addend)[0]
-    if addend == 1:
-        tail_steps, tail_peak = _tail_table()
-        edge = (1 << B) - 1
-    else:
-        tail_steps, tail_peak, edge = (), (), 1  # chases go to 1
+    tail = _tail_table() if addend == 1 else None
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
     last_jump = budget - K
@@ -555,7 +571,7 @@ def _orbits(
         v = n
         steps = 0
         peak = n
-        floor = n  # then edge while a drop below range_lo is chased, then 1
+        floor = n  # then 1 while another map's drop below range_lo is chased
         while True:
             while steps < budget:
                 t = v >> K
@@ -584,19 +600,96 @@ def _orbits(
                 break
             if v >= range_lo or v == 1:
                 break
-            if v > edge:
-                floor = edge
-            elif steps + tail_steps[v] <= budget:
-                steps += tail_steps[v]
-                peak = max(peak, tail_peak[v])
-                break
-            else:
+            if tail is None:
                 floor = 1
+                continue
+            steps, top = _chase(v, steps, budget, jumps, tail, memo)
+            if top > peak:
+                peak = top
+            if steps < 0:
+                steps = budget
+                inconclusive.append((n, no_conclusion))
+            break
         if steps >= max_steps and (steps > max_steps or n < max_steps_at):
             max_steps, max_steps_at = steps, n
         if peak >= max_peak and (peak > max_peak or n < max_peak_at):
             max_peak, max_peak_at = peak, n
     return max_steps, max_steps_at, max_peak, max_peak_at
+
+
+def _chase(
+    v: int, steps: int, budget: int, jumps: tuple, tail: tuple, memo: _ChaseMemo
+) -> tuple[int, int]:
+    """The chase loop: follow v, reached after `steps`, down to 1 under x -> x/2, (3x + 1)/2.
+
+    Returns (steps to 1 in all, peak from v on), or (-1, peak over the
+    steps the budget allows) when 1 is out of reach within `budget`.
+
+    The chase ends at the first value of two kinds: one under 2^B, whose
+    steps to 1 and peak the tail table holds (`_tail_table`), or one that
+    an earlier chase of the pass walked, whose steps and peak the memo
+    holds.  Either lookup is exact and taken only when its steps fit in
+    the budget; otherwise the chase goes on, so an inconclusive start
+    spends exactly its budget.  Between lookups it moves K steps per
+    `_residue_table` row while no value in between can fall under 2^B,
+    single steps otherwise.  Once it ends, it stores each value it checked
+    in the memo, with the steps from there to 1 and the running maximum
+    of the moves' tops, filled from the end back.
+    """
+    tail_steps, tail_peak = tail
+    keys, memo_steps, memo_peaks = memo.keys, memo.steps, memo.peaks
+    slots, mask = len(keys) - 1, _MASK
+    edge = (1 << B) - 1
+    # From t = 2^(B-1) on, minc*t > edge holds for every row (minc >= 2), and
+    # every row of the 3x + 1 table has threshold 0.
+    sure = 1 << (B - 1)
+    last_jump = budget - K
+    trail = []  # (x, steps at x, top of the move from x) per value checked
+    push = trail.append
+    while steps < budget:
+        if v <= edge:
+            if steps + tail_steps[v] <= budget:
+                rest, peak = tail_steps[v], tail_peak[v]
+                break
+        elif keys[v & slots] == v and steps + memo_steps[v & slots] <= budget:
+            rest, peak = memo_steps[v & slots], memo_peaks[v & slots]
+            break
+        t = v >> K
+        c, d, minc, _, cp, dp = jumps[v & mask]
+        if (t >= sure or minc * t > edge) and steps <= last_jump:
+            push((v, steps, cp * t + dp))
+            v = c * t + d
+            steps += K
+        elif v & 1:
+            w = (3 * v + 1) >> 1
+            push((v, steps, w))
+            v = w
+            steps += 1
+        else:
+            push((v, steps, v))
+            v >>= 1
+            steps += 1
+    else:
+        return -1, max([top for _, _, top in trail], default=v)
+    total = steps + rest
+    for x, at, top in reversed(trail):
+        if top > peak:
+            peak = top
+        slot = x & slots
+        keys[slot] = x
+        memo_steps[slot] = total - at
+        memo_peaks[slot] = peak
+    return total, peak
+
+
+#: The chase memo that a pool worker's chunks share, from `_start_worker`; None elsewhere.
+_worker_memo: _ChaseMemo | None = None
+
+
+def _start_worker() -> None:
+    """Pool initializer: one chase memo per worker process, which ends with the pass's pool."""
+    global _worker_memo
+    _worker_memo = _ChaseMemo()
 
 
 class RangeVerifier:
@@ -678,7 +771,7 @@ class RangeVerifier:
             timestamp=datetime.now(timezone.utc).isoformat(),
         )
 
-    def _consume(self, result: tuple[int, SweepStats, list, list]) -> None:
+    def _consume(self, result: tuple[int, SweepStats, list, list], memo: _ChaseMemo) -> None:
         """Merge the next chunk in ascending order; checkpoint if the interval has passed.
 
         The chunk's first pass left out the starts past the ancestor cut
@@ -711,7 +804,7 @@ class RangeVerifier:
             for x in _covered_by(w)
         ):
             task = (lo, hi, self.lo, self.budget)
-            _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9)
+            _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9, memo=memo)
             stats.merge(more)
             violations = sorted(violations + skipped[0])
             inconclusive = sorted(inconclusive + skipped[1])
@@ -763,12 +856,16 @@ class RangeVerifier:
         if processes > 1:
             import multiprocessing  # only a pass with a pool pays for the import
 
-            pool = multiprocessing.Pool(processes)
+            pool = multiprocessing.Pool(processes, _start_worker)
+        # One chase memo for the chunks this process walks, which dies with the pass: a
+        # verifier kept after its run holds none.  Pool workers keep their own.
+        memo = _ChaseMemo()
+        kernel = _sweep_chunk if pool else functools.partial(_sweep_chunk, memo=memo)
         self._saved_at = _clock()
         try:
             with pool or contextlib.nullcontext():
-                for result in (pool.imap if pool else map)(_sweep_chunk, tasks):
-                    self._consume(result)
+                for result in (pool.imap if pool else map)(kernel, tasks):
+                    self._consume(result, memo)
         except BaseException as exc:
             if self._unsaved:
                 try:

@@ -62,6 +62,13 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # 5,647 inconclusive starts; every full chunk but the first takes the 2^16 plan.
         ("verify-range 1 1000000 --budget 40 --json",
          "16bb569b235edd2608550a4ba50c03d6f21debb4edb27f32027d83fffd9feef0"),
+        # Every start drops below 10^12 and is chased to 1: max_steps 422 at
+        # 1000000003049, max_peak 6073974153689930 at 1000000016529.
+        ("verify-range 1000000000000 1000000020000 --json",
+         "5969cf8f9424709984f18eae23115f19d69ba7dac57dff9280edf7fb9dfe43b9"),
+        # 3,650 inconclusive starts, whose chases the budget cuts, in 313 small chunks.
+        ("verify-range 1000000000000 1000000020000 --budget 200 --chunk-size 64 --json",
+         "cd4e988fc65017235f3c4c102f4fd76ed976289c334df556f81e19eeea00a639"),
     ],
 )
 def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):
