@@ -158,7 +158,7 @@ def _run_fact_suite(name: str, lo: int, hi: int, budget: int) -> RangeReport:
     if name == "small-cycles":
         return cycles_mod.verify_no_small_cycles(hi)
     if name == "c0-structure":
-        return cycles_mod.verify_c0_structure(hi, budget=budget)
+        return cycles_mod.verify_c0_structure(hi)
     raise AssertionError(name)
 
 
@@ -166,6 +166,8 @@ def _cmd_facts(args: argparse.Namespace) -> int:
     names = list(_FACT_SUITES) if args.suite == "all" else [args.suite]
     if args.lo != 1 and any(n in ("small-cycles", "c0-structure") for n in names):
         raise ValueError("small-cycles and c0-structure sweep [1, hi]; lo must be 1")
+    if args.budget < 0:  # bad input, even when no suite that runs takes a budget
+        raise ValueError(f"budget must be >= 0, got {args.budget}")
     reports = [_run_fact_suite(n, args.lo, args.hi, args.budget) for n in names]
     violations = sum(len(r.violations) for r in reports)
     inconclusive = sum(len(r.inconclusive) for r in reports)

@@ -253,6 +253,13 @@ def _residue_table(addend: int) -> tuple[tuple, tuple]:
 
 
 @functools.cache
+def _drop_bound() -> tuple[int, int]:
+    """The largest c_s and the largest d_s over the drops c_s*t + d_s of `_residue_table(1)`."""
+    drops = [forms[s] for s, _, forms in filter(None, _residue_table(1)[1])]
+    return max(c for c, _ in drops), max(d for _, d in drops)
+
+
+@functools.cache
 def _survivor_table() -> tuple[tuple, tuple[int, int, int], tuple[int, int]]:
     """The residues mod 2^S that do not drop within S steps, and bounds on all the others.
 
@@ -375,13 +382,25 @@ def _cycle_detail(n: int, length: int, addend: int) -> str:
     return f"cycle of length {length}: " + " -> ".join(map(str, values))
 
 
-def _takes_survivor_plan(first: int, hi: int, range_lo: int, budget: int, cut: int) -> bool:
-    """Whether the starts [first, hi] take the 2^S survivor plan (`_sweep_chunk`)."""
-    if hi - first < _PERIOD - 1 or budget <= S or first < cut:
+def _takes_survivor_plan(lo: int, hi: int, range_lo: int, budget: int) -> bool:
+    """Whether the chunk [lo, hi] takes the 2^S survivor plan (`_sweep_chunk`).
+
+    It must hold at least 2^S starts, counted from lo, and have budget > S.
+    Every start n >= 2 in it that is no survivor must drop at its class's
+    step onto 1 or onto a start of the sweep.  From t = lo >> S >= t_min on,
+    the drop is at least c*t + d (`_survivor_table`).  Below t_min only
+    n = 0 and 1 drop later, and those are never walked: every n in [2, 2^S)
+    drops at its class's step onto a positive value, which in a sweep from
+    1 is 1 or a smaller start.  The plan skips walked survivors by the ancestor cut
+    without checking it: for t >= 1, c*t + d >= range_lo puts lo at or
+    above 2*range_lo, past the cut, and a sweep from 1 has its cut at 4,
+    below the least survivor, 27.
+    """
+    if hi - lo < _PERIOD - 1 or budget <= S:
         return False  # checked before the table is built
     t_min, c, d = _survivor_table()[1]
-    t = first >> S
-    return t >= t_min and c * t + d >= range_lo
+    t = lo >> S
+    return c * t + d >= range_lo if t >= t_min else t == 0 and range_lo == 1
 
 
 def _survivor_starts(first: int, hi: int, residues: frozenset) -> Iterator[Iterable[int]]:
@@ -424,8 +443,21 @@ def _class_plan(
     residues: frozenset,
     records: tuple[int, int, int, int],
 ) -> tuple[tuple[int, int, int, int], Iterable[int]]:
-    """The per-class plan of `_sweep_chunk`: the records with its folds, and the starts to walk."""
+    """The per-class plan of `_sweep_chunk`: the records with its folds, and the starts to walk.
+
+    A class folds from its first member whose drop c_s*t + d_s reaches
+    range_lo.  For the 3x + 1 map, when even the largest c_s and d_s of the
+    table (`_drop_bound`) give a drop below range_lo at the chunk's last t,
+    no class folds: every start in [first, hi] is walked, with no scan of
+    the classes.  Then hi < 2^K*((range_lo - d_max)/c_max + 1), which is
+    below the ancestor cut at 1.5*range_lo as c_max = 243 and
+    range_lo > d_max = 209, so no start is skipped either.
+    """
     lo, hi, range_lo, budget = task
+    if addend == 1:
+        c_max, d_max = _drop_bound()
+        if c_max * (hi >> K) + d_max < range_lo:
+            return records, range(first, hi + 1)
     sieve = _residue_table(addend)[1]
     max_steps, max_steps_at, max_peak, max_peak_at = records
     walks = []
@@ -476,21 +508,23 @@ def _sweep_chunk(
     lands at or above range_lo: it enters the records once per chunk,
     steps at its smallest member and peak at its largest.  Its members
     below that one, and every member of the other classes, are walked.
+    A chunk too close above range_lo for any class to fold walks every
+    start without scanning the classes (`_class_plan`).
 
     The survivor plan.  Of the 19 classes that do not drop within K steps,
     only 2114 residues mod 2^S do not drop within S steps either
     (`_survivor_table`).  A chunk takes this plan when it holds at least
-    2^S starts, all past the ancestor cut, budget > S, and t = first >> S
-    is large enough that every other start drops at its class's step
-    s <= S onto a value of at least range_lo (from about 2 * range_lo on).
-    It walks only the survivors.  The other starts have at most S steps
-    and peaks at most c*(hi >> S) + d, the table's bound: if the walked
-    starts' records beat both strictly, none of them can hold a record and
-    they are left out.  Otherwise every class that drops is folded: its
-    first and its last start in the chunk, which hold its step and peak
-    records, are walked.  Apart from that rare fold, the plan costs
-    nothing per settled class.  A chunk that does not take it takes the
-    per-class plan.
+    2^S starts, budget > S, and every other start in it drops at its
+    class's step s <= S onto 1 or a start of the sweep: from about
+    2 * range_lo on, and from the first chunk on in a sweep from 1
+    (`_takes_survivor_plan`).  It walks only the survivors.  The other
+    starts have at most S steps and peaks at most c*(hi >> S) + d, the
+    table's bound: if the walked starts' records beat both strictly, none
+    of them can hold a record and they are left out.  Otherwise every
+    class that drops is folded: its first and its last start in the chunk,
+    which hold its step and peak records, are walked.  Apart from that
+    rare fold, the plan costs nothing per settled class.  A chunk that
+    does not take it takes the per-class plan.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -521,7 +555,7 @@ def _sweep_chunk(
     # Records over the whole chunk; n does not ascend across classes, so
     # ties go to the smaller n, as _pick does.
     records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
-    if _takes_survivor_plan(first, hi, range_lo, budget, cut):
+    if _takes_survivor_plan(lo, hi, range_lo, budget):
         c, d = _survivor_table()[2]
         records = walk(chain.from_iterable(_survivor_starts(first, hi, residues)), records)
         if not (records[0] > S and records[2] > c * (hi >> S) + d):
@@ -628,13 +662,17 @@ def _chase(
     The chase ends at the first value of two kinds: one under 2^B, whose
     steps to 1 and peak the tail table holds (`_tail_table`), or one that
     an earlier chase of the pass walked, whose steps and peak the memo
-    holds.  Either lookup is exact and taken only when its steps fit in
-    the budget; otherwise the chase goes on, so an inconclusive start
-    spends exactly its budget.  Between lookups it moves K steps per
-    `_residue_table` row while no value in between can fall under 2^B,
-    single steps otherwise.  Once it ends, it stores each value it checked
-    in the memo, with the steps from there to 1 and the running maximum
-    of the moves' tops, filled from the end back.
+    holds.  Both are exact and do not depend on the budget.  Between
+    lookups it moves K steps per `_residue_table` row while no value in
+    between can fall under 2^B, single steps otherwise.  Once it ends, it
+    stores each value it checked in the memo, with the steps from there to
+    1 and the running maximum of the moves' tops, filled from the end back.
+
+    A lookup whose steps do not fit in the budget proves 1 out of reach.
+    If its peak is no higher than the moves' tops so far, those hold the
+    peak; otherwise the chase spends the rest of its budget with neither a
+    memo nor a table to check, so an inconclusive start spends exactly its
+    budget.
     """
     tail_steps, tail_peak = tail
     keys, memo_steps, memo_peaks = memo.keys, memo.steps, memo.peaks
@@ -648,11 +686,10 @@ def _chase(
     push = trail.append
     while steps < budget:
         if v <= edge:
-            if steps + tail_steps[v] <= budget:
-                rest, peak = tail_steps[v], tail_peak[v]
-                break
-        elif keys[v & slots] == v and steps + memo_steps[v & slots] <= budget:
-            rest, peak = memo_steps[v & slots], memo_peaks[v & slots]
+            rest, end_peak = tail_steps[v], tail_peak[v]
+            break
+        if keys[v & slots] == v:
+            rest, end_peak = memo_steps[v & slots], memo_peaks[v & slots]
             break
         t = v >> K
         c, d, minc, _, cp, dp = jumps[v & mask]
@@ -672,6 +709,7 @@ def _chase(
     else:
         return -1, max([top for _, _, top in trail], default=v)
     total = steps + rest
+    peak = end_peak
     for x, at, top in reversed(trail):
         if top > peak:
             peak = top
@@ -679,7 +717,24 @@ def _chase(
         keys[slot] = x
         memo_steps[slot] = total - at
         memo_peaks[slot] = peak
-    return total, peak
+    if total <= budget:
+        return total, peak
+    peak = max([top for _, _, top in trail], default=v)
+    if end_peak <= peak:
+        return -1, peak
+    # Jumps from any t are exact, with their tops (threshold 0), and pass no lookup.
+    for _ in range((budget - steps) // K):
+        t = v >> K
+        c, d, _, _, cp, dp = jumps[v & mask]
+        top = cp * t + dp
+        if top > peak:
+            peak = top
+        v = c * t + d
+    for _ in range((budget - steps) % K):
+        v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+        if v > peak:
+            peak = v
+    return -1, peak
 
 
 #: The chase memo that a pool worker's chunks share, from `_start_worker`; None elsewhere.

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from collatz_lab import facts
 from collatz_lab.core_map import ResidueClass, Rule, residue_class, step
 from collatz_lab.cycles import (
     AffineForm,
@@ -311,16 +312,16 @@ class TestFusedAgainstReference:
     @given(st.integers(1, 3000), budgets)
     @example(1, 0)
     def test_c0_structure(self, range_max, budget):
-        assert fields(verify_c0_structure(range_max, budget)) == fields(
-            reference_c0_structure(range_max, budget)
-        )
+        # The one-step check concludes every start; the walk, those it ends within budget.
+        got, walk = verify_c0_structure(range_max), reference_c0_structure(range_max, budget)
+        assert (fields(got)[:-1], got.inconclusive) == (fields(walk)[:-1], [])
 
     @pytest.mark.parametrize("budget", [*range(0, 41), DEFAULT_BUDGET])
     def test_c0_witnesses_at_every_budget(self, budget):
-        """Budget-limited witnesses are the non-empty lists the true map produces."""
-        got = verify_c0_structure(2000, budget)
-        assert fields(got) == fields(reference_c0_structure(2000, budget))
-        assert bool(got.inconclusive) == (budget != DEFAULT_BUDGET)
+        """The walk's witnesses at any budget are the one-step check's, which leaves none open."""
+        got, walk = verify_c0_structure(2000), reference_c0_structure(2000, budget)
+        assert (fields(got)[:-1], got.inconclusive) == (fields(walk)[:-1], [])
+        assert bool(walk.inconclusive) == (budget != DEFAULT_BUDGET)
 
     def test_at_the_benchmark_size(self):
         assert fields(verify_no_small_cycles(20_000)) == fields(
@@ -396,9 +397,13 @@ class TestC0Structure:
         with pytest.raises(ValueError):
             verify_c0_structure(0)
 
-    def test_budget_limited_starts_are_inconclusive(self):
-        # One step takes every even start below itself and every odd start
-        # above it, so exactly the odd starts from 3 on stay open.
-        report = verify_c0_structure(100, budget=1)
-        assert report.ok
-        assert [x for x, _ in report.inconclusive] == list(range(3, 100, 2))
+    @pytest.mark.parametrize("row", [1, 2, 4, 5])
+    def test_a_transition_row_into_c0_from_outside_is_a_violation(self, monkeypatch, row):
+        # The six residues mod 6 carry the one-step lemma past range_max.
+        table = list(facts._STEP_CLASS)
+        table[row] = 0
+        monkeypatch.setattr(facts, "_STEP_CLASS", tuple(table))
+        report = verify_c0_structure(100)
+        assert report.violations == [
+            (row, f"{row} mod 6 is in C{row % 3}, but the transition table steps it into C0")
+        ]

@@ -224,12 +224,13 @@ def test_chase_ends_with_one_tail_lookup_exactly_at_the_budget(monkeypatch, n):
     monkeypatch.setattr(sweep, "_tail_table", lambda: (tail_steps, peaks))
     total = reference_chunk((n, n, n, 10**6))[1].max_steps
     # At budget S the chase converges with one lookup, at its first value below
-    # 2^B; at S - 1 the lookup does not fit and single steps run out the budget.
-    for budget, lookups in [(total, [_first_under_edge(n)]), (total - 1, [])]:
+    # 2^B.  At S - 1 that lookup does not fit, which shows that 1 is out of reach;
+    # the chase reads no other entry.
+    for budget in (total, total - 1):
         peaks.reads.clear()
         task = (n, n, n, budget)
         assert sweep._sweep_chunk(task) == reference_chunk(task)
-        assert peaks.reads == lookups
+        assert peaks.reads == [_first_under_edge(n)]
     assert reference_chunk((n, n, n, total - 1))[3] != []
 
 
@@ -253,11 +254,11 @@ def test_a_memo_hit_ends_a_chase_exactly_at_the_budget(monkeypatch):
     assert reference_chunk((n2, n2, n2, total - 1))[3] != []
 
 
-@pytest.mark.parametrize("budget", [10**6, 200])
+@pytest.mark.parametrize("budget", [10**6, 200, 150])
 def test_memo_entries_equal_single_steps(budget):
     memo = sweep._ChaseMemo()
     lo = 10**12 + 10**6
-    sweep._sweep_chunk((lo, lo + 1000, lo, budget), residues=EVERY, memo=memo)
+    sweep._sweep_chunk((lo, lo + 2000, lo, budget), residues=EVERY, memo=memo)
     filled = [(x, s, p) for x, s, p in zip(memo.keys, memo.steps, memo.peaks) if x]
     assert len(filled) > 1000
     for x, steps, peak in filled:
@@ -283,7 +284,7 @@ def test_kernel_equals_reference_with_a_one_slot_memo(monkeypatch):
     test_verifier_equals_reference()
 
 
-@pytest.mark.parametrize("budget", [10**6, 200])
+@pytest.mark.parametrize("budget", [10**6, 200, 150])
 def test_report_near_1e12_does_not_depend_on_chunk_size_or_workers(budget):
     # Every start is chased, and each pass, chunk or pool worker has its own memo.
     lo, hi = 10**12, 10**12 + 5000
@@ -580,6 +581,8 @@ def _fold_every_settled_residue(monkeypatch):
 @pytest.mark.parametrize(
     "task",
     [
+        (1, PERIOD, 1),  # the first chunk of a sweep from 1, below t_min
+        (1, PERIOD + 5, 1),
         (PERIOD + 5, 2 * PERIOD + 4, 1),  # one period, not aligned
         (PERIOD, 2 * PERIOD - 1, 2),  # one period, aligned
         (2 * PERIOD, 4 * PERIOD + 999, 1000),
@@ -589,7 +592,7 @@ def _fold_every_settled_residue(monkeypatch):
 def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
     lo, hi, range_lo = task
     task = (lo, hi, range_lo, budget)
-    assert sweep._takes_survivor_plan(lo, hi, range_lo, budget, sweep._ancestor_cut(range_lo))
+    assert sweep._takes_survivor_plan(lo, hi, range_lo, budget)
     plans = {}
     for plan in ("survivors", "folds", "per class"):
         if plan == "folds":
@@ -604,6 +607,53 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
     assert plans["survivors"][1:] == plans["per class"][1:]
     # A fold also counts the settled starts a pass skips mod 9; the witnesses stay the same.
     assert [p[2:] for p in plans["folds"][1:]] == [p[2:] for p in plans["per class"][1:]]
+
+
+def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
+    # A sweep from 1 takes the survivor plan in its first chunk, at t = 0 < t_min.
+    by_mod_9, _, (_, d_peak) = sweep._survivor_table()
+    survivors = {r for rs in by_mod_9 for r in rs}
+    for n in range(2, PERIOD):
+        if n in survivors:
+            continue
+        # The class's step is the first j with c_j = 3^a * 2^(S - j) below 2^S.
+        v, c, peak = n, PERIOD, n
+        for _ in range(S):
+            c = 3 * c >> 1 if v & 1 else c >> 1
+            v = _step(v, 1)
+            peak = max(peak, v)
+            if c < PERIOD:
+                break
+            assert v > n, n
+        assert c < PERIOD and 0 < v < n and peak <= d_peak, n
+
+
+def test_a_sweep_from_1_takes_the_survivor_plan_from_its_first_chunk(monkeypatch):
+    def per_class_plan(task, *args):
+        raise AssertionError(f"{task} took the per-class plan")
+
+    monkeypatch.setattr(sweep, "_class_plan", per_class_plan)
+    report = RangeVerifier(1, 2**18).run()
+    assert (report.violations, report.inconclusive) == ([], [])
+    # The plan skips walked survivors mod 9 without checking the ancestor cut.  From
+    # t = 1 on it needs 2^(S-1)*t >= range_lo, so its chunks start past the cut at
+    # 1.5*range_lo; a sweep from 1 has its cut below the least survivor.
+    by_mod_9, (_, c_drop, d_drop), _ = sweep._survivor_table()
+    assert (c_drop, d_drop) == (PERIOD // 2, 0)
+    assert sweep._ancestor_cut(1) < min(min(rs) for rs in by_mod_9) == 27
+
+
+@pytest.mark.parametrize("range_lo", [1000, 10**6, 10**12 + 7])
+@pytest.mark.parametrize("budget", [5, 10**6])
+def test_chunk_equals_reference_where_classes_can_start_to_fold(range_lo, budget):
+    # No class can fold while c_s*(hi >> K) + d_s < range_lo with the largest c_s and d_s.
+    drops = [forms[s] for s, _, forms in filter(None, SIEVE)]
+    c, d = max(c for c, _ in drops), max(d for _, d in drops)
+    last = (range_lo - d - 1) // c << K | (WIDTH - 1)
+    assert c * (last >> K) + d < range_lo <= c * ((last + 1) >> K) + d
+    for hi in (last, last + 1):
+        task = (max(range_lo, hi - 600), hi, range_lo, budget)
+        assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
 @pytest.mark.parametrize("walked, budget", [("none", 17), ("the lowest peak", 10**4)])
