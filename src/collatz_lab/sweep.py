@@ -183,9 +183,10 @@ def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
 K = 8
 _WIDTH = 1 << K
 _MASK = _WIDTH - 1
-#: A chunk of 2^S starts or more can walk only the residues mod 2^S that survive S steps.
+#: The deepest sieve: a chunk walks at least the residues mod 2^S that survive S steps.
 S = 16
-_PERIOD = 1 << S
+#: A sieve of depth k lists its survivors over a period of 2^max(k, P) starts.
+P = 12
 #: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
 B = 12
 #: A chase memo holds 2^M slots, direct-mapped on x mod 2^M (`_ChaseMemo`).
@@ -216,97 +217,76 @@ def _forms(r: int, k: int, addend: int = 1) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def _residue_table(addend: int) -> tuple[tuple, tuple]:
+def _residue_table(addend: int) -> tuple:
     """The first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K (`_forms`).
 
-    Returns (jumps, sieve), both indexed by r, for n = 2^K*t + r:
-
-    * jumps[r] = (c_K, d_K, minc, threshold, cp, dp): the value after K
-      steps; minc, the smallest c_j over the K-1 values in between; the
-      peak form cp*t + dp (largest c_j over j = 0..K), which is the exact
-      maximum of the K+1 values for every t >= threshold.
-    * sieve[r] = (s, t_drop, forms) when the class drops within K steps,
-      else None: for every t >= t_drop the start n drops below itself for
-      the first time at step s, onto c_s*t + d_s, after values above n;
-      forms = ((c_0, d_0), ..., (c_s, d_s)) give its peak.  For the 3x + 1
-      map the 19 classes with no row are split further, mod 2^S, by
-      `_survivor_table`.
+    Row r, for n = 2^K*t + r, is (c_K, d_K, minc, threshold, cp, dp): the
+    value after K steps; minc, the smallest c_j over the K-1 values in
+    between; the peak form cp*t + dp (largest c_j over j = 0..K), which is
+    the exact maximum of the K+1 values for every t >= threshold.
     """
-    jumps = []
-    sieve = []
+    rows = []
     for r in range(_WIDTH):
         forms = _forms(r, K, addend)
         c, d = forms[K]
         cp, dp = max(forms)
         threshold = max(-((dp - dj) // (cp - cj)) for cj, dj in forms if cj != cp)
         minc = min(cj for cj, _ in forms[1:K])
-        jumps.append((c, d, minc, max(threshold, 0), cp, dp))
-        s = next((j for j, (cj, _) in enumerate(forms) if cj < _WIDTH), 0)
-        if not s:
-            sieve.append(None)
-            continue
-        # Above n before step s: (c_j - 2^K)*t > r - d_j; below n at s: (2^K - c_s)*t > d_s - r.
-        bounds = [(r - dj) // (cj - _WIDTH) + 1 for cj, dj in forms[1:s]]
-        bounds.append((forms[s][1] - r) // (_WIDTH - forms[s][0]) + 1)
-        sieve.append((s, max(bounds + [0]), tuple(forms[: s + 1])))
-    return tuple(jumps), tuple(sieve)
+        rows.append((c, d, minc, max(threshold, 0), cp, dp))
+    return tuple(rows)
 
 
 @functools.cache
-def _drop_bound() -> tuple[int, int]:
-    """The largest c_s and the largest d_s over the drops c_s*t + d_s of `_residue_table(1)`."""
-    drops = [forms[s] for s, _, forms in filter(None, _residue_table(1)[1])]
-    return max(c for c, _ in drops), max(d for _, d in drops)
-
-
-@functools.cache
-def _survivor_table() -> tuple[tuple, tuple[int, int, int], tuple[int, int]]:
-    """The residues mod 2^S that do not drop within S steps, and bounds on all the others.
+def _survivor_table(k: int) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple]:
+    """The sieve of depth k: the residues mod 2^k that do not drop within k steps, and the rest.
 
     For the 3x + 1 map, grown one bit at a time from the one class mod 1.
-    For n = 2^k*t + r the state is (c, d, cp, dm): T^k(n) = c*t + d, the
-    largest coefficient of the k + 1 values so far is cp (`_forms`), and
-    every d_j is at most dm.  As r + b*2^k mod 2^(k+1), each form
-    c_j*t + d_j becomes 2*c_j*t + b*c_j + d_j, and one more step is taken.
-    A residue survives step j while c_j > 2^k (3^a > 2^j); then
-    d_j = T^j(r) > r too (r is odd), so its values stay above n for every
-    t >= 0.  At the first step s with c_s < 2^k it drops, and only bounds
-    are kept.  Returns (by_mod_9, settle, peak), for n = 2^S*t + R:
+    For n = 2^j*t + r the state is (c, d, cp, dm): T^j(n) = c*t + d, the
+    largest coefficient of the j + 1 values so far is cp (`_forms`), and
+    every d_i is at most dm.  As r + b*2^j mod 2^(j+1), each form
+    c_i*t + d_i becomes 2*c_i*t + b*c_i + d_i, and one more step is taken.
+    A residue survives step j while c > 2^j (3^a > 2^j); then d = T^j(r) > r
+    too (r is odd), so its values stay above n for every t >= 0.  At the
+    first step j with c < 2^j the class (r, 2^j) drops, and only bounds
+    are kept.  Returns (by_mod_9, settle, peak, settled), for n = 2^k*t + R:
 
-    * by_mod_9[q]: the survivors R ≡ q (mod 9), ascending; there are 2114
-      of them (OEIS A076227).
+    * by_mod_9[q]: the survivors R ≡ q (mod 9) over a period of 2^max(k, P),
+      ascending.  Mod 2^16 there are 2114 survivors (OEIS A076227).
     * settle = (t_min, c, d): for t >= t_min every other start n drops
-      below itself for the first time at its class's step s <= S, onto at
-      least c*t + d.  These classes are the 237 mod 2^K of
-      `_residue_table` that drop within K steps, and 2750 residues mod 2^S
-      under the other 19.
+      below itself for the first time at its class's step, onto at least
+      c*t + d.
     * peak = (c, d): the values of those other starts up to their drop
       are at most c*t + d.
+    * settled: the classes (r, 2^j) that drop, first at step j <= k; with
+      the survivors they partition the residues mod 2^k.  Mod 2^16 there
+      are 791 of them.
     """
-    t_min, c_drop, d_drop, c_peak, d_peak = 0, _PERIOD, _PERIOD, 0, 0
-    survivors = []
-    grow = [(0, 0, 1, 0, 1, 0)]  # (k, r, c, d, cp, dm), depth first
+    t_min, c_drop, d_drop, c_peak, d_peak = 0, 1 << k, 1 << k, 0, 0
+    survivors, settled = [], []
+    grow = [(0, 0, 1, 0, 1, 0)]  # (j, r, c, d, cp, dm), depth first
     while grow:
-        k, r, c, d, cp, dm = grow.pop()
-        if k == S:
+        j, r, c, d, cp, dm = grow.pop()
+        if j == k:
             survivors.append(r)
             continue
-        top = 2 << k  # c_0 mod 2^(k+1)
+        top = 2 << j  # c_0 mod 2^(j+1)
         for b in (0, 1):
-            rb, c_b, d_b = r | b << k, 2 * c, b * c + d
+            rb, c_b, d_b = r | b << j, 2 * c, b * c + d
             c_b, d_b = ((3 * c_b) >> 1, (3 * d_b + 1) >> 1) if d_b & 1 else (c_b >> 1, d_b >> 1)
             cp_b, dm_b = max(2 * cp, c_b), max(dm + b * cp, d_b)
             if c_b > top:
-                grow.append((k + 1, rb, c_b, d_b, cp_b, dm_b))
+                grow.append((j + 1, rb, c_b, d_b, cp_b, dm_b))
                 continue
-            # Below n from (top - c_b)*t > d_b - rb on; n = 2^(k+1)*t + rb has
-            # t = scale*(n >> S) + u with 0 <= u < scale, so t >= n >> S.
-            scale = _PERIOD // top
+            settled.append((rb, top))
+            # Below n from (top - c_b)*t > d_b - rb on; n = 2^(j+1)*t + rb has
+            # t = scale*(n >> k) + u with 0 <= u < scale, so t >= n >> k.
+            scale = (1 << k) // top
             t_min = max(t_min, (d_b - rb) // (top - c_b) + 1)
             c_drop, d_drop = min(c_drop, c_b * scale), min(d_drop, d_b)
             c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dm_b + cp_b * (scale - 1))
-    by_mod_9 = tuple(tuple(sorted(r for r in survivors if r % 9 == q)) for q in range(9))
-    return by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak)
+    lifted = [r + i for r in survivors for i in range(0, 1 << max(k, P), 1 << k)]
+    by_mod_9 = tuple(tuple(sorted(r for r in lifted if r % 9 == q)) for q in range(9))
+    return by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak), tuple(sorted(settled))
 
 
 @functools.cache
@@ -353,7 +333,6 @@ class _ChaseMemo:
 #: and a second pass, when a witness may hide something, the others.
 _KEPT_MOD_9 = frozenset({0, 1, 3, 6, 7})
 _SKIPPED_MOD_9 = frozenset({2, 4, 5, 8})
-_STRIDE = 9 * _WIDTH
 
 
 def _ancestor_cut(range_lo: int) -> int:
@@ -382,111 +361,53 @@ def _cycle_detail(n: int, length: int, addend: int) -> str:
     return f"cycle of length {length}: " + " -> ".join(map(str, values))
 
 
-def _takes_survivor_plan(lo: int, hi: int, range_lo: int, budget: int) -> bool:
-    """Whether the chunk [lo, hi] takes the 2^S survivor plan (`_sweep_chunk`).
+def _plan_depth(lo: int, hi: int, range_lo: int, budget: int) -> int:
+    """The depth k of the sieve that the chunk [lo, hi] takes (`_sweep_chunk`), or 0 for none.
 
-    It must hold at least 2^S starts, counted from lo, and have budget > S.
-    Every start n >= 2 in it that is no survivor must drop at its class's
-    step onto 1 or onto a start of the sweep.  From t = lo >> S >= t_min on,
-    the drop is at least c*t + d (`_survivor_table`).  Below t_min only
-    n = 0 and 1 drop later, and those are never walked: every n in [2, 2^S)
-    drops at its class's step onto a positive value, which in a sweep from
-    1 is 1 or a smaller start.  The plan skips walked survivors by the ancestor cut
-    without checking it: for t >= 1, c*t + d >= range_lo puts lo at or
-    above 2*range_lo, past the cut, and a sweep from 1 has its cut at 4,
-    below the least survivor, 27.
+    k = min(S, budget, floor(log2(hi - lo + 1))): the chunk holds at least
+    2^k starts, counted from lo, and every class that drops within k steps
+    drops within the budget.  The chunk takes the sieve when k >= 1 and
+    every start n >= 2 in it that is no survivor drops at its class's step
+    onto 1 or onto a start of the sweep.  From t = lo >> k >= t_min on, the
+    drop is at least c*t + d (`_survivor_table`).  The classes that drop
+    within k steps are those that drop within S steps with a modulus of at
+    most 2^k, so below t_min = 1 only n = 0 and 1 drop later, at every
+    depth, and those are never walked: every other n < 2^k drops at its
+    class's step onto a positive value, which in a sweep from 1 is 1 or a
+    smaller start.
     """
-    if hi - lo < _PERIOD - 1 or budget <= S:
-        return False  # checked before the table is built
-    t_min, c, d = _survivor_table()[1]
-    t = lo >> S
-    return c * t + d >= range_lo if t >= t_min else t == 0 and range_lo == 1
+    k = min(S, budget, (hi - lo + 1).bit_length() - 1)
+    if k < 1:
+        return 0
+    t_min, c, d = _survivor_table(k)[1]
+    t = lo >> k
+    return k if (c * t + d >= range_lo if t >= t_min else t == 0 and range_lo == 1) else 0
 
 
-def _survivor_starts(first: int, hi: int, residues: frozenset) -> Iterator[Iterable[int]]:
-    """The survivors in [first, hi] with a residue mod 9 in `residues`, in ascending runs.
+def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[Iterable[int]]:
+    """The survivors mod 2^k in [a, b] with a residue mod 9 in `residues`, in ascending runs.
 
-    One run per period of 2^S starts and residue mod 9: base + R ≡ q (mod 9)
+    One run per period of the table and residue mod 9: base + R ≡ q (mod 9)
     picks the survivors R ≡ q - base.
     """
-    by_mod_9 = _survivor_table()[0]
-    for base in range(first - first % _PERIOD, hi + 1, _PERIOD):
+    by_mod_9 = _survivor_table(k)[0]
+    period = 1 << max(k, P)
+    for base in range(a - a % period, b + 1, period):
         for q in residues:
             rs = by_mod_9[(q - base) % 9]
-            run = rs[bisect_left(rs, first - base) : bisect_right(rs, hi - base)]
-            yield map(base.__add__, run)
+            yield map(base.__add__, rs[bisect_left(rs, a - base) : bisect_right(rs, b - base)])
 
 
-def _settled_ends(first: int, hi: int) -> list[int]:
-    """The first and the last start in [first, hi] of each class that drops within S steps.
+def _settled_ends(first: int, hi: int, settled: tuple) -> set[int]:
+    """The first and the last start in [first, hi] of each class (r, 2^j) in `settled`.
 
-    Those are the 237 classes mod 2^K that drop within K steps and the
-    2750 residues mod 2^S under the other 19 that are not survivors.
+    A class can have no start there: with lo = 1, first = 2 leaves out 1.
     """
-    survivors = set(chain(*_survivor_table()[0]))
     ends = set()
-    for r, row in enumerate(_residue_table(1)[1]):
-        if row is not None:
-            classes = [(r, _MASK)]
-        else:
-            classes = [(q, _PERIOD - 1) for q in range(r, _PERIOD, _WIDTH) if q not in survivors]
-        for q, mask in classes:
-            ends.update((first + ((q - first) & mask), hi - ((hi - q) & mask)))
-    return sorted(ends)
-
-
-def _class_plan(
-    task: tuple[int, int, int, int],
-    first: int,
-    cut: int,
-    addend: int,
-    residues: frozenset,
-    records: tuple[int, int, int, int],
-) -> tuple[tuple[int, int, int, int], Iterable[int]]:
-    """The per-class plan of `_sweep_chunk`: the records with its folds, and the starts to walk.
-
-    A class folds from its first member whose drop c_s*t + d_s reaches
-    range_lo.  For the 3x + 1 map, when even the largest c_s and d_s of the
-    table (`_drop_bound`) give a drop below range_lo at the chunk's last t,
-    no class folds: every start in [first, hi] is walked, with no scan of
-    the classes.  Then hi < 2^K*((range_lo - d_max)/c_max + 1), which is
-    below the ancestor cut at 1.5*range_lo as c_max = 243 and
-    range_lo > d_max = 209, so no start is skipped either.
-    """
-    lo, hi, range_lo, budget = task
-    if addend == 1:
-        c_max, d_max = _drop_bound()
-        if c_max * (hi >> K) + d_max < range_lo:
-            return records, range(first, hi + 1)
-    sieve = _residue_table(addend)[1]
-    max_steps, max_steps_at, max_peak, max_peak_at = records
-    walks = []
-    # head is the first member in the chunk of its class mod 2^K.
-    for head in range(first, min(hi, first + _MASK) + 1):
-        r = head & _MASK
-        end = hi + 1  # the class is walked below end and folded from end on
-        row = sieve[r]
-        if row is not None and row[0] <= budget:
-            s, t_drop, forms = row
-            c, d = forms[s]
-            t = max(head >> K, t_drop, -((d - range_lo) // c))  # drop c*t + d >= range_lo
-            last = (hi - r) >> K
-            if t <= last:
-                end = (t << K) | r
-                peak = max(cj * last + dj for cj, dj in forms)
-                max_steps, max_steps_at = _pick(max_steps, max_steps_at, s, end)
-                max_peak, max_peak_at = _pick(max_peak, max_peak_at, peak, (last << K) | r)
-        if end <= cut:
-            walks.append(range(head, end, _WIDTH))
-            continue
-        split = min(end, max(head, cut + ((head - cut) & _MASK)))  # first member >= cut
-        walks.append(range(head, split, _WIDTH))
-        walks.extend(
-            range(m, end, _STRIDE)
-            for m in range(split, min(split + _STRIDE, end), _WIDTH)
-            if m % 9 in residues
-        )
-    return (max_steps, max_steps_at, max_peak, max_peak_at), chain.from_iterable(walks)
+    for r, modulus in settled:
+        mask = modulus - 1
+        ends.update((first + ((r - first) & mask), hi - ((hi - r) & mask)))
+    return {n for n in ends if first <= n <= hi}
 
 
 def _sweep_chunk(
@@ -497,34 +418,23 @@ def _sweep_chunk(
 ) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
-    This is the chunk's class plan: which starts are settled in closed
-    form, which are walked by the orbit loop (`_orbits`) and which are
-    skipped.  There are two plans, and both give every walked start's
-    exact steps, peak and witness.
+    This is the chunk's plan: which starts are settled by a residue fact,
+    which are walked by the orbit loop (`_orbits`) and which are skipped.
+    It gives every walked start's exact steps, peak and witness.
 
-    The per-class plan.  The residue n mod 2^K fixes the first K steps
-    (`_residue_table`).  A class that drops within s <= min(K, budget)
-    steps is settled in closed form from its first member whose drop
-    lands at or above range_lo: it enters the records once per chunk,
-    steps at its smallest member and peak at its largest.  Its members
-    below that one, and every member of the other classes, are walked.
-    A chunk too close above range_lo for any class to fold walks every
-    start without scanning the classes (`_class_plan`).
-
-    The survivor plan.  Of the 19 classes that do not drop within K steps,
-    only 2114 residues mod 2^S do not drop within S steps either
-    (`_survivor_table`).  A chunk takes this plan when it holds at least
-    2^S starts, budget > S, and every other start in it drops at its
-    class's step s <= S onto 1 or a start of the sweep: from about
-    2 * range_lo on, and from the first chunk on in a sweep from 1
-    (`_takes_survivor_plan`).  It walks only the survivors.  The other
-    starts have at most S steps and peaks at most c*(hi >> S) + d, the
-    table's bound: if the walked starts' records beat both strictly, none
-    of them can hold a record and they are left out.  Otherwise every
-    class that drops is folded: its first and its last start in the chunk,
-    which hold its step and peak records, are walked.  Apart from that
-    rare fold, the plan costs nothing per settled class.  A chunk that
-    does not take it takes the per-class plan.
+    The sieve.  A start n whose residue mod 2^k does not survive k steps
+    drops below itself at a step fixed by that residue (`_survivor_table`).
+    A chunk takes the sieve at depth k = min(S, budget, log2 of its width)
+    when every such start in it drops onto 1 or a start of the sweep:
+    from about 2 * range_lo on, and from the first chunk on in a sweep from
+    1 (`_plan_depth`).  It walks only the survivors.  The other starts have
+    at most k steps and peaks at most c*(hi >> k) + d, the table's bound:
+    if the walked starts' records beat both strictly, none of them can hold
+    a record and they are left out.  Otherwise every class that drops is
+    folded: its first and its last start in the chunk, which hold its step
+    and peak records, are walked.  Apart from that fold, the sieve costs
+    nothing per settled class.  A chunk that does not take it, and every
+    chunk of another map, walks all its starts.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -533,7 +443,7 @@ def _sweep_chunk(
     witness, x converges with fewer steps than a and a peak no higher, so
     it never holds a record (ties go to the smaller start) and may be left
     out.  `RangeVerifier._consume` walks the skipped four in a second pass
-    when a witness may hide something: the same plans with the other
+    when a witness may hide something: the same plan with the other
     residues.  Tests walk all nine to compare every start with a
     reference.  Settled starts enter the records whatever their residue
     mod 9, and the witness lists are sorted by start before they are
@@ -542,8 +452,8 @@ def _sweep_chunk(
     `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
     another value than 1 (the 3x - 1 map has cycles to find), and their
     chases go to 1 in single steps, without a tail table, the skip or the
-    survivor plan.  `memo` is the pass's chase memo (`_chase`); a chunk
-    given none takes its pool worker's, or else starts its own.
+    sieve.  `memo` is the pass's chase memo (`_chase`); a chunk given none
+    takes its pool worker's, or else starts its own.
     """
     lo, hi, range_lo, budget = task
     cut = _ancestor_cut(range_lo) if addend == 1 else hi + 1  # other maps skip nothing
@@ -552,17 +462,21 @@ def _sweep_chunk(
     inconclusive: list[tuple[int, str]] = []
     memo = memo or _worker_memo or _ChaseMemo()
     walk = functools.partial(_orbits, task, addend, memo, violations, inconclusive)
-    # Records over the whole chunk; n does not ascend across classes, so
-    # ties go to the smaller n, as _pick does.
+    # Records over the whole chunk; n does not ascend across runs, so ties
+    # go to the smaller n, as _pick does.
     records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
-    if _takes_survivor_plan(lo, hi, range_lo, budget):
-        c, d = _survivor_table()[2]
-        records = walk(chain.from_iterable(_survivor_starts(first, hi, residues)), records)
-        if not (records[0] > S and records[2] > c * (hi >> S) + d):
-            records = walk(_settled_ends(first, hi), records)
+    k = _plan_depth(lo, hi, range_lo, budget) if addend == 1 else 0
+    # Below the cut every walked start is walked, whatever its residue mod 9.
+    below, past = min(hi, cut - 1), max(first, cut)
+    if k:
+        runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
+        records = walk(chain.from_iterable(runs), records)
+        _, _, (c, d), settled = _survivor_table(k)
+        if not (records[0] > k and records[2] > c * (hi >> k) + d):
+            records = walk(_settled_ends(first, hi, settled), records)
     else:
-        records, starts = _class_plan(task, first, cut, addend, residues, records)
-        records = walk(starts, records)
+        runs = (range(past + (q - past) % 9, hi + 1, 9) for q in residues)
+        records = walk(chain(range(first, below + 1), *runs), records)
     max_steps, max_steps_at, max_peak, max_peak_at = records
     violations.sort()
     inconclusive.sort()
@@ -595,7 +509,7 @@ def _orbits(
     to 1, without the tail table or the memo.
     """
     _, _, range_lo, budget = task
-    jumps = _residue_table(addend)[0]
+    jumps = _residue_table(addend)
     tail = _tail_table() if addend == 1 else None
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK

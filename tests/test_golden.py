@@ -55,11 +55,11 @@ def test_stdout_is_byte_stable(capsys, command, digest):
 @pytest.mark.parametrize(
     "command, digest",
     [
-        # 62,500 inconclusive starts: below the 2^16 survivor plan's budget, and most
-        # chunks take the second pass over the residues the ancestor sieve skips.
+        # 62,500 inconclusive starts: the sieve at depth 10, the budget, and every chunk
+        # takes the second pass over the residues the ancestor sieve skips.
         ("verify-range 1 1000000 --budget 10 --json",
          "1041620d0da8994f3765d0724788672ca9f4c72351633ceb2903d448c9db1e34"),
-        # 5,647 inconclusive starts; every full chunk but the first takes the 2^16 plan.
+        # 5,647 inconclusive starts; every full chunk takes the sieve at depth 16.
         ("verify-range 1 1000000 --budget 40 --json",
          "16bb569b235edd2608550a4ba50c03d6f21debb4edb27f32027d83fffd9feef0"),
         # Every start drops below 10^12 and is chased to 1: max_steps 422 at
@@ -69,6 +69,17 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # 3,650 inconclusive starts, whose chases the budget cuts, in 313 small chunks.
         ("verify-range 1000000000000 1000000020000 --budget 200 --chunk-size 64 --json",
          "cd4e988fc65017235f3c4c102f4fd76ed976289c334df556f81e19eeea00a639"),
+        # 25,000 inconclusive starts: the sieve at depth 3, the budget, walks 3 and 7 mod 8.
+        ("verify-range 1 100000 --budget 3 --json",
+         "c9e51561586e1ea9819564ea9c0104cc3d73e32cfd8301993b893db23a89db59"),
+        # The first three chunks start too close above lo for the sieve and walk all their
+        # starts, past the ancestor cut at 150,001 only the kept five residues mod 9; the
+        # last one, 3,393 starts, takes the sieve at depth 11.
+        ("verify-range 100000 300000 --json",
+         "9c78ed2435d5501d24c469504b36965c8bb428567736bb0bf1eae45219822396"),
+        # 11,036 inconclusive starts: chunks of 5,000 take the sieve at depth 12.
+        ("verify-range 1 200000 --budget 12 --chunk-size 5000 --json",
+         "1c555337ad579a23a52ed96e379125efb8e777619a1da2636e78f6d522611352"),
     ],
 )
 def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):

@@ -20,7 +20,7 @@ from collatz_lab.trajectory import OrbitOutcome, converges
 
 K, WIDTH = sweep.K, 1 << sweep.K
 EDGE = 1 << sweep.B  # chases end at the first value below EDGE with a tail lookup
-SIEVE = sweep._residue_table(1)[1]
+S, PERIOD = sweep.S, 1 << sweep.S
 EVERY = frozenset(range(9))  # the kernel walks every residue mod 9: no start is skipped
 
 
@@ -62,8 +62,8 @@ budgets = st.one_of(st.integers(0, 3), st.sampled_from([5, 10, 50, 10**6]))
 
 @st.composite
 def chunks(draw):
-    # Chunks start near range_lo or near 2*range_lo: every class that drops within
-    # min(K, budget) steps is folded from its first member >= 2*range_lo at the latest.
+    # Chunks start near range_lo or near 2*range_lo, where chunks from about 2*range_lo
+    # on take the sieve.
     range_lo = draw(range_los)
     near = draw(st.sampled_from([range_lo, 2 * range_lo]))
     lo = max(range_lo, near + draw(st.integers(-60, 60)))
@@ -77,32 +77,46 @@ def test_chunk_equals_reference(task):
     assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
-SETTLED = [r for r, row in enumerate(SIEVE) if row is not None]
 budgets_near_k = st.one_of(st.sampled_from([K - 1, K, K + 1]), budgets)
 
 
-def fold_bound(r, range_lo):
-    """First start of class r whose drop lands at or above range_lo."""
-    s, t_drop, forms = SIEVE[r]
-    c, d = forms[s]
-    return max(t_drop, -((d - range_lo) // c)) * WIDTH + r
+def fold_bound(k, range_lo):
+    """The first lo from which a chunk at depth k takes the sieve: its settled classes fold."""
+    t_min, c, d = sweep._survivor_table(k)[1]
+    return 1 if range_lo == 1 else max(t_min, -((d - range_lo) // c)) << k
 
 
 @st.composite
 def chunks_near_fold_bounds(draw):
-    # Chunks around the first folded start of a class, or around 2^K * range_lo;
-    # widths above 2^(K+1) fold every class partly in some chunks, wholly in others.
+    # Chunks at depth k = min(S, budget, log2 of the width), or one less or more, around
+    # the first lo from which they take the sieve, or around 2*range_lo.
     range_lo = draw(st.one_of(st.just(1), st.integers(2, 3000), st.integers(10**5, 10**6)))
-    r = draw(st.sampled_from(SETTLED))
-    near = draw(st.sampled_from([fold_bound(r, range_lo), WIDTH * range_lo]))
-    lo = max(range_lo, near + draw(st.integers(-2 * WIDTH - 60, 60)))
-    hi = lo + draw(st.one_of(st.integers(0, 80), st.integers(2 * WIDTH, 2 * WIDTH + 300)))
-    return lo, hi, range_lo, draw(budgets_near_k)
+    k = draw(st.integers(1, 10))
+    near = draw(st.sampled_from([fold_bound(k, range_lo), 2 * range_lo]))
+    lo = max(range_lo, near + draw(st.integers(-(2 << k) - 60, 60)))
+    hi = lo + draw(st.integers((1 << k) - 2, (2 << k) + 300))
+    return lo, hi, range_lo, draw(st.one_of(st.integers(k, k + 2), st.just(10**6)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(chunks_near_fold_bounds())
+# At depth 2, first = 2 leaves the class of 1 mod 4 without a start in [2, 4].
+@example((1, 4, 1, 2))
+# At budget 10 no survivor has more than 10 steps: the settled classes fold.
+@example((4096, 4096 + 1029, 1000, 10))
 def test_chunk_equals_reference_near_fold_bounds(task):
+    assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
+
+
+@pytest.mark.parametrize("budget", ["k", 10**6])
+@pytest.mark.parametrize("k", range(1, S + 1))
+def test_chunk_equals_reference_at_each_depth(k, budget):
+    # A chunk of 2^k + 1 starts just past the first lo at which it takes the sieve.  At
+    # budget k no survivor beats the settled starts' k steps, so their classes fold.
+    budget = k if budget == "k" else budget
+    lo = fold_bound(k, 1000) + 3
+    task = (lo, lo + (1 << k), 1000, budget)
+    assert sweep._plan_depth(*task) == k
     assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
@@ -112,8 +126,8 @@ def test_chunk_equals_reference_near_fold_bounds(task):
         (1, 1, 1, 0),  # n = 1 is at 1 with no budget at all
         (2, 2, 1, 0),
         (1, 64, 1, 1),  # budget 1: only even starts are settled
-        (4, 5, 1, 10),  # two folded classes, nothing iterated
-        (100, 140, 60, 10**6),  # straddles 2*range_lo, where every class is folded at the latest
+        (4, 5, 1, 10),  # depth 1: 4 is settled, 5 is walked
+        (100, 140, 60, 10**6),  # straddles 2*range_lo; at depth 5 the sieve starts at 128
         (27, 27, 27, 10**6),
         # 684 and 701 inconclusive starts, listed across classes: witness order
         (1000, 1800, 1000, 3),
@@ -128,31 +142,41 @@ def test_chunk_equals_reference_at_the_edges(task):
     assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
-def skipped_starts(task):
-    """The starts of a chunk that the ancestor sieve leaves out.
+def skipped_starts(task, residues):
+    """The starts of a chunk that a pass over `residues` mod 9 leaves out.
 
-    Those are the iterated (not folded) starts n whose ancestor, (2n - 1)/3
+    Those are the walked (not settled) starts n with a residue mod 9 not in
+    `residues`, counted from the first n at which (2n - 1)/3 >= max(range_lo, 2):
+    from there on the ancestor of each n ≡ 2, 4, 5 or 8 (mod 9), (2n - 1)/3
     for n ≡ 2 (mod 3) or (8n - 5)/9 for n ≡ 4 (mod 9), is a start of the
-    sweep, counted from the first n at which (2n - 1)/3 >= max(range_lo, 2).
+    sweep.  At the chunk's depth k, 0 when it takes no sieve, a walked start
+    is a survivor mod 2^k; the others enter the records whatever their
+    residue mod 9.
     """
     lo, hi, range_lo, budget = task
     first = -(-(3 * max(range_lo, 2) + 1) // 2)
-    left_out = set()
-    for n in range(max(lo, first), hi + 1):
-        row = SIEVE[n % WIDTH]
-        folded = row is not None and row[0] <= budget and n >= fold_bound(n % WIDTH, range_lo)
-        if n % 9 in (2, 4, 5, 8) and not folded:
-            left_out.add(n)
-    return left_out
+    k = sweep._plan_depth(lo, hi, range_lo, budget)
+    survivors = {r % (1 << k) for rs in sweep._survivor_table(k)[0] for r in rs} if k else {0}
+    return {
+        n
+        for n in range(max(lo, first), hi + 1)
+        if n % 9 not in residues and n % (1 << k) in survivors
+    }
+
+
+PASSES = (sweep._KEPT_MOD_9, sweep._SKIPPED_MOD_9)  # the residues mod 9 of a chunk's two passes
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(chunks(), chunks_near_fold_bounds()))
-def test_sieved_chunk_equals_reference_over_the_starts_it_keeps(task):
+@given(st.one_of(chunks(), chunks_near_fold_bounds()), st.sampled_from(PASSES))
+# 2 and 3 lie below the cut of a sweep from 1 and are walked whatever their residue
+# mod 9; at depths 1 to 3, 3 is a survivor, here inconclusive.
+@example((1, 8, 1, 3), sweep._SKIPPED_MOD_9)
+def test_sieved_chunk_equals_reference_over_the_starts_it_keeps(task, residues):
     lo, hi, _, _ = task
-    left_out = skipped_starts(task)
+    left_out = skipped_starts(task, residues)
     kept = [n for n in range(lo, hi + 1) if n not in left_out]
-    assert sweep._sweep_chunk(task) == reference_chunk(task, kept)
+    assert sweep._sweep_chunk(task, residues=residues) == reference_chunk(task, kept)
 
 
 @pytest.mark.parametrize("budget", [0, 3, 9, 300, 10**6])
@@ -271,7 +295,7 @@ def test_memo_entries_equal_single_steps(budget):
 
 def test_every_3x_plus_1_row_jumps_from_t_2_to_the_b_minus_1():
     # `_chase` jumps without checking the row from t = 2^(B-1) on: minc*t > 2^B - 1.
-    rows = sweep._residue_table(1)[0]
+    rows = sweep._residue_table(1)
     assert all(minc >= 2 and threshold == 0 for _, _, minc, threshold, _, _ in rows)
 
 
@@ -336,8 +360,8 @@ def _values(n, addend, count):
 
 @pytest.mark.parametrize("addend", [1, -1, 5])
 def test_table_rows_against_single_steps(addend):
-    jumps, sieve = sweep._residue_table(addend)
-    assert sweep._residue_table(addend)[0] is jumps  # built once, on first use
+    jumps = sweep._residue_table(addend)
+    assert sweep._residue_table(addend) is jumps  # built once, on first use
     for r in range(WIDTH):
         c, d, minc, threshold, cp, dp = jumps[r]
         for t in {0, 1, 2, threshold - 1, threshold, threshold + 1, 10**12 + r}:
@@ -353,66 +377,54 @@ def test_table_rows_against_single_steps(addend):
                 assert max(values) == cp * t + dp
             elif t == threshold - 1:
                 assert max(values) > cp * t + dp
-        if sieve[r] is None:
-            values = _values(10**12 * WIDTH + r, addend, K)
-            assert min(values[1:]) > values[0]
-            continue
-        s, t_drop, forms = sieve[r]
-        for t in {t_drop - 1, t_drop, t_drop + 1, 10**12 + r}:
-            if t < 0 or (t, r) == (0, 0):
-                continue
-            n = t * WIDTH + r
-            values = _values(n, addend, s)
-            drops_at_s = min(values[1:s], default=n + 1) > n > values[s]
-            assert drops_at_s == (t >= t_drop)
-            if t >= t_drop:
-                assert [cj * t + dj for cj, dj in forms] == values
 
 
-S, PERIOD = sweep.S, 1 << sweep.S
-ITERATED = [r for r, row in enumerate(SIEVE) if row is None]  # the 19 classes mod 2^K
+#: Survivors mod 2^k for k = 1..16 (OEIS A076227).
+SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2114]
 
 
-def test_survivor_table_holds_the_2114_survivors_mod_2_16():
-    by_mod_9, (t_min, _, _), _ = sweep._survivor_table()
-    assert sweep._survivor_table()[0] is by_mod_9  # built once, on first use
-    assert t_min == 1  # classes 0 and 1 mod 2^K drop from their second member on
-    assert len(ITERATED) == 19
-    survivors = [r for rs in by_mod_9 for r in rs]
-    assert len(survivors) == 2114  # OEIS A076227
+@pytest.mark.parametrize("k", range(1, S + 1))
+def test_survivors_and_settled_classes_partition_the_residues(k):
+    by_mod_9, _, _, settled = sweep._survivor_table(k)
+    assert sweep._survivor_table(k)[0] is by_mod_9  # built once per depth, on first use
+    period = 1 << max(k, sweep.P)
     for q, rs in enumerate(by_mod_9):
-        assert list(rs) == sorted(rs) and all(r % 9 == q for r in rs)
+        assert list(rs) == sorted(rs) and all(r % 9 == q and 0 <= r < period for r in rs)
+    listed = sorted(r for rs in by_mod_9 for r in rs)
+    survivors = [r for r in listed if r < 1 << k]
+    assert len(survivors) == SURVIVOR_COUNTS[k - 1]
+    assert listed == sorted(r + i for r in survivors for i in range(0, period, 1 << k))
+    members = survivors + [n for r, modulus in settled for n in range(r, 1 << k, modulus)]
+    assert sorted(members) == list(range(1 << k))
+    # A shallower sieve settles the classes of the deepest one with a modulus up to 2^k.
+    assert settled == tuple((r, m) for r, m in sweep._survivor_table(S)[3] if m <= 1 << k)
+    assert k < S or len(settled) == 791
     for r in survivors:
-        assert r % WIDTH in ITERATED
-        # Every coefficient c_j, j = 1..S, exceeds 2^S: the residue survives S steps,
-        # and no value up to step S reaches n.
-        assert min(c for c, _ in sweep._forms(r, S)[1:]) > PERIOD
+        # Every coefficient c_j, j = 1..k, exceeds 2^k: the residue survives k steps,
+        # and no value up to step k reaches n.
+        assert min(c for c, _ in sweep._forms(r, k)[1:]) > 1 << k
         for t in (0, 1, 10**12 + r):
-            n = t * PERIOD + r
-            assert min(_values(n, 1, S)[1:]) > n
+            n = (t << k) + r
+            assert min(_values(n, 1, k)[1:]) > n
 
 
-def test_each_settled_residue_drops_at_its_step_from_t_min_on():
-    by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak) = sweep._survivor_table()
-    survivors = {r for rs in by_mod_9 for r in rs}
-    settled = {
-        r: next(j for j, (c, _) in enumerate(sweep._forms(r, S)) if c < PERIOD)
-        for q in ITERATED
-        for r in range(q, PERIOD, WIDTH)
-        if r not in survivors
-    }
-    assert len(settled) == 2750 and min(settled.values()) > K
-    # A class mod 2^K that drops within K steps: its least and its largest residue mod 2^S.
-    settled.update((r, SIEVE[q][0]) for q in SETTLED for r in (q, PERIOD - WIDTH + q))
-    for r, s in settled.items():
-        assert 1 <= s <= S
-        # The scalar peak bound covers the forms up to the drop, coefficient by coefficient.
-        assert all(c <= c_peak and d <= d_peak for c, d in sweep._forms(r, S)[: s + 1])
-        for t in (t_min, t_min + 1, 10**12 + r):
-            n = t * PERIOD + r
-            values = _values(n, 1, s)
-            assert min(values[1:s], default=n + 1) > n > values[s] >= c_drop * t + d_drop
-            assert max(values) <= c_peak * t + d_peak
+@pytest.mark.parametrize("k", range(1, S + 1))
+def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
+    _, (t_min, c_drop, d_drop), (c_peak, d_peak), settled = sweep._survivor_table(k)
+    assert t_min == 1  # the classes 0 mod 2 and 1 mod 4 drop from their second member on
+    for r, modulus in settled:
+        j = modulus.bit_length() - 1
+        assert 1 <= j <= k
+        # The first and the last member of the class mod 2^k: the bounds hold for every
+        # n = 2^k*t + R, coefficient by coefficient.
+        for u in (0, (1 << k) // modulus - 1):
+            forms = sweep._forms(r + u * modulus, k)
+            assert all(c <= c_peak and d <= d_peak for c, d in forms[: j + 1])
+            assert forms[j][0] >= c_drop and forms[j][1] >= d_drop
+        for n in (t_min * modulus + r, (t_min + 1) * modulus + r, (10**12 << k) - modulus + r):
+            values = _values(n, 1, j)
+            assert min(values[1:j], default=n + 1) > n > values[j] >= c_drop * (n >> k) + d_drop
+            assert max(values) <= c_peak * (n >> k) + d_peak
 
 
 def addend_reference_chunk(task, addend):
@@ -568,13 +580,11 @@ def test_a_chunk_takes_at_most_two_kernel_passes(monkeypatch, budget):
     assert len(tasks) <= 2 * chunks
 
 
-PASSES = (sweep._KEPT_MOD_9, sweep._SKIPPED_MOD_9)  # the residues mod 9 of a chunk's two passes
-
-
 def _fold_every_settled_residue(monkeypatch):
-    """Give the table a peak bound that no start beats: every survivor-plan chunk then folds."""
-    by_mod_9, settle, _ = sweep._survivor_table()
-    monkeypatch.setattr(sweep, "_survivor_table", lambda: (by_mod_9, settle, (10**30, 0)))
+    """Give each table a peak bound that no start beats: every chunk on the sieve then folds."""
+    table = sweep._survivor_table
+    monkeypatch.setattr(sweep, "_survivor_table",
+                        lambda k: (*table(k)[:2], (0, 10**30), table(k)[3]))
 
 
 @pytest.mark.parametrize("budget", [17, 24, 40, 10**4])
@@ -590,15 +600,19 @@ def _fold_every_settled_residue(monkeypatch):
     ],
 )
 def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
+    # The per-class plan settles the classes mod 2^K that drop within K steps and walks
+    # the 19 others: the sieve at depth K.
     lo, hi, range_lo = task
     task = (lo, hi, range_lo, budget)
-    assert sweep._takes_survivor_plan(lo, hi, range_lo, budget)
+    assert sweep._plan_depth(*task) == S
     plans = {}
     for plan in ("survivors", "folds", "per class"):
         if plan == "folds":
             _fold_every_settled_residue(monkeypatch)
         if plan == "per class":
-            monkeypatch.setattr(sweep, "_takes_survivor_plan", lambda *args: False)
+            monkeypatch.undo()
+            monkeypatch.setattr(sweep, "S", K)
+            assert sweep._plan_depth(*task) == K
         plans[plan] = [sweep._sweep_chunk(task, residues=r) for r in (EVERY, *PASSES)]
     # Over all nine residues every plan gives each start's exact records.
     assert plans["survivors"][0] == plans["folds"][0] == plans["per class"][0]
@@ -610,8 +624,9 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
 
 
 def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
-    # A sweep from 1 takes the survivor plan in its first chunk, at t = 0 < t_min.
-    by_mod_9, _, (_, d_peak) = sweep._survivor_table()
+    # A sweep from 1 takes the sieve in its first chunk, at t = 0 < t_min.  A shallower
+    # sieve settles a subset of the same classes, so this covers every depth.
+    by_mod_9, _, (_, d_peak), _ = sweep._survivor_table(S)
     survivors = {r for rs in by_mod_9 for r in rs}
     for n in range(2, PERIOD):
         if n in survivors:
@@ -629,30 +644,30 @@ def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
 
 
 def test_a_sweep_from_1_takes_the_survivor_plan_from_its_first_chunk(monkeypatch):
-    def per_class_plan(task, *args):
-        raise AssertionError(f"{task} took the per-class plan")
+    depths, plan_depth = [], sweep._plan_depth
 
-    monkeypatch.setattr(sweep, "_class_plan", per_class_plan)
+    def recording(*task):
+        depths.append(plan_depth(*task))
+        return depths[-1]
+
+    monkeypatch.setattr(sweep, "_plan_depth", recording)
     report = RangeVerifier(1, 2**18).run()
     assert (report.violations, report.inconclusive) == ([], [])
-    # The plan skips walked survivors mod 9 without checking the ancestor cut.  From
-    # t = 1 on it needs 2^(S-1)*t >= range_lo, so its chunks start past the cut at
-    # 1.5*range_lo; a sweep from 1 has its cut below the least survivor.
-    by_mod_9, (_, c_drop, d_drop), _ = sweep._survivor_table()
-    assert (c_drop, d_drop) == (PERIOD // 2, 0)
-    assert sweep._ancestor_cut(1) < min(min(rs) for rs in by_mod_9) == 27
+    assert depths == [S] * 4
 
 
 @pytest.mark.parametrize("range_lo", [1000, 10**6, 10**12 + 7])
 @pytest.mark.parametrize("budget", [5, 10**6])
 def test_chunk_equals_reference_where_classes_can_start_to_fold(range_lo, budget):
-    # No class can fold while c_s*(hi >> K) + d_s < range_lo with the largest c_s and d_s.
-    drops = [forms[s] for s, _, forms in filter(None, SIEVE)]
-    c, d = max(c for c, _ in drops), max(d for _, d in drops)
-    last = (range_lo - d - 1) // c << K | (WIDTH - 1)
-    assert c * (last >> K) + d < range_lo <= c * ((last + 1) >> K) + d
-    for hi in (last, last + 1):
-        task = (max(range_lo, hi - 600), hi, range_lo, budget)
+    # A chunk of 600 starts has depth k = min(budget, 9).  Its classes fold from the
+    # first lo at which c*(lo >> k) + d reaches range_lo; the chunk before walks them.
+    k = min(budget, 9)
+    lo = fold_bound(k, range_lo)
+    _, c, d = sweep._survivor_table(k)[1]
+    assert c * ((lo - 1) >> k) + d < range_lo <= c * (lo >> k) + d
+    for lo, depth in ((lo - 1, 0), (lo, k)):
+        task = (lo, lo + 599, range_lo, budget)
+        assert sweep._plan_depth(*task) == depth
         assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
@@ -662,28 +677,30 @@ def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, bu
     # of every start that drops within S steps; its peak record is at a class's last start.
     lo, hi = 3 * PERIOD + 7, 4 * PERIOD + PERIOD // 2
     task = (lo, hi, 1000, budget)
-    survivors = {r for rs in sweep._survivor_table()[0] for r in rs}
+    assert sweep._plan_depth(*task) == S
+    survivors = {r for rs in sweep._survivor_table(S)[0] for r in rs}
     starts = [n for n in range(lo, hi + 1) if n % PERIOD not in survivors]
     runs = []
     if walked == "the lowest peak":
         n = min((n for n in range(lo, PERIOD + lo) if n % PERIOD in survivors),
                 key=lambda n: converges(n, budget, n).peak / n)
-        c, d = sweep._survivor_table()[2]
+        c, d = sweep._survivor_table(S)[2]
         assert converges(n, budget, n).peak < c * (hi >> S) + d
         starts.append(n)
         runs.append([n])
-    monkeypatch.setattr(sweep, "_survivor_starts", lambda *args: runs)
+    # The chunk lies past the ancestor cut: its runs below the cut are empty.
+    monkeypatch.setattr(sweep, "_survivor_runs", lambda a, b, residues, k: runs if a <= b else [])
     assert sweep._sweep_chunk(task) == reference_chunk(task, starts)
 
 
 @pytest.mark.parametrize(
     "lo, width, budget",
     [
-        # The ancestor cut and the first chunks on the survivor plan lie in the window.
+        # The ancestor cut and the first chunks on the sieve lie in the window.
         *((lo, 2**18, budget) for lo in (1, 2, 1000) for budget in (16, 17, 24, 40, 10**4)),
         # Here the plan starts at 3 * 2^16, in a chunk of 2^17 starts as well.
         *((2**16 + 1, 2**18, budget) for budget in (17, 40)),
-        # No chunk takes the survivor plan, which starts at about 2*lo, so only the chunk
+        # No chunk takes the sieve, which starts at about 2*lo, so only the chunk
         # boundaries move.  Most starts drop below lo and are chased: short windows.
         *((lo, 2**16 + 2**12, budget) for lo in (2**20 + 1, 10**9) for budget in (17, 10**4)),
     ],
