@@ -28,7 +28,7 @@ from .facts import (
     witnesses_from_json,
     witnesses_to_json,
 )
-from .trajectory import DEFAULT_BUDGET
+from .trajectory import DEFAULT_BUDGET, orbit
 
 TASK_VERIFY_RANGE = "verify-range"
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -197,8 +197,8 @@ CHECKPOINT_INTERVAL = 1.0
 _clock = time.monotonic
 
 
-def _forms(r: int, k: int, addend: int = 1) -> list[tuple[int, int]]:
-    """The first k steps of x -> x/2, (3x + addend)/2 on n = 2^k*t + r, as affine forms in t.
+def _forms(r: int, k: int) -> list[tuple[int, int]]:
+    """The first k steps of x -> x/2, (3x + 1)/2 on n = 2^k*t + r, as affine forms in t.
 
     The j-th value is T^j(n) = c_j*t + d_j with c_j = 3^a * 2^(k-j) (a odd
     steps so far) and d_j = T^j(r) (Terras 1976); returns the k + 1 pairs
@@ -209,7 +209,7 @@ def _forms(r: int, k: int, addend: int = 1) -> list[tuple[int, int]]:
     forms = [(c, d)]
     for _ in range(k):
         if d & 1:
-            c, d = (3 * c) >> 1, (3 * d + addend) >> 1
+            c, d = (3 * c) >> 1, (3 * d + 1) >> 1
         else:
             c, d = c >> 1, d >> 1
         forms.append((c, d))
@@ -217,22 +217,21 @@ def _forms(r: int, k: int, addend: int = 1) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def _residue_table(addend: int) -> tuple:
-    """The first K steps of x -> x/2, (3x + addend)/2 on each class mod 2^K (`_forms`).
+def _residue_table() -> tuple:
+    """The first K steps of x -> x/2, (3x + 1)/2 on each class mod 2^K (`_forms`).
 
-    Row r, for n = 2^K*t + r, is (c_K, d_K, minc, threshold, cp, dp): the
-    value after K steps; minc, the smallest c_j over the K-1 values in
-    between; the peak form cp*t + dp (largest c_j over j = 0..K), which is
-    the exact maximum of the K+1 values for every t >= threshold.
+    Row r, for n = 2^K*t + r, is (c_K, d_K, minc, cp, dp): the value after
+    K steps; minc, the smallest c_j over the K-1 values in between; the
+    peak form cp*t + dp (largest c_j over j = 0..K), which is the exact
+    maximum of the K+1 values for every t >= 0, since dp >= d_j for every j.
     """
     rows = []
     for r in range(_WIDTH):
-        forms = _forms(r, K, addend)
+        forms = _forms(r, K)
         c, d = forms[K]
         cp, dp = max(forms)
-        threshold = max(-((dp - dj) // (cp - cj)) for cj, dj in forms if cj != cp)
         minc = min(cj for cj, _ in forms[1:K])
-        rows.append((c, d, minc, max(threshold, 0), cp, dp))
+        rows.append((c, d, minc, cp, dp))
     return tuple(rows)
 
 
@@ -353,11 +352,8 @@ def _covered_by(w: int) -> tuple[int, int]:
     return (3 * w + 1) >> 1 if w & 1 else 0, (9 * w + 5) >> 3 if w & 7 == 3 else 0
 
 
-def _cycle_detail(n: int, length: int, addend: int) -> str:
-    values = [n]
-    for _ in range(length):
-        v = values[-1]
-        values.append((3 * v + addend) >> 1 if v & 1 else v >> 1)
+def _cycle_detail(n: int, length: int) -> str:
+    values = orbit(n, length, 0, length + 1).values  # target 0 is never hit
     return f"cycle of length {length}: " + " -> ".join(map(str, values))
 
 
@@ -412,13 +408,13 @@ def _settled_ends(first: int, hi: int, settled: tuple) -> set[int]:
 
 def _sweep_chunk(
     task: tuple[int, int, int, int],
-    addend: int = 1,
     residues: frozenset = _KEPT_MOD_9,
     memo: _ChaseMemo | None = None,
 ) -> tuple[int, SweepStats, list, list]:
     """Verify one chunk [lo, hi] of a sweep whose full range starts at range_lo.
 
-    This is the chunk's plan: which starts are settled by a residue fact,
+    The map is x -> x/2, (3x + 1)/2, the only one the sweep serves.  This
+    is the chunk's plan: which starts are settled by a residue fact,
     which are walked by the orbit loop (`_orbits`) and which are skipped.
     It gives every walked start's exact steps, peak and witness.
 
@@ -433,8 +429,8 @@ def _sweep_chunk(
     a record and they are left out.  Otherwise every class that drops is
     folded: its first and its last start in the chunk, which hold its step
     and peak records, are walked.  Apart from that fold, the sieve costs
-    nothing per settled class.  A chunk that does not take it, and every
-    chunk of another map, walks all its starts.
+    nothing per settled class.  A chunk that does not take it walks all its
+    starts.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -449,23 +445,20 @@ def _sweep_chunk(
     mod 9, and the witness lists are sorted by start before they are
     returned.
 
-    `addend` selects the map x -> (3x + addend)/2 on odd x; only tests use
-    another value than 1 (the 3x - 1 map has cycles to find), and their
-    chases go to 1 in single steps, without a tail table, the skip or the
-    sieve.  `memo` is the pass's chase memo (`_chase`); a chunk given none
-    takes its pool worker's, or else starts its own.
+    `memo` is the pass's chase memo (`_chase`); a chunk given none takes
+    its pool worker's, or else starts its own.
     """
     lo, hi, range_lo, budget = task
-    cut = _ancestor_cut(range_lo) if addend == 1 else hi + 1  # other maps skip nothing
+    cut = _ancestor_cut(range_lo)
     first = max(lo, 2)  # 1 is already at 1
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     memo = memo or _worker_memo or _ChaseMemo()
-    walk = functools.partial(_orbits, task, addend, memo, violations, inconclusive)
+    walk = functools.partial(_orbits, task, memo, violations, inconclusive)
     # Records over the whole chunk; n does not ascend across runs, so ties
     # go to the smaller n, as _pick does.
     records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
-    k = _plan_depth(lo, hi, range_lo, budget) if addend == 1 else 0
+    k = _plan_depth(lo, hi, range_lo, budget)
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
     if k:
@@ -487,7 +480,6 @@ def _sweep_chunk(
 
 def _orbits(
     task: tuple[int, int, int, int],
-    addend: int,
     memo: _ChaseMemo,
     violations: list,
     inconclusive: list,
@@ -496,21 +488,20 @@ def _orbits(
 ) -> tuple[int, int, int, int]:
     """The orbit loop: follow each start; return `records` (max_steps, at, max_peak, at) with them.
 
-    Each start n is followed until it reaches 1 or drops onto a smaller,
-    already-verified start; a drop below the whole range is chased to 1
-    (`_chase`) since nothing below range_lo is covered by this run.  An
-    orbit that returns to n is a cycle, appended to `violations`; one that
-    runs out of budget is appended to `inconclusive`.
+    Each start n is followed under x -> x/2, (3x + 1)/2 until it reaches 1
+    or drops onto a smaller, already-verified start; a drop below the whole
+    range is chased to 1 (`_chase`) since nothing below range_lo is covered
+    by this run.  An orbit that returns to n is a cycle, appended to
+    `violations`; one that runs out of budget is appended to `inconclusive`.
 
     Orbits move K steps per `_residue_table` lookup while no value in
-    between can reach the floor and the budget allows, single steps
-    otherwise, so step counts, peaks, drops and witnesses are exactly
-    those of single steps.  Other maps than 3x + 1 chase on in this loop,
-    to 1, without the tail table or the memo.
+    between can reach n and the budget allows, single steps otherwise, so
+    step counts, peaks, drops and witnesses are exactly those of single
+    steps.
     """
     _, _, range_lo, budget = task
-    jumps = _residue_table(addend)
-    tail = _tail_table() if addend == 1 else None
+    jumps = _residue_table()
+    tail = _tail_table()
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
     last_jump = budget - K
@@ -519,45 +510,36 @@ def _orbits(
         v = n
         steps = 0
         peak = n
-        floor = n  # then 1 while another map's drop below range_lo is chased
-        while True:
-            while steps < budget:
-                t = v >> K
-                c, d, minc, threshold, cp, dp = jumps[v & mask]
-                if minc * t > floor and t >= threshold and steps <= last_jump:
-                    v = c * t + d
-                    top = cp * t + dp
+        while steps < budget:
+            t = v >> K
+            c, d, minc, cp, dp = jumps[v & mask]
+            if minc * t > n and steps <= last_jump:
+                v = c * t + d
+                top = cp * t + dp
+                if top > peak:
+                    peak = top
+                steps += K
+            elif v & 1:
+                v = (3 * v + 1) >> 1
+                if v > peak:
+                    peak = v
+                steps += 1
+            else:
+                v >>= 1
+                steps += 1
+            if v <= n:
+                if v == n:
+                    violations.append((n, _cycle_detail(n, steps)))
+                elif v < range_lo and v != 1:
+                    steps, top = _chase(v, steps, budget, jumps, tail, memo)
                     if top > peak:
                         peak = top
-                    steps += K
-                elif v & 1:
-                    v = (3 * v + addend) >> 1
-                    if v > peak:
-                        peak = v
-                    steps += 1
-                else:
-                    v >>= 1
-                    steps += 1
-                if v <= floor:
-                    break
-            else:
-                inconclusive.append((n, no_conclusion))
+                    if steps < 0:
+                        steps = budget
+                        inconclusive.append((n, no_conclusion))
                 break
-            if v == n:
-                violations.append((n, _cycle_detail(n, steps, addend)))
-                break
-            if v >= range_lo or v == 1:
-                break
-            if tail is None:
-                floor = 1
-                continue
-            steps, top = _chase(v, steps, budget, jumps, tail, memo)
-            if top > peak:
-                peak = top
-            if steps < 0:
-                steps = budget
-                inconclusive.append((n, no_conclusion))
-            break
+        else:
+            inconclusive.append((n, no_conclusion))
         if steps >= max_steps and (steps > max_steps or n < max_steps_at):
             max_steps, max_steps_at = steps, n
         if peak >= max_peak and (peak > max_peak or n < max_peak_at):
@@ -592,8 +574,7 @@ def _chase(
     keys, memo_steps, memo_peaks = memo.keys, memo.steps, memo.peaks
     slots, mask = len(keys) - 1, _MASK
     edge = (1 << B) - 1
-    # From t = 2^(B-1) on, minc*t > edge holds for every row (minc >= 2), and
-    # every row of the 3x + 1 table has threshold 0.
+    # From t = 2^(B-1) on, minc*t > edge holds for every row (minc >= 2).
     sure = 1 << (B - 1)
     last_jump = budget - K
     trail = []  # (x, steps at x, top of the move from x) per value checked
@@ -606,7 +587,7 @@ def _chase(
             rest, end_peak = memo_steps[v & slots], memo_peaks[v & slots]
             break
         t = v >> K
-        c, d, minc, _, cp, dp = jumps[v & mask]
+        c, d, minc, cp, dp = jumps[v & mask]
         if (t >= sure or minc * t > edge) and steps <= last_jump:
             push((v, steps, cp * t + dp))
             v = c * t + d
@@ -636,10 +617,10 @@ def _chase(
     peak = max([top for _, _, top in trail], default=v)
     if end_peak <= peak:
         return -1, peak
-    # Jumps from any t are exact, with their tops (threshold 0), and pass no lookup.
+    # Jumps from any t are exact, with their tops, and pass no lookup.
     for _ in range((budget - steps) // K):
         t = v >> K
-        c, d, _, _, cp, dp = jumps[v & mask]
+        c, d, _, cp, dp = jumps[v & mask]
         top = cp * t + dp
         if top > peak:
             peak = top

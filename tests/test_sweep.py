@@ -206,8 +206,8 @@ def test_verifier_equals_reference(lo, width, budget, chunk_size, workers):
     assert verifier.stats == stats
 
 
-def _step(v, addend):
-    return (3 * v + addend) >> 1 if v & 1 else v >> 1
+def _step(v):
+    return (3 * v + 1) >> 1 if v & 1 else v >> 1
 
 
 def test_tail_table_against_single_steps():
@@ -216,7 +216,7 @@ def test_tail_table_against_single_steps():
     for v in range(1, EDGE):
         x, steps, peak = v, 0, v
         while x != 1:
-            x = _step(x, 1)
+            x = _step(x)
             steps += 1
             peak = max(peak, x)
         assert (tail_steps[v], tail_peak[v]) == (steps, peak), v
@@ -232,11 +232,11 @@ class _Reads(tuple):
 
 def _first_under_edge(n):
     """The first value below 2^B after n drops below itself."""
-    v = _step(n, 1)
+    v = _step(n)
     while v >= n:
-        v = _step(v, 1)
+        v = _step(v)
     while v >= EDGE:
-        v = _step(v, 1)
+        v = _step(v)
     return v
 
 
@@ -289,14 +289,18 @@ def test_memo_entries_equal_single_steps(budget):
         assert x & ((1 << sweep.M) - 1) == memo.keys.index(x)
         values = [x]
         while values[-1] != 1:
-            values.append(_step(values[-1], 1))
+            values.append(_step(values[-1]))
         assert (steps, peak) == (len(values) - 1, max(values)), x
 
 
 def test_every_3x_plus_1_row_jumps_from_t_2_to_the_b_minus_1():
-    # `_chase` jumps without checking the row from t = 2^(B-1) on: minc*t > 2^B - 1.
-    rows = sweep._residue_table(1)
-    assert all(minc >= 2 and threshold == 0 for _, _, minc, threshold, _, _ in rows)
+    # `_chase` jumps without checking the row from t = 2^(B-1) on: minc*t > 2^B - 1.  A
+    # jump's top is its peak from t = 0 on: cp >= c_j and dp >= d_j for every j.
+    for r, (_, _, minc, cp, dp) in enumerate(sweep._residue_table()):
+        forms = sweep._forms(r, K)
+        assert minc == min(c for c, _ in forms[1:K]) >= 2
+        assert (cp, dp) == max(forms)
+        assert all(dp >= d for _, d in forms)
 
 
 def test_kernel_equals_reference_with_a_one_slot_memo(monkeypatch):
@@ -349,34 +353,29 @@ def test_the_memo_ends_with_its_pass(monkeypatch, tmp_path):
     assert sweep._worker_memo is None  # only pool workers set their own
 
 
-def _values(n, addend, count):
-    """n and its next `count` values, by core_map.step for the 3x + 1 map."""
+def _values(n, count):
+    """n and its next `count` values, by core_map.step."""
     values = [n]
     for _ in range(count):
-        v = values[-1]
-        values.append(core_map.step(v)[0] if addend == 1 else _step(v, addend))
+        values.append(core_map.step(values[-1])[0])
     return values
 
 
-@pytest.mark.parametrize("addend", [1, -1, 5])
-def test_table_rows_against_single_steps(addend):
-    jumps = sweep._residue_table(addend)
-    assert sweep._residue_table(addend) is jumps  # built once, on first use
+def test_table_rows_against_single_steps():
+    jumps = sweep._residue_table()
+    assert sweep._residue_table() is jumps  # built once, on first use
     for r in range(WIDTH):
-        c, d, minc, threshold, cp, dp = jumps[r]
-        for t in {0, 1, 2, threshold - 1, threshold, threshold + 1, 10**12 + r}:
-            if t < 0 or (t, r) == (0, 0):
+        c, d, minc, cp, dp = jumps[r]
+        for t in (0, 1, 2, 10**12 + r):
+            if (t, r) == (0, 0):
                 continue
             n = t * WIDTH + r
-            values = _values(n, addend, K)
-            ahead = _values(n + WIDTH, addend, K)
+            values = _values(n, K)
+            ahead = _values(n + WIDTH, K)
             assert values[K] == c * t + d
             # minc is the smallest t-coefficient of the values strictly between.
             assert minc == min(b - a for a, b in zip(values[1:K], ahead[1:K]))
-            if t >= threshold:
-                assert max(values) == cp * t + dp
-            elif t == threshold - 1:
-                assert max(values) > cp * t + dp
+            assert max(values) == cp * t + dp
 
 
 #: Survivors mod 2^k for k = 1..16 (OEIS A076227).
@@ -405,7 +404,7 @@ def test_survivors_and_settled_classes_partition_the_residues(k):
         assert min(c for c, _ in sweep._forms(r, k)[1:]) > 1 << k
         for t in (0, 1, 10**12 + r):
             n = (t << k) + r
-            assert min(_values(n, 1, k)[1:]) > n
+            assert min(_values(n, k)[1:]) > n
 
 
 @pytest.mark.parametrize("k", range(1, S + 1))
@@ -422,87 +421,24 @@ def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
             assert all(c <= c_peak and d <= d_peak for c, d in forms[: j + 1])
             assert forms[j][0] >= c_drop and forms[j][1] >= d_drop
         for n in (t_min * modulus + r, (t_min + 1) * modulus + r, (10**12 << k) - modulus + r):
-            values = _values(n, 1, j)
+            values = _values(n, j)
             assert min(values[1:j], default=n + 1) > n > values[j] >= c_drop * (n >> k) + d_drop
             assert max(values) <= c_peak * (n >> k) + d_peak
 
 
-def addend_reference_chunk(task, addend):
-    """Single steps of x -> (3x + addend)/2 from each start.
-
-    An orbit stops at or below its start (a return to it is a cycle, whose
-    start is listed) and a drop below range_lo is chased on to 1.
-    """
-    lo, hi, range_lo, budget = task
-    stats = SweepStats()
-    cycles, inconclusive = [], []
-    for n in range(lo, hi + 1):
-        values = [n]
-        floor = n
-        while n > 1:  # 1 is at 1 already
-            while len(values) <= budget:
-                values.append(_step(values[-1], addend))
-                if values[-1] <= floor:
-                    break
-            else:
-                inconclusive.append((n, f"no conclusion within {budget} steps"))
-                break
-            if values[-1] == n:
-                cycles.append(n)
-            if values[-1] in (n, 1) or values[-1] >= range_lo:
-                break
-            floor = 1
-        stats.merge(SweepStats(len(values) - 1, n, max(values), n))
-    return hi, stats, cycles, inconclusive
-
-
-def _cycle(detail):
-    head, path = detail.split(": ")
-    values = [int(x) for x in path.split(" -> ")]
-    assert head == f"cycle of length {len(values) - 1}"
-    return values
-
-
-def test_cycles_of_the_3x_minus_1_map_are_violations():
-    # The 3x - 1 map has the cycles {5, 7, 10} and one of length 11 through 17
-    # (Lagarias 1985); a sweep must report each at its smallest element.
-    _, _, violations, inconclusive = sweep._sweep_chunk((1, 3000, 1, 10**4), addend=-1)
-    assert inconclusive == []
-    assert [n for n, _ in violations] == [5, 17]
-    cycles = [_cycle(detail) for _, detail in violations]
-    for (n, _), values in zip(violations, cycles):
-        assert values[0] == values[-1] == n == min(values)
-        assert all(_step(v, -1) == w for v, w in zip(values, values[1:]))
-    assert set(cycles[0]) == {5, 7, 10}
-    assert len(cycles[1]) - 1 == 11
-
-
-# 3x + 5 has cycles through 187 and 347 that pass above 2^K, so jumps meet a
-# cycle; 3x + 101 has rows whose peak threshold exceeds 50.  Chases that fall
-# into a cycle run to the budget, so budgets stay small.
-other_addends = st.sampled_from([-1, 5, 101])
-small_budgets = st.one_of(st.integers(0, 3), st.sampled_from([7, 8, 9, 50, 2000]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    other_addends,
-    st.one_of(st.just(1), st.integers(2, 400), st.integers(10**5, 10**6)),
-    st.integers(-300, 600),
-    st.integers(0, 600),
-    small_budgets,
-)
-def test_chunk_of_another_map_equals_single_steps(addend, range_lo, offset, width, budget):
-    lo = max(range_lo, 2 * range_lo + offset)
-    hi, stats, violations, inconclusive = sweep._sweep_chunk(
-        (lo, lo + width, range_lo, budget), addend=addend
-    )
-    want = addend_reference_chunk((lo, lo + width, range_lo, budget), addend)
-    assert (hi, stats, [x for x, _ in violations], inconclusive) == want
-    for n, detail in violations:
-        values = _cycle(detail)
-        assert values[0] == values[-1] == n
-        assert all(_step(v, addend) == w for v, w in zip(values, values[1:]))
+@pytest.mark.parametrize("budget", [10, 2, 1, 0])
+def test_a_start_whose_orbit_returns_to_it_is_a_cycle(budget):
+    # 1 -> 2 -> 1 is the one known cycle of x -> x/2, (3x + 1)/2.  A sweep never walks
+    # start 1, so the orbit loop is given it alone.  At budget 2 the return to 1 takes
+    # the last step the budget allows.
+    found = [], []
+    records = sweep._orbits((1, 1, 1, budget), sweep._ChaseMemo(), *found, [1], (-1, 0, 0, 0))
+    if budget >= 2:
+        assert found == ([(1, "cycle of length 2: 1 -> 2 -> 1")], [])
+        assert records == (2, 1, 2, 1)
+    else:
+        assert found == ([], [(1, f"no conclusion within {budget} steps")])
+        assert records == (budget, 1, 1 + budget, 1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -523,18 +459,12 @@ def test_verifier_well_past_the_fold_bounds(lo, times, extra, budget, chunk_size
     assert verifier.stats == stats
 
 
-@pytest.mark.parametrize("addend", [1, -1, 5, 101])
-def test_each_start_alone_equals_single_steps(addend):
+def test_each_start_alone_equals_single_steps():
     # A one-start chunk exposes that start's own steps and peak, not just the records.
     for n in range(1, 400):
         for range_lo in (1, n):
             task = (n, n, range_lo, 300)
-            if addend == 1:
-                assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
-                continue
-            hi, stats, violations, inconclusive = sweep._sweep_chunk(task, addend=addend)
-            want = addend_reference_chunk(task, addend)
-            assert (hi, stats, [x for x, _ in violations], inconclusive) == want
+            assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,7 +565,7 @@ def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
         v, c, peak = n, PERIOD, n
         for _ in range(S):
             c = 3 * c >> 1 if v & 1 else c >> 1
-            v = _step(v, 1)
+            v = _step(v)
             peak = max(peak, v)
             if c < PERIOD:
                 break
@@ -1158,3 +1088,78 @@ class TestCtrlC:
         out, err = capsys.readouterr()
         assert out == "" and path.read_text() == earlier
         assert err == f"interrupted before checkpoint {path} was written\n"
+
+
+# ---------------------------------------------------------------------------
+# violations: exit 1, kept across a resume, and a second pass over what they cover
+
+
+class Plant:
+    """The sweep kernel `kernel`, whose first pass over the chunk of x also reports x as a violation.
+
+    The 3x + 1 map has no known cycle but 1 -> 2 -> 1, which a sweep never
+    walks, so tests plant the witness that a counterexample would give.  A
+    module-level class, as `StopAt` is.
+    """
+
+    DETAIL = "a planted violation"
+
+    def __init__(self, x, kernel=_KERNEL):
+        self.x, self.kernel = x, kernel
+
+    def __call__(self, task, residues=sweep._KEPT_MOD_9, memo=None):
+        hi, stats, violations, inconclusive = self.kernel(task, residues=residues, memo=memo)
+        if residues == sweep._KEPT_MOD_9 and task[0] <= self.x <= hi:
+            violations = sorted(violations + [(self.x, self.DETAIL)])
+        return hi, stats, violations, inconclusive
+
+
+class TestAViolation:
+    ARGV = ["verify-range", "1", "100", "--chunk-size", "10", "--json"]
+    WITNESS = {"x": 27, "detail": Plant.DETAIL}
+
+    def test_exits_1_and_lists_the_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(sweep, "_sweep_chunk", Plant(27))
+        assert cli.main(self.ARGV) == cli.EXIT_VIOLATION == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [self.WITNESS] and doc["inconclusive"] == []
+
+    def test_a_checkpoint_stores_the_witness_and_a_resume_keeps_it(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        path = tmp_path / "cp.json"
+        argv = self.ARGV + ["--checkpoint", str(path)]
+        monkeypatch.setattr(sweep, "_sweep_chunk", Plant(27, StopAt(41, 50, KeyboardInterrupt)))
+        assert cli.main(argv) == 130
+        capsys.readouterr()
+        stored = load_checkpoint(path)
+        assert (stored.verified_up_to, stored.violations) == (40, [(27, Plant.DETAIL)])
+        # The resume walks [41, 100] with the real kernel, which finds no violation.
+        monkeypatch.undo()
+        assert cli.main(argv + ["--resume"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [self.WITNESS] and doc["inconclusive"] == []
+        assert load_checkpoint(path).violations == [(27, Plant.DETAIL)]
+
+
+@pytest.mark.parametrize("chunk_size, second", [(10, [(31, 40), (41, 50)]), (100, [(4, 100)])])
+def test_a_violation_drives_the_second_pass_over_the_starts_it_covers(
+    monkeypatch, chunk_size, second
+):
+    # 27 is the ancestor of 41 = T(27) and of 31 = T^3(27), both past the cut at 4.  In
+    # chunks of 10 the record's witness covers a start of [31, 40] and of [41, 50]; in
+    # one chunk of 100 the chunk's own witness covers both.  No start of [1, 100] is
+    # inconclusive, so the planted violation drives each second pass.
+    assert sweep._covered_by(27) == (41, 31) and sweep._ancestor_cut(1) == 4
+    planted, passes = Plant(27), []
+
+    def recording(task, residues=sweep._KEPT_MOD_9, memo=None):
+        passes.append((task[:2], residues))
+        return planted(task, residues=residues, memo=memo)
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", recording)
+    verifier = RangeVerifier(1, 100, chunk_size=chunk_size)
+    report = verifier.run()
+    assert [chunk for chunk, residues in passes if residues == sweep._SKIPPED_MOD_9] == second
+    assert (report.violations, report.inconclusive) == ([(27, Plant.DETAIL)], [])
+    assert verifier.stats == reference_chunk((1, 100, 1, sweep.DEFAULT_BUDGET))[1]
