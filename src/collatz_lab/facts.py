@@ -3,11 +3,13 @@
 Each verifier is one loop over plain ints: inline shift/multiply steps and
 `x % 3` class codes, with no `ResidueClass` or core-map call per value; an
 enum name is built only to format a witness.  Every reported violation
-carries a re-checkable witness.  That a single arithmetic slip here cannot
-confirm itself (the forward map checks the inverse definitions and vice
-versa) is kept by the oracle tests in `tests/test_facts.py` and
+carries a re-checkable witness.  The C2 reduction is checked by its
+one-step lemma, as in the paper: for x in C2 the first C2 value after x in
+the full orbit is reduced_step(x).  That a single arithmetic slip here
+cannot confirm itself (the forward map checks the inverse definitions and
+vice versa) is kept by the oracle tests in `tests/test_facts.py` and
 `tests/test_cycles.py`: they run per-value reference bodies built on
-`core_map` against these loops.
+`core_map` and `trajectory.correspondence` against these loops.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core_map import ResidueClass
-from .trajectory import DEFAULT_BUDGET, BudgetExhaustedError, correspondence
+from .trajectory import DEFAULT_BUDGET
 
 #: Version of every JSON document the package writes: reports, checkpoints, trees.
 SCHEMA_VERSION = 1
@@ -170,11 +172,15 @@ def verify_reduction(
 ) -> RangeReport:
     """Check the C2 reduction machinery on [lo, hi].
 
-    For x in C2: the reduced step stays in C2 and (optionally) the reduced
-    orbit corresponds to the C2 subsequence of the full orbit.  For x in
-    C1: both the even predecessor and the forward image lie in C2 — the
-    two hooks that make contracting C1 vertices sound.  Budget-limited
-    correspondence checks land in `inconclusive`, never in `violations`.
+    For x in C2: the reduced step stays in C2 and (optionally) the one-step
+    lemma holds: the first C2 value after x in the full orbit is
+    reduced_step(x), one step on for odd x and two, through x/2 in C1, for
+    even x.  By induction the reduced orbit is then the C2 subsequence of
+    the full orbit once that reaches 2; x is inconclusive, never a
+    violation, exactly when it does not within `budget` steps, which the
+    sweep's orbit loop decides (`sweep.unconverged`).  For x in C1: both the
+    even predecessor and the forward image lie in C2 — the two hooks that
+    make contracting C1 vertices sound.
     """
     _require_range(lo, hi)
     if budget < 0:
@@ -190,11 +196,11 @@ def verify_reduction(
                 violations.append((x, f"reduced_step({x}) = {t} left class C2"))
                 continue
             if include_correspondence:
-                try:
-                    if not correspondence(x, budget):
-                        violations.append((x, "reduced orbit diverges from C2 subsequence"))
-                except BudgetExhaustedError as exc:
-                    inconclusive.append((x, str(exc)))
+                v = (3 * x + 1) >> 1 if x & 1 else x >> 1
+                if v % 3 != 2:
+                    v = (3 * v + 1) >> 1 if v & 1 else v >> 1
+                if v != t:
+                    violations.append((x, "reduced orbit diverges from C2 subsequence"))
         elif c == 1:
             if 2 * x % 3 != 2:
                 violations.append((x, f"even predecessor {2 * x} of C1 vertex not in C2"))
@@ -202,6 +208,16 @@ def verify_reduction(
             t = (3 * x + 1) >> 1 if x & 1 else x >> 1
             if t % 3 != 2:
                 violations.append((x, f"successor {t} of C1 vertex not in C2"))
+    if include_correspondence:
+        from .sweep import unconverged  # sweep imports this module at load time
+
+        failed = {x for x, _ in violations}
+        c2 = range(lo + (2 - lo) % 3, hi + 1, 3)
+        inconclusive = [
+            (x, f"orbit of {x} did not reach 2 within {budget} steps")
+            for x in unconverged(c2, budget + 1)  # steps to 1 = steps to 2 + 1
+            if x not in failed
+        ]
     return RangeReport(
         fact_id="reduction",
         lo=lo,

@@ -317,7 +317,8 @@ class _ChaseMemo:
     Three parallel lists of 2^M slots; x takes slot x mod 2^M and overwrites
     whatever was there, so the memo never grows.  Both entries are exact
     and depend on x alone.  A pass (`RangeVerifier.run`), a pool worker
-    (`_start_worker`) or a chunk given none owns it, and drops it when it ends.
+    (`_start_worker`), a chunk given none or an `unconverged` call owns it,
+    and drops it when it ends.
     """
 
     __slots__ = ("keys", "steps", "peaks")
@@ -630,6 +631,18 @@ def _chase(
         if v > peak:
             peak = v
     return -1, peak
+
+
+def unconverged(starts: range, budget: int) -> list[int]:
+    """The starts (each >= 2, ascending) whose orbit does not reach 1 within `budget` steps.
+
+    One orbit loop (`_orbits`) with range_lo above every start: every drop is
+    chased to 1, each step count is exact and a cycle does not reach 1.
+    """
+    found: list[tuple[int, str]] = []  # cycles and budget-limited starts, in start order
+    task = (0, 0, starts[-1] + 1 if starts else 0, budget)
+    _orbits(task, _ChaseMemo(), found, found, starts, (-1, 0, 0, 0))
+    return [n for n, _ in found]
 
 
 #: The chase memo that a pool worker's chunks share, from `_start_worker`; None elsewhere.

@@ -3,7 +3,8 @@
 `orbit` records per-step rules, step counts and peaks; `converges` is the
 per-start convergence probe, the reference that the range sweep kernel in
 `sweep` is tested against; `correspondence` checks that the reduced orbit
-of a C2 value is exactly the C2 subsequence of its full orbit.
+of a C2 value is exactly the C2 subsequence of its full orbit, the oracle
+that the reduction suite `facts.verify_reduction` is tested against.
 """
 
 from __future__ import annotations

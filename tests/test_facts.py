@@ -1,5 +1,10 @@
 """Unit tests for the range verifiers, and the fused loops against per-value references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -181,6 +186,25 @@ class TestFusedAgainstReference:
         got = verify_reduction(lo, lo + 300, budget)
         assert fields(got) == fields(reference_reduction(lo, lo + 300, budget))
         assert bool(got.inconclusive) == (budget != DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("budget", [*range(0, 11), 150, 200, 450, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("lo", [10**12, 2**64])
+    def test_reduction_near_1e12_and_2_64(self, lo, budget):
+        """Budgets below, among and above the starts' steps to 2: chases the budget cuts."""
+        got = verify_reduction(lo, lo + 300, budget)
+        assert fields(got) == fields(reference_reduction(lo, lo + 300, budget))
+
+
+@pytest.mark.parametrize("first", ["collatz_lab.facts", "collatz_lab.sweep"])
+def test_reduction_runs_whichever_of_facts_and_sweep_is_imported_first(first):
+    """`sweep` imports `facts`, and the suite reaches the sweep's orbit loop at call time."""
+    src = str(Path(facts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (f"import {first}; from collatz_lab.facts import verify_reduction; "
+            "r = verify_reduction(1, 60, 5); print(r.ok, len(r.inconclusive))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "True 15\n"
 
 
 class TestPredecessorStructure:

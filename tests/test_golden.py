@@ -40,6 +40,9 @@ def _stdout(capsys, argv: list[str]) -> str:
          "e5b6b79959bcc730ed5156240a62b1ffabd2eb0049a5e097377672691937cd5f"),
         ("facts reduction 1 60 --budget 5 --json",
          "6850bc0de457a5ac2c87796bba7eabe3304e17e10c492837f2330ed43e7c9dda"),
+        # 620 of the 1,000 C2 starts inconclusive: chases that the budget cuts off.
+        ("facts reduction 1000000000000 1000000003000 --budget 150 --json",
+         "7990aca52f899c254377ed13713e206e6a907549bb811ba7a8914d20531a3685"),
         ("cycles --max-len 8 --json",
          "e774d160b06d673d8313590f70706d530b1141f75e4f087b779a732b3888e79d"),
         ("tree --reduced --max-value 64 --json",

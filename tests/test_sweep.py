@@ -312,6 +312,30 @@ def test_kernel_equals_reference_with_a_one_slot_memo(monkeypatch):
     test_verifier_equals_reference()
 
 
+def _steps_to_1(n):
+    steps = 0
+    while n != 1:
+        n = _step(n)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("memo_bits", [sweep.M, 0])
+@pytest.mark.parametrize("lo", [2, EDGE - 30, 10**12, 1000000040914, 2**64, 3**50])
+def test_unconverged_equals_single_steps_at_every_exact_budget(monkeypatch, lo, memo_bits):
+    # At a budget equal to a start's steps to 1 it converges, and one step less it does
+    # not.  Drops end in the tail table, in the memo (with one slot, each value a chase
+    # stores overwrites the last) or run out of budget.  The starts are those of C2, as
+    # `facts.verify_reduction` passes them.
+    monkeypatch.setattr(sweep, "M", memo_bits)
+    starts = range(lo + (2 - lo) % 3, lo + 900, 3)
+    steps = {n: _steps_to_1(n) for n in starts}
+    for budget in sorted({b for s in steps.values() for b in (s, s - 1)}):
+        want = [n for n in starts if steps[n] > budget]
+        assert sweep.unconverged(starts, budget) == want, budget
+    assert sweep.unconverged(range(lo, lo, 3), 0) == []
+
+
 @pytest.mark.parametrize("budget", [10**6, 200, 150])
 def test_report_near_1e12_does_not_depend_on_chunk_size_or_workers(budget):
     # Every start is chased, and each pass, chunk or pool worker has its own memo.
