@@ -195,7 +195,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     text = export_json(tree) if args.json else export_dot(tree)
     if args.output is not None:
         Path(args.output).write_text(text)
-        print(f"wrote {len(tree.nodes)} nodes, {len(tree.edges)} edges to {args.output}")
+        print(f"wrote {len(tree.nodes)} nodes, {len(tree.nodes) - 1} edges to {args.output}")
     else:
         print(text, end="")
     return EXIT_OK

@@ -7,12 +7,13 @@ limit cycles (1-2 under the full map, the self-loop at 2 under the reduced
 map) are cut during construction so the result really is a tree; the cut
 edges are kept as metadata rather than discarded.
 
-The layer works on columns.  A build keeps one map child -> parent and
-carries no rule: the rule that sends a child to its parent is fixed by the
-child mod 4 in both flavors, the limit-cycle edges included, and is read
-off the child as `trajectory._walk` reads it.  Edges are made from the
-child, parent and rule columns in one pass, and the exports and the parse
-work on those columns.
+A tree stores its nodes only.  Every node but the root has one parent,
+its forward step, and the rule on that edge is fixed by the child mod 4 in
+both flavors, the limit-cycle edges included (it is read off the child as
+`trajectory._walk` reads it).  So the edges are a function of the nodes:
+the build expands one level at a time and keeps no edge, the exports
+render the child, parent and rule columns, and the parse checks the
+document's columns against those of its nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from operator import and_, itemgetter, lt, mod
 from typing import NamedTuple
@@ -48,10 +50,11 @@ class Edge(NamedTuple):
 class Tree:
     """A finite backward expansion, deterministic for given root and caps.
 
-    `nodes` is ascending, `edges` is sorted by (child, parent).
-    `suppressed_edges` records the limit-cycle edges cut during
-    construction (the backward edge closing the 1-2 cycle in full flavor,
-    the Q2 self-loop at 2 in reduced flavor).
+    `nodes` is ascending.  `suppressed_edges` records the limit-cycle edges
+    cut during construction (the backward edge closing the 1-2 cycle in
+    full flavor, the Q2 self-loop at 2 in reduced flavor).  `edges` is not
+    stored: it is derived from the nodes on first read and cached, so
+    equality, hashing and `repr` go by the stored fields alone.
     """
 
     flavor: TreeFlavor
@@ -59,8 +62,12 @@ class Tree:
     max_depth: int | None
     max_value: int | None
     nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
     suppressed_edges: tuple[Edge, ...]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each node other than the root to its forward step, sorted by child."""
+        return _edges(*_columns_of(self))
 
 
 #: Each flavor's rule at a child c, by c mod 4.
@@ -76,6 +83,13 @@ _CYCLE_EDGES = {
 def _rules(flavor: TreeFlavor, children):
     """The rule column of `children`, `_RULES_AT[flavor][c & 3]` for each c."""
     return map(_RULES_AT[flavor].__getitem__, map(and_, children, repeat(3)))
+
+
+def _columns_of(tree: Tree):
+    """The child, parent and rule columns of a tree's edges: its nodes other than the root."""
+    i = bisect_left(tree.nodes, tree.root)
+    children = tree.nodes[:i] + tree.nodes[i + 1 :]
+    return children, _images(tree.flavor, children), _rules(tree.flavor, children)
 
 
 def _edges(children, parents, rules) -> tuple[Edge, ...]:
@@ -104,56 +118,41 @@ def build_tree(
     max_depth: int | None = None,
     max_value: int | None = None,
 ) -> Tree:
-    """Expand backward from `root` breadth-first, within the given caps.
+    """Expand backward from `root` one level at a time, within the given caps.
 
     A predecessor is admitted iff it respects the value cap, lies within
     the depth cap, is not already present, and does not close the known
     limit cycle.  None means no cap, but at least one cap must be set:
     every node's even predecessor is new, so an uncapped expansion never
-    ends.  Every node has one parent, its forward step, so one dict
-    child -> parent holds the nodes and the edges; listing it by child
-    gives both in order, and the rules are read off the children.
+    ends.  Every value has one forward step, so a level can repeat only the
+    root, when the root's orbit has come back to it; that is the one
+    membership test.
     """
     _check_caps(flavor, root, max_depth, max_value)
-    reduced = flavor is TreeFlavor.REDUCED
     cap = math.inf if max_value is None else max_value
     levels = math.inf if max_depth is None else max_depth
-    parent_of: dict[int, int | None] = {root: None}
-    cut: list[tuple[int, int]] = []
-    frontier = [root]
-    depth = 0
+    nodes, frontier, cut, depth = [root], [root], [], 0
     while frontier and depth < levels:
         depth += 1
-        found: list[int] = []
-        for p in frontier:  # `predecessors` and `reduced_predecessors`, inline
-            if reduced:
-                r = p % 9  # (4p-2)/3 is in C2 iff p = 2 (mod 9), (2p-1)/3 iff p = 8
-                if r == 2:
-                    kids = (4 * p, (4 * p - 2) // 3)
-                elif r == 8:
-                    kids = (4 * p, (2 * p - 1) // 3)
-                else:
-                    kids = (4 * p,)
-            elif p % 3 == 2:
-                kids = (2 * p, (2 * p - 1) // 3)
-            else:
-                kids = (2 * p,)
-            for c in kids:
-                if c in parent_of:
-                    if c == p or c + p == 3:  # 2-2 (reduced map) or 1-2 (full map)
-                        cut.append((c, p))
-                elif c <= cap:
-                    parent_of[c] = p
-                    found.append(c)
-        frontier = found
-
-    nodes = sorted(parent_of)
-    children = nodes.copy()
-    children.remove(root)
-    edges = _edges(children, map(parent_of.__getitem__, children), _rules(flavor, children))
+        # `predecessors` and `reduced_predecessors`, a level at a time.  Reduced
+        # flavor: (4p-2)/3 is in C2 iff p = 2 (mod 9), and (2p-1)/3 iff p = 8.
+        if flavor is TreeFlavor.REDUCED:
+            kids = [4 * p for p in frontier]
+            kids += [(4 * p - 2) // 3 for p in frontier if p % 9 == 2]
+            kids += [(2 * p - 1) // 3 for p in frontier if p % 9 == 8]
+        else:
+            kids = [2 * p for p in frontier]
+            kids += [(2 * p - 1) // 3 for p in frontier if p % 3 == 2]
+        if root in kids:
+            kids.remove(root)
+            (p,) = _images(flavor, (root,))
+            if root == p or root + p == 3:  # 2-2 (reduced map) or 1-2 (full map)
+                cut.append(Edge(root, p, _RULES_AT[flavor][root & 3]))
+        frontier = [c for c in kids if c <= cap]
+        nodes += frontier
+    nodes.sort()
     # At most one suppressed edge: the limit cycle closes once.
-    suppressed = tuple([Edge(c, p, _RULES_AT[flavor][c & 3]) for c, p in cut])
-    return Tree(flavor, root, max_depth, max_value, tuple(nodes), edges, suppressed)
+    return Tree(flavor, root, max_depth, max_value, tuple(nodes), tuple(cut))
 
 
 def export_dot(tree: Tree) -> str:
@@ -164,7 +163,7 @@ def export_dot(tree: Tree) -> str:
     return "".join([
         "digraph collatz_tree {\n",
         *[f'  {n} [label="{n}"];\n' for n in tree.nodes],
-        *[f'  {c} -> {p} [label="{r._name_}"];\n' for c, p, r in tree.edges],
+        *[f'  {c} -> {p} [label="{r._name_}"];\n' for c, p, r in zip(*_columns_of(tree))],
         "}\n",
     ])
 
@@ -174,7 +173,7 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def _json_edges(edges: tuple[Edge, ...]) -> str:
+def _json_edges(edges) -> str:
     return _json_list([
         f'    {{\n      "child": {c},\n      "parent": {p},\n      "rule": "{r._name_}"\n    }}'
         for c, p, r in edges
@@ -195,7 +194,7 @@ def export_json(tree: Tree) -> str:
     }, indent=2)
     return (  # head[:-2] drops the closing "\n}" so the lists can follow
         f'{head[:-2]},\n  "nodes": {_json_list([f"    {n}" for n in tree.nodes])},\n'
-        f'  "edges": {_json_edges(tree.edges)},\n'
+        f'  "edges": {_json_edges(zip(*_columns_of(tree)))},\n'
         f'  "suppressed_edges": {_json_edges(tree.suppressed_edges)}\n}}\n'
     )
 
@@ -237,26 +236,22 @@ def _images(flavor: TreeFlavor, children: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([(3 * c + 1) >> 1 if c & 1 else c >> 1 for c in children])
 
 
-def _check_tree(
-    flavor: TreeFlavor,
-    root: int,
-    max_value: int | None,
-    nodes: tuple[int, ...],
-    columns: tuple[tuple, tuple, tuple],
-    suppressed: tuple[Edge, ...],
-) -> None:
-    """Raise ValueError unless the parsed columns have the shape of a `build_tree` result.
+def _check_tree(tree: Tree, columns: tuple[tuple, tuple, tuple]) -> None:
+    """Raise ValueError unless a parsed tree has the shape of a `build_tree` result.
 
     The nodes strictly ascend from 1 up, hold the root, stay within
-    `max_value` and, in reduced flavor, lie in class C2.  The edge children
-    are the nodes other than the root, in order.  Each parent is its
-    child's forward step and a node, and each rule is the one the map fires
-    at the child.  At most one edge is cut, and it is a limit-cycle edge;
+    `max_value` and, in reduced flavor, lie in class C2.  The document's
+    edge columns are those the tree derives from its nodes: the children
+    are the nodes other than the root, in order, each parent is its child's
+    forward step and a node, and each rule is the one the map fires at the
+    child.  At most one edge is cut, and it is a limit-cycle edge;
     no regular edges close that cycle.  So following parents from a
     node walks its orbit, which ends at the root (an unknown cycle aside).
     The caps are not re-applied beyond `max_value`: a tree cut short, or
     deeper than `max_depth`, still passes.
     """
+    flavor, root, max_value, nodes = tree.flavor, tree.root, tree.max_value, tree.nodes
+    suppressed = tree.suppressed_edges
     children, parents, rules = columns
     if not all(map(lt, nodes, nodes[1:])):
         raise ValueError("tree nodes do not strictly ascend")
@@ -269,13 +264,13 @@ def _check_tree(
         raise ValueError(f"tree node {nodes[-1]} exceeds max_value {max_value}")
     if flavor is TreeFlavor.REDUCED and {*map(mod, nodes, repeat(3))} != {2}:
         raise ValueError("reduced tree nodes lie outside class C2")
-    if children != nodes[:i] + nodes[i + 1 :]:
+    derived, images, want = _columns_of(tree)
+    if children != derived:
         raise ValueError("tree edge children are not the nodes other than the root, in order")
-    images = _images(flavor, children)
     if parents != images:
         c, p, q = next(e for e in zip(children, parents, images) if e[1] != e[2])
         raise ValueError(f"tree edge {c} -> {p}: the map sends {c} to {q}")
-    want = tuple(_rules(flavor, children))
+    want = tuple(want)
     if rules != want:
         c, r, w = next(e for e in zip(children, rules, want) if e[1] is not e[2])
         raise ValueError(f"tree edge from {c} has rule {r._name_}, but the map fires {w._name_}")
@@ -299,7 +294,9 @@ def tree_from_json(text: str) -> Tree:
     limit, node or edge value that is not an integer, caps `build_tree`
     refuses, or nodes and edges that do not form a tree of the flavor (see
     `_check_tree`).  The edge lists are read as child, parent and rule
-    columns, and the checks compare whole columns.
+    columns, and the checks compare whole columns.  Once they pass, the
+    document's edges are the ones the tree derives from its nodes, so only
+    the nodes are kept.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -321,7 +318,7 @@ def tree_from_json(text: str) -> Tree:
     require_ints("tree limits", [v for v in (max_depth, max_value) if v is not None])
     require_ints("tree nodes", nodes)
     require_ints("tree edges", columns[0] + columns[1] + cut_columns[0] + cut_columns[1])
-    suppressed = _edges(*cut_columns)
     _check_caps(flavor, root, max_depth, max_value)
-    _check_tree(flavor, root, max_value, nodes, columns, suppressed)
-    return Tree(flavor, root, max_depth, max_value, nodes, _edges(*columns), suppressed)
+    tree = Tree(flavor, root, max_depth, max_value, nodes, _edges(*cut_columns))
+    _check_tree(tree, columns)
+    return tree

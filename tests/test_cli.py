@@ -345,11 +345,13 @@ class TestTreeCommand:
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "tree.dot"
         code, out, _ = run_cli(
-            capsys, "tree", "--max-value", "16", "-o", str(path)
+            capsys, "tree", "--max-value", "64", "-o", str(path)
         )
         assert code == 0
-        assert out.startswith("wrote")
-        assert path.read_text().startswith("digraph")
+        assert out == f"wrote 41 nodes, 40 edges to {path}\n"
+        text = path.read_text()
+        assert text.startswith("digraph")
+        assert text.count(" -> ") == 40
 
     def test_domain_error_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "tree", "--reduced", "--root", "3",

@@ -348,6 +348,27 @@ def test_report_near_1e12_does_not_depend_on_chunk_size_or_workers(budget):
             assert (hi, verifier.stats, report.violations, report.inconclusive) == want
 
 
+@pytest.mark.parametrize("lo", [2**64, 2**100, 3**50], ids=["2^64", "2^100", "3^50"])
+@pytest.mark.parametrize("budget", [10**6, 60, "median"])
+def test_kernel_above_2_to_the_64_equals_reference(lo, budget):
+    # Values past a machine word, at a budget that lets every orbit reach 1, one that
+    # stops each chase, and one near the window's median steps to 1, where both occur.
+    hi = lo + 299
+    if budget == "median":
+        steps = sorted(_steps_to_1(n) for n in range(lo, hi + 1))
+        budget = steps[len(steps) // 2]
+        inconclusive = reference_chunk((lo, hi, lo, budget))[3]
+        assert 0 < len(inconclusive) < hi - lo + 1
+    for range_lo in (lo, lo - 1000):
+        task = (lo, hi, range_lo, budget)
+        assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
+    verifier = RangeVerifier(lo, hi, budget=budget, chunk_size=64)
+    report = verifier.run()
+    _, stats, violations, inconclusive = reference_chunk((lo, hi, lo, budget))
+    assert (report.violations, report.inconclusive) == (violations, inconclusive)
+    assert verifier.stats == stats
+
+
 def _holds_a_memo(root):
     """Whether a chase memo is reachable from `root` through instances and containers."""
     seen, todo = set(), [root]

@@ -1,6 +1,8 @@
 """Unit tests for backward tree construction and DOT/JSON export."""
 
 import json
+import pickle
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -56,11 +58,23 @@ def reference_export_dot(tree: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_build_tree(flavor, root, max_depth=None, max_value=None) -> Tree:
+class ReferenceTree(NamedTuple):
+    """The reference build's record: every field of a `Tree`, with the edges it found stored."""
+
+    flavor: TreeFlavor
+    root: int
+    max_depth: int | None
+    max_value: int | None
+    nodes: tuple
+    edges: tuple
+    suppressed_edges: tuple
+
+
+def reference_build_tree(flavor, root, max_depth=None, max_value=None) -> ReferenceTree:
     """Breadth-first expansion through `predecessors`/`reduced_predecessors`.
 
-    The body `build_tree` replaces with inline arithmetic and one parent
-    map: frontiers in ascending order, a node set, an edge list with each
+    The body `build_tree` replaces with level-wide arithmetic and no edge
+    list: frontiers in ascending order, a node set, an edge list with each
     rule taken from the predecessor function, sorted at the end.
     """
     if flavor is TreeFlavor.REDUCED:
@@ -105,7 +119,7 @@ def reference_build_tree(flavor, root, max_depth=None, max_value=None) -> Tree:
                 next_frontier.append(child)
         frontier = next_frontier
 
-    return Tree(
+    return ReferenceTree(
         flavor=flavor,
         root=root,
         max_depth=max_depth,
@@ -130,10 +144,12 @@ def tree_args(draw):
 
 
 class TestBuildAgainstPredecessorFunctions:
-    """The inline build is the Tree of the predecessor-function build, to the byte.
+    """The inline build is the tree of the predecessor-function build, to the byte.
 
-    Its exports are the bytes of the reference writers, and it survives a
-    round trip through the structural checks of `tree_from_json`.
+    Every field agrees, the derived edges included, so each edge is checked
+    against the one `predecessors` found.  The exports are the bytes of the
+    reference writers, and the tree survives a round trip through the
+    structural checks of `tree_from_json`.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -146,7 +162,7 @@ class TestBuildAgainstPredecessorFunctions:
     @example((TreeFlavor.REDUCED, 5, 12, 5000))
     def test_equal_trees_and_bytes(self, args):
         got, want = build_tree(*args), reference_build_tree(*args)
-        assert got == want
+        assert tuple(getattr(got, field) for field in ReferenceTree._fields) == want
         assert export_json(got) == reference_export_json(want)
         assert export_dot(got) == reference_export_dot(want)
         assert tree_from_json(export_json(got)) == got
@@ -161,6 +177,44 @@ class TestBuildAgainstPredecessorFunctions:
         for args, edge in cases.items():
             assert build_tree(*args).suppressed_edges == (edge,)
             assert reference_build_tree(*args).suppressed_edges == (edge,)
+
+
+class TestDerivedEdges:
+    """`edges` is derived from the stored fields and cached: it changes no comparison."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_args())
+    def test_one_edge_per_node_but_the_root(self, args):
+        tree = build_tree(*args)
+        assert len(tree.edges) == len(tree.nodes) - 1
+
+    @pytest.mark.parametrize("flavor, root", [(TreeFlavor.FULL, 1), (TreeFlavor.REDUCED, 2)])
+    def test_no_edges_at_depth_zero(self, flavor, root):
+        assert build_tree(flavor, root, max_depth=0).edges == ()
+
+    @pytest.mark.parametrize("flavor, root", [(TreeFlavor.FULL, 1), (TreeFlavor.REDUCED, 2)])
+    def test_parse_and_build_hash_alike(self, flavor, root):
+        tree = build_tree(flavor, root, max_value=500)
+        parsed = tree_from_json(export_json(tree))
+        assert parsed == tree
+        assert hash(parsed) == hash(tree)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, read_first):
+        tree = build_tree(TreeFlavor.REDUCED, 2, max_value=2000)
+        if read_first:
+            tree.edges
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree
+        assert copy.edges == tree.edges
+
+    def test_equal_whether_or_not_edges_were_read(self):
+        a = build_tree(TreeFlavor.FULL, 1, max_value=300)
+        b = build_tree(TreeFlavor.FULL, 1, max_value=300)
+        assert a.edges
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
 
 
 class TestBuildFull:
