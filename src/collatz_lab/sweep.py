@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import os
+import sys
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
@@ -236,18 +237,21 @@ def _residue_table() -> tuple:
 
 
 @functools.cache
-def _survivor_table(k: int) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple]:
+def _survivor_table(
+    k: int,
+) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple, tuple | None]:
     """The sieve of depth k: the residues mod 2^k that do not drop within k steps, and the rest.
 
     For the 3x + 1 map, grown one bit at a time from the one class mod 1.
-    For n = 2^j*t + r the state is (c, d, cp, dm): T^j(n) = c*t + d, the
-    largest coefficient of the j + 1 values so far is cp (`_forms`), and
-    every d_i is at most dm.  As r + b*2^j mod 2^(j+1), each form
-    c_i*t + d_i becomes 2*c_i*t + b*c_i + d_i, and one more step is taken.
-    A residue survives step j while c > 2^j (3^a > 2^j); then d = T^j(r) > r
-    too (r is odd), so its values stay above n for every t >= 0.  At the
-    first step j with c < 2^j the class (r, 2^j) drops, and only bounds
-    are kept.  Returns (by_mod_9, settle, peak, settled), for n = 2^k*t + R:
+    For n = 2^j*t + r the state is (c, d, cp, dp, dm): T^j(n) = c*t + d, the
+    form of the j + 1 values so far with the largest coefficient is
+    cp*t + dp (`_forms`), and every d_i is at most dm.  As r + b*2^j mod
+    2^(j+1), each form c_i*t + d_i becomes 2*c_i*t + b*c_i + d_i, and one
+    more step is taken.  A residue survives step j while c > 2^j
+    (3^a > 2^j); then d = T^j(r) > r too (r is odd), so its values stay
+    above n for every t >= 0.  At the first step j with c < 2^j the class
+    (r, 2^j) drops, and only bounds are kept.  Returns (by_mod_9, settle,
+    peak, settled, leads), for n = 2^k*t + R:
 
     * by_mod_9[q]: the survivors R ≡ q (mod 9) over a period of 2^max(k, P),
       ascending.  Mod 2^16 there are 2114 survivors (OEIS A076227).
@@ -259,22 +263,41 @@ def _survivor_table(k: int) -> tuple[tuple, tuple[int, int, int], tuple[int, int
     * settled: the classes (r, 2^j) that drop, first at step j <= k; with
       the survivors they partition the residues mod 2^k.  Mod 2^16 there
       are 791 of them.
+    * leads, at depth S only (None at every other depth): the lead row
+      (c_k, d_k, cp, dp) of each survivor, for `_orbits`.  n = 2^k*t + R
+      has T^k(n) = c_k*t + d_k, and its peak over steps 0..k is cp*t + dp
+      for every t >= 0, since the form with the largest c_j also has the
+      largest d_j (checked for every survivor mod 2^S).  leads[q] lays the
+      rows of by_mod_9[q] out flat, in the same order, as a pair: c_k, cp
+      per survivor in a tuple that shares one int object per distinct value
+      (6 and 43 of them mod 2^16), and d_k, dp in 64-bit words.
     """
     t_min, c_drop, d_drop, c_peak, d_peak = 0, 1 << k, 1 << k, 0, 0
-    survivors, settled = [], []
-    grow = [(0, 0, 1, 0, 1, 0)]  # (j, r, c, d, cp, dm), depth first
+    settled, lead, shared = [], k == S, {}
+    # Per residue mod 9: the survivors over a period in the order found, and their lead rows.
+    found: list[list[int]] = [[] for _ in range(9)]
+    coefs: list[list[int]] = [[] for _ in range(9)]
+    consts = [bytearray() for _ in range(9)]
+    grow = [(0, 0, 1, 0, 1, 0, 0)]  # (j, r, c, d, cp, dp, dm), depth first
     while grow:
-        j, r, c, d, cp, dm = grow.pop()
+        j, r, c, d, cp, dp, dm = grow.pop()
         if j == k:
-            survivors.append(r)
+            for lifted in range(r, 1 << max(k, P), 1 << k):
+                found[lifted % 9].append(lifted)
+                if lead:
+                    coefs[lifted % 9] += shared.setdefault(c, c), shared.setdefault(cp, cp)
+                    words = consts[lifted % 9]
+                    words += d.to_bytes(8, sys.byteorder)
+                    words += dp.to_bytes(8, sys.byteorder)
             continue
         top = 2 << j  # c_0 mod 2^(j+1)
         for b in (0, 1):
             rb, c_b, d_b = r | b << j, 2 * c, b * c + d
             c_b, d_b = ((3 * c_b) >> 1, (3 * d_b + 1) >> 1) if d_b & 1 else (c_b >> 1, d_b >> 1)
-            cp_b, dm_b = max(2 * cp, c_b), max(dm + b * cp, d_b)
+            cp_b, dp_b = (c_b, d_b) if c_b > 2 * cp else (2 * cp, b * cp + dp)
+            dm_b = max(dm + b * cp, d_b)
             if c_b > top:
-                grow.append((j + 1, rb, c_b, d_b, cp_b, dm_b))
+                grow.append((j + 1, rb, c_b, d_b, cp_b, dp_b, dm_b))
                 continue
             settled.append((rb, top))
             # Below n from (top - c_b)*t > d_b - rb on; n = 2^(j+1)*t + rb has
@@ -283,9 +306,21 @@ def _survivor_table(k: int) -> tuple[tuple, tuple[int, int, int], tuple[int, int
             t_min = max(t_min, (d_b - rb) // (top - c_b) + 1)
             c_drop, d_drop = min(c_drop, c_b * scale), min(d_drop, d_b)
             c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dm_b + cp_b * (scale - 1))
-    lifted = [r + i for r in survivors for i in range(0, 1 << max(k, P), 1 << k)]
-    by_mod_9 = tuple(tuple(sorted(r for r in lifted if r % 9 == q)) for q in range(9))
-    return by_mod_9, (t_min, c_drop, d_drop), (c_peak, d_peak), tuple(sorted(settled))
+    by_mod_9, leads = [], []
+    for rs, cs, ds in zip(found, coefs, consts):
+        order = sorted(range(len(rs)), key=rs.__getitem__)
+        by_mod_9.append(tuple(rs[i] for i in order))
+        if lead:
+            cs = tuple(cs[2 * i + x] for i in order for x in (0, 1))
+            words = memoryview(b"".join(ds[16 * i : 16 * i + 16] for i in order)).cast("Q")
+            leads.append((cs, words))
+    return (
+        tuple(by_mod_9),
+        (t_min, c_drop, d_drop),
+        (c_peak, d_peak),
+        tuple(sorted(settled)),
+        tuple(leads) if lead else None,
+    )
 
 
 @functools.cache
@@ -381,18 +416,26 @@ def _plan_depth(lo: int, hi: int, range_lo: int, budget: int) -> int:
     return k if (c * t + d >= range_lo if t >= t_min else t == 0 and range_lo == 1) else 0
 
 
-def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[Iterable[int]]:
+def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[Iterable]:
     """The survivors mod 2^k in [a, b] with a residue mod 9 in `residues`, in ascending runs.
 
     One run per period of the table and residue mod 9: base + R ≡ q (mod 9)
-    picks the survivors R ≡ q - base.
+    picks the survivors R ≡ q - base.  Where the table has lead rows (depth
+    S), a run yields (n, c_k, d_k, cp, dp) per survivor n, else n alone.
     """
-    by_mod_9 = _survivor_table(k)[0]
+    by_mod_9, *_, leads = _survivor_table(k)
     period = 1 << max(k, P)
     for base in range(a - a % period, b + 1, period):
         for q in residues:
-            rs = by_mod_9[(q - base) % 9]
-            yield map(base.__add__, rs[bisect_left(rs, a - base) : bisect_right(rs, b - base)])
+            m = (q - base) % 9
+            rs = by_mod_9[m]
+            i, j = bisect_left(rs, a - base), bisect_right(rs, b - base)
+            run = map(base.__add__, rs[i:j])
+            if leads:
+                coefs, consts = leads[m]
+                cs, ds = iter(coefs[2 * i : 2 * j]), iter(consts[2 * i : 2 * j])
+                run = zip(run, cs, ds, cs, ds)
+            yield run
 
 
 def _settled_ends(first: int, hi: int, settled: tuple) -> set[int]:
@@ -424,7 +467,8 @@ def _sweep_chunk(
     A chunk takes the sieve at depth k = min(S, budget, log2 of its width)
     when every such start in it drops onto 1 or a start of the sweep:
     from about 2 * range_lo on, and from the first chunk on in a sweep from
-    1 (`_plan_depth`).  It walks only the survivors.  The other starts have
+    1 (`_plan_depth`).  It walks only the survivors; at depth S each of them
+    starts at step S, from its residue's lead row.  The other starts have
     at most k steps and peaks at most c*(hi >> k) + d, the table's bound:
     if the walked starts' records beat both strictly, none of them can hold
     a record and they are left out.  Otherwise every class that drops is
@@ -463,9 +507,9 @@ def _sweep_chunk(
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
     if k:
+        _, _, (c, d), settled, leads = _survivor_table(k)
         runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
-        records = walk(chain.from_iterable(runs), records)
-        _, _, (c, d), settled = _survivor_table(k)
+        records = walk(chain.from_iterable(runs), records, k if leads else 0)
         if not (records[0] > k and records[2] > c * (hi >> k) + d):
             records = walk(_settled_ends(first, hi, settled), records)
     else:
@@ -484,8 +528,9 @@ def _orbits(
     memo: _ChaseMemo,
     violations: list,
     inconclusive: list,
-    starts: Iterable[int],
+    starts: Iterable,
     records: tuple[int, int, int, int],
+    lead: int = 0,
 ) -> tuple[int, int, int, int]:
     """The orbit loop: follow each start; return `records` (max_steps, at, max_peak, at) with them.
 
@@ -499,6 +544,12 @@ def _orbits(
     between can reach n and the budget allows, single steps otherwise, so
     step counts, peaks, drops and witnesses are exactly those of single
     steps.
+
+    With `lead` = k > 0 each start comes as (n, c, d, cp, dp), the lead row
+    of its survivor residue mod 2^k (`_survivor_table`), and its orbit
+    starts at step k: at v = c*t + d with peak cp*t + dp, for t = n >> k.
+    That is exact, since no value of a survivor reaches n within k steps,
+    and it fits, since a chunk's depth k is at most its budget.
     """
     _, _, range_lo, budget = task
     jumps = _residue_table()
@@ -508,9 +559,15 @@ def _orbits(
     last_jump = budget - K
     max_steps, max_steps_at, max_peak, max_peak_at = records
     for n in starts:
-        v = n
-        steps = 0
-        peak = n
+        if lead:
+            n, c, d, cp, dp = n
+            t = n >> lead
+            v = c * t + d
+            peak = cp * t + dp
+            steps = lead
+        else:
+            v = peak = n
+            steps = 0
         while steps < budget:
             t = v >> K
             c, d, minc, cp, dp = jumps[v & mask]

@@ -83,6 +83,10 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # 11,036 inconclusive starts: chunks of 5,000 take the sieve at depth 12.
         ("verify-range 1 200000 --budget 12 --chunk-size 5000 --json",
          "1c555337ad579a23a52ed96e379125efb8e777619a1da2636e78f6d522611352"),
+        # 9,675 inconclusive starts: at budget 16, the sieve's depth, each survivor of a
+        # full chunk starts at step 16 from its lead row, exactly on the budget.
+        ("verify-range 1 300000 --budget 16 --json",
+         "3eadf185c2562609ae1864334499f97519ca8f582b126ba99c5af250af992d20"),
     ],
 )
 def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):

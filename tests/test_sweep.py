@@ -1,5 +1,6 @@
 """The sweep kernel against a per-start reference, and checkpoint safety of RangeVerifier."""
 
+import functools
 import gc
 import json
 import multiprocessing
@@ -369,6 +370,17 @@ def test_kernel_above_2_to_the_64_equals_reference(lo, budget):
     assert verifier.stats == stats
 
 
+@pytest.mark.parametrize("lo", [2**64, 3**50], ids=["2^64", "3^50"])
+@pytest.mark.parametrize("budget", [S, S + 1, 10**6])
+def test_kernel_on_depth_s_chunks_far_from_1_equals_reference(lo, budget):
+    # A chunk of 2^S starts whose drops stay above range_lo takes the sieve at depth S:
+    # each survivor starts at step S from its lead row.  At budget S every such jump
+    # lands exactly on the budget.
+    task = (lo, lo + PERIOD - 1, lo // 4, budget)
+    assert sweep._plan_depth(*task) == S
+    assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
+
+
 def _holds_a_memo(root):
     """Whether a chase memo is reachable from `root` through instances and containers."""
     seen, todo = set(), [root]
@@ -429,7 +441,7 @@ SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2
 
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_survivors_and_settled_classes_partition_the_residues(k):
-    by_mod_9, _, _, settled = sweep._survivor_table(k)
+    by_mod_9, _, _, settled, _ = sweep._survivor_table(k)
     assert sweep._survivor_table(k)[0] is by_mod_9  # built once per depth, on first use
     period = 1 << max(k, sweep.P)
     for q, rs in enumerate(by_mod_9):
@@ -452,9 +464,33 @@ def test_survivors_and_settled_classes_partition_the_residues(k):
             assert min(_values(n, k)[1:]) > n
 
 
+def test_lead_rows_against_single_steps():
+    by_mod_9, *_, leads = sweep._survivor_table(S)
+    assert all(sweep._survivor_table(k)[4] is None for k in range(1, S))  # depth S only
+    rows = {}
+    for rs, (coefs, consts) in zip(by_mod_9, leads):
+        assert len(coefs) == len(consts) == 2 * len(rs)
+        rows.update((r, (coefs[2 * i], consts[2 * i], coefs[2 * i + 1], consts[2 * i + 1]))
+                    for i, r in enumerate(rs))
+    assert len(rows) == SURVIVOR_COUNTS[S - 1]
+    # The rows share one int object per distinct coefficient: 6 of c_S and 43 of cp.
+    for at, distinct in ((0, 6), (2, 43)):
+        values = [row[at] for row in rows.values()]
+        assert len({id(v) for v in values}) == len(set(values)) == distinct
+    for r, (c, d, cp, dp) in rows.items():
+        # The form with the largest c_j has the largest d_j too: cp*t + dp is the
+        # peak over steps 0..S from t = 0 on.
+        forms = sweep._forms(r, S)
+        assert max(forms) == (cp, max(d for _, d in forms))
+        for t in (0, 1, 2**48, 3**40):
+            values = _values((t << S) + r, S)
+            assert values[S] == c * t + d
+            assert max(values) == cp * t + dp
+
+
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
-    _, (t_min, c_drop, d_drop), (c_peak, d_peak), settled = sweep._survivor_table(k)
+    _, (t_min, c_drop, d_drop), (c_peak, d_peak), settled, _ = sweep._survivor_table(k)
     assert t_min == 1  # the classes 0 mod 2 and 1 mod 4 drop from their second member on
     for r, modulus in settled:
         j = modulus.bit_length() - 1
@@ -559,7 +595,7 @@ def _fold_every_settled_residue(monkeypatch):
     """Give each table a peak bound that no start beats: every chunk on the sieve then folds."""
     table = sweep._survivor_table
     monkeypatch.setattr(sweep, "_survivor_table",
-                        lambda k: (*table(k)[:2], (0, 10**30), table(k)[3]))
+                        lambda k: (*table(k)[:2], (0, 10**30), *table(k)[3:]))
 
 
 @pytest.mark.parametrize("budget", [17, 24, 40, 10**4])
@@ -587,6 +623,9 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
         if plan == "per class":
             monkeypatch.undo()
             monkeypatch.setattr(sweep, "S", K)
+            # Tables built while S is patched stay out of the session's cache.
+            monkeypatch.setattr(sweep, "_survivor_table",
+                                functools.cache(sweep._survivor_table.__wrapped__))
             assert sweep._plan_depth(*task) == K
         plans[plan] = [sweep._sweep_chunk(task, residues=r) for r in (EVERY, *PASSES)]
     # Over all nine residues every plan gives each start's exact records.
@@ -601,7 +640,7 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
 def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
     # A sweep from 1 takes the sieve in its first chunk, at t = 0 < t_min.  A shallower
     # sieve settles a subset of the same classes, so this covers every depth.
-    by_mod_9, _, (_, d_peak), _ = sweep._survivor_table(S)
+    by_mod_9, _, (_, d_peak), _, _ = sweep._survivor_table(S)
     survivors = {r for rs in by_mod_9 for r in rs}
     for n in range(2, PERIOD):
         if n in survivors:
@@ -662,7 +701,7 @@ def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, bu
         c, d = sweep._survivor_table(S)[2]
         assert converges(n, budget, n).peak < c * (hi >> S) + d
         starts.append(n)
-        runs.append([n])
+        runs = [list(run) for run in sweep._survivor_runs(n, n, EVERY, S)]  # n with its lead row
     # The chunk lies past the ancestor cut: its runs below the cut are empty.
     monkeypatch.setattr(sweep, "_survivor_runs", lambda a, b, residues, k: runs if a <= b else [])
     assert sweep._sweep_chunk(task) == reference_chunk(task, starts)
