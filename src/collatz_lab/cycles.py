@@ -162,13 +162,20 @@ def fixed_point(seq: RuleSequence | Iterable[Rule]) -> CycleCandidate | None:
     )
 
 
+#: The last this many levels of the word tree are expanded a level at a time.
+_LEVELS = 12
+
+
 def search_cycles(max_len: int) -> list[CycleCandidate]:
     """Solve form(x) = x for every rule word of length <= max_len.
 
-    A depth-first walk over word prefixes carries each prefix's affine form:
-    appending R1 keeps the addend, appending R2 at position k maps it to
-    3a + 2^k, so each word costs O(1).  A word whose d = 2^k - 3^p divides
-    its positive addend goes to fixed_point().  Candidates are ordered by
+    Each word's affine form comes from its prefix's: appending R1 keeps the
+    addend, appending R2 at position k maps it to 3a + 2^k, so each word
+    costs O(1).  A depth-first walk over prefixes goes down to length
+    max(1, max_len - 12); below each prefix there, the last levels are
+    expanded one at a time (`_solvable`), which holds at most 2^13
+    words whatever max_len is.  A word whose d = 2^k - 3^p divides its
+    positive addend goes to fixed_point().  Candidates are ordered by
     length, then lexicographically with R1 < R2.
 
     Every candidate is consistent (Böhm & Sontacchi 1978).  Take x = a / d.
@@ -182,22 +189,58 @@ def search_cycles(max_len: int) -> list[CycleCandidate]:
             f"max_len must be in [1, {MAX_SEARCH_LEN}] (2^k words per length), got {max_len}"
         )
     pow3 = [3**i for i in range(max_len + 1)]
+    top = max(1, max_len - _LEVELS)
     found: list[CycleCandidate] = []
     # (length k, R2 count p, addend a, mask with bit j set iff R2 at position j)
     stack = [(1, 0, 0, 0), (1, 1, 1, 1)]
     while stack:
         k, p, a, mask = stack.pop()
-        d = (1 << k) - pow3[p]
-        if d > 0 and a > 0 and a % d == 0:
-            word = (Rule.R2 if (mask >> j) & 1 else Rule.R1 for j in range(k))
-            found.append(fixed_point(word))
-        if k < max_len:
+        # Above `top`, test the prefix alone; at `top`, every word below it too.
+        last = max_len if k == top else k
+        for length, word in _solvable(k, p, a, mask, last, pow3):
+            found.append(fixed_point(Rule.R2 if (word >> j) & 1 else Rule.R1
+                                     for j in range(length)))
+        if k < top:
             stack.append((k + 1, p, a, mask))
             stack.append((k + 1, p + 1, 3 * a + (1 << k), mask | (1 << k)))
     found.sort(
         key=lambda c: (c.seq.length, tuple(0 if r is Rule.R1 else 1 for r in c.seq.rules))
     )
     return found
+
+
+def _solvable(
+    k: int, p: int, a: int, mask: int, last: int, pow3: list[int]
+) -> Iterator[tuple[int, int]]:
+    """(length, mask) of each word of length <= `last` that extends the prefix
+    (k, p, a, mask), the prefix included, and whose d = 2^length - 3^r2
+    divides its positive addend.
+
+    The words of one level are grouped by R2 count, p + i in `groups[i]`, as
+    parallel lists of addends and masks.  The next level appends R1 to every
+    word (group i keeps its lists) and R2 (group i's words, mapped, join
+    group i + 1).  Only groups with d > 0 and at least one R2 are tested.
+    """
+    groups = [([a], [mask])]
+    while True:
+        for i, (adds, masks) in enumerate(groups):
+            d = (1 << k) - pow3[p + i]
+            if d > 0 and p + i:
+                for word in [m for x, m in zip(adds, masks) if not x % d]:
+                    yield k, word
+        if k == last:
+            return
+        bit = 1 << k
+        r2_adds: list[int] = []
+        r2_masks: list[int] = []
+        nxt = []
+        for adds, masks in groups:
+            nxt.append((adds + r2_adds, masks + r2_masks))
+            r2_adds = [3 * x + bit for x in adds]
+            r2_masks = [m | bit for m in masks]
+        nxt.append((r2_adds, r2_masks))
+        groups = nxt
+        k += 1
 
 
 def cycle_values(candidate: CycleCandidate) -> tuple[int, ...]:

@@ -1,16 +1,18 @@
 """Forward orbits under the shortcut map and the reduced map on class C2.
 
-`orbit` records per-step rules, step counts and peaks; `converges` is the
-per-start convergence probe, the reference that the range sweep kernel in
-`sweep` is tested against; `correspondence` checks that the reduced orbit
-of a C2 value is exactly the C2 subsequence of its full orbit, the oracle
-that the reduction suite `facts.verify_reduction` is tested against.
+`orbit` records values, step counts and peaks (the rule at each value is
+read off the value); `converges` is the per-start convergence probe, the
+reference that the range sweep kernel in `sweep` is tested against;
+`correspondence` checks that the reduced orbit of a C2 value is exactly
+the C2 subsequence of its full orbit, the oracle that the reduction suite
+`facts.verify_reduction` is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .core_map import ReducedRule, ResidueClass, Rule, residue_class
 
@@ -25,23 +27,36 @@ class BudgetExhaustedError(RuntimeError):
     """An orbit hit its step budget before reaching a conclusion."""
 
 
+#: The rule each map fires at v, by v mod 4.
+_RULES = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
+_REDUCED_RULES = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """An orbit together with the rule fired at each step.
+    """An orbit of the full map (or of the reduced map, `reduced` set).
 
-    `values` includes the start and the last value reached; `rules[i]` is
-    the rule applied at `values[i]`.  When the orbit outgrows the storage
-    cap, `values`/`rules` keep only the leading entries (`truncated` is
-    set) while `steps`, `peak` and `final` remain exact.
+    `values` includes the start and the last value reached.  When the
+    orbit outgrows the storage cap, `values` keeps only the leading entries
+    (`truncated` is set) while `steps`, `peak` and `final` remain exact.
+    `rules` is not stored: `rules[i]`, the rule applied at `values[i]`, is
+    read off that value mod 4 on first read and cached, so equality,
+    hashing and `repr` go by the stored fields alone.
     """
 
     start: int
     values: tuple[int, ...]
-    rules: tuple[Rule, ...] | tuple[ReducedRule, ...]
     steps: int
     peak: int
     final: int
     truncated: bool = False
+    reduced: bool = False
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...] | tuple[ReducedRule, ...]:
+        """The rule applied at each value but the last."""
+        table = _REDUCED_RULES if self.reduced else _RULES
+        return tuple([table[u & 3] for u in self.values[:-1]])
 
 
 class OrbitOutcome(Enum):
@@ -64,17 +79,13 @@ class OrbitStatus:
     peak: int
 
 
-#: The rule each map fires at v, by v mod 4.
-_RULES = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
-_REDUCED_RULES = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
-
-
 def _walk(reduced: bool, x: int, budget: int, target: int, value_cap: int) -> Trajectory:
     """Apply the full (or reduced) map from x until `target` is hit or `budget` steps elapse.
 
     The one loop behind `orbit` and `reduced_orbit`.  The map's arithmetic
-    is inline, as in `converges`; the loop keeps only the values, and the
-    rule at each kept value is read off the value once the walk is over.
+    is inline, as in `converges`.  The first loop only steps and keeps each
+    value, and the peak is the largest of them; past the value cap, a
+    second loop steps on and tracks the peak without keeping values.
     Agreement with step() and reduced_step() is pinned by tests.
     """
     if budget < 0:
@@ -82,8 +93,19 @@ def _walk(reduced: bool, x: int, budget: int, target: int, value_cap: int) -> Tr
     if value_cap < 1:
         raise ValueError(f"value_cap must be >= 1, got {value_cap}")
     values = [x]
-    v = peak = x
-    steps = 0
+    v = x
+    for _ in range(min(budget, value_cap - 1)):
+        if v == target:
+            break
+        if v & 1:
+            v = (3 * v + 1) >> 1
+        elif reduced:
+            v = (3 * v + 2) >> 2 if v & 2 else v >> 2
+        else:
+            v >>= 1
+        values.append(v)
+    steps = len(values) - 1
+    peak = max(values)
     while v != target and steps < budget:
         if v & 1:
             v = (3 * v + 1) >> 1
@@ -94,18 +116,14 @@ def _walk(reduced: bool, x: int, budget: int, target: int, value_cap: int) -> Tr
         else:
             v >>= 1
         steps += 1
-        if steps < value_cap:
-            values.append(v)
-    table = _REDUCED_RULES if reduced else _RULES
-    rules = tuple([table[u & 3] for u in values[:-1]])
     return Trajectory(
         start=x,
         values=tuple(values),
-        rules=rules,
         steps=steps,
         peak=peak,
         final=v,
         truncated=steps >= value_cap,
+        reduced=reduced,
     )
 
 

@@ -1,10 +1,16 @@
 """Tests for the command-line interface and the checkpointed range verifier."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from collatz_lab import cli
 from collatz_lab.cli import main
 from collatz_lab.sweep import (
     Checkpoint,
@@ -382,6 +388,72 @@ class TestCyclesCommand:
         code, _, _ = run_cli(capsys, "cycles", "--max-len", "4", "-o", str(path))
         assert code == 0
         assert json.loads(path.read_text())["only_known_family"] is True
+
+
+# Runs each argv of the JSON list in argv[1] through `cli.main`, in this one process and in
+# the working directory, and prints, per call, the exit code, stdout, stderr and the files
+# the call wrote (removed before the next call).
+_CALLS_SCRIPT = """
+import contextlib, io, json, pathlib, sys
+from collatz_lab import cli
+built_at_import = cli._parser.cache_info().currsize
+calls = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = {}
+    for path in sorted(pathlib.Path().iterdir()):
+        files[path.name] = path.read_text()
+        path.unlink()
+    calls.append([code, out.getvalue(), err.getvalue(), files])
+print(json.dumps({"built_at_import": built_at_import,
+                  "builds": cli._parser.cache_info().misses, "calls": calls}))
+"""
+
+# Wall-clock values: the `elapsed` lines of JSON and the "(0.01 s)" of report lines.
+_CLOCK = re.compile(r'"elapsed": [^,\n]*|\(\d+\.\d+ s\)')
+
+
+def _calls(argvs: list[list[str]], cwd: Path) -> dict:
+    cwd.mkdir()
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _CALLS_SCRIPT, json.dumps(argvs)], cwd=cwd,
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(out.stdout)
+    result["calls"] = [
+        [code, _CLOCK.sub("<clock>", stdout), _CLOCK.sub("<clock>", stderr),
+         {name: _CLOCK.sub("<clock>", text) for name, text in files.items()}]
+        for code, stdout, stderr, files in result["calls"]
+    ]
+    return result
+
+
+def test_successive_main_calls_are_fresh_process_runs(tmp_path):
+    """The parser is built once, on the first `main` call; no value carries over to the next."""
+    argvs = [
+        ["verify-range", "1", "3000", "--json"],
+        ["verify-range", "1", "3000"],
+        ["verify-range", "1", "3000", "--budget", "3", "--strict"],
+        ["verify-range", "1", "3000", "--budget", "3"],
+        ["tree", "--max-value", "40", "--json"],
+        ["tree", "--max-value", "40", "--dot"],
+        ["tree", "--max-value", "40", "--json", "--dot"],
+        ["tree", "--max-value", "40"],
+        ["facts", "all", "1", "300", "-o", "facts.json"],
+        ["facts", "all", "1", "300"],
+    ]
+    together = _calls(argvs, tmp_path / "together")
+    assert (together["built_at_import"], together["builds"]) == (0, 1)
+    fresh = [_calls([argv], tmp_path / f"fresh{i}")["calls"][0] for i, argv in enumerate(argvs)]
+    assert together["calls"] == fresh
+    codes = [code for code, *_ in fresh]
+    assert codes == [0, 0, 1, 0, 0, 0, 2, 0, 0, 0]
+    assert [sorted(files) for *_, files in fresh] == [[]] * 8 + [["facts.json"], []]
 
 
 @pytest.mark.parametrize(

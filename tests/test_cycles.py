@@ -1,6 +1,7 @@
 """Unit tests for the rule-word algebra, fixed points, and cycle search."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from collatz_lab import facts
 from collatz_lab.core_map import ResidueClass, Rule, residue_class, step
 from collatz_lab.cycles import (
+    MAX_SEARCH_LEN,
     AffineForm,
     C0Chain,
     CycleCandidate,
@@ -140,6 +142,26 @@ class TestFixedPoint:
         assert cand is None or cand.consistent
 
 
+def reference_search_cycles(max_len: int) -> list[CycleCandidate]:
+    """Depth first over every word: the walk `search_cycles` replaces below
+    length max_len - 12 with a level-at-a-time expansion."""
+    if not 1 <= max_len <= MAX_SEARCH_LEN:
+        raise ValueError(f"max_len must be in [1, {MAX_SEARCH_LEN}], got {max_len}")
+    found = []
+    # (length k, R2 count p, addend a, mask with bit j set iff R2 at position j)
+    stack = [(1, 0, 0, 0), (1, 1, 1, 1)]
+    while stack:
+        k, p, a, mask = stack.pop()
+        d = (1 << k) - 3**p
+        if d > 0 and a > 0 and a % d == 0:
+            found.append(fixed_point(R2 if (mask >> j) & 1 else R1 for j in range(k)))
+        if k < max_len:
+            stack.append((k + 1, p, a, mask))
+            stack.append((k + 1, p + 1, 3 * a + (1 << k), mask | (1 << k)))
+    found.sort(key=lambda c: (c.seq.length, tuple(r is R2 for r in c.seq.rules)))
+    return found
+
+
 class TestSearchCycles:
     def test_no_length_three_cycle(self):
         assert [c for c in search_cycles(3) if c.seq.length == 3] == []
@@ -222,6 +244,21 @@ class TestSearchCycles:
     def test_length_guard(self, bad):
         with pytest.raises(ValueError):
             search_cycles(bad)
+
+    @pytest.mark.parametrize("max_len", range(1, 19))
+    def test_equals_the_depth_first_walk(self, max_len):
+        """Lengths 12, 13 and 14 cross from a level-wise search to a depth-first prefix."""
+        assert search_cycles(max_len) == reference_search_cycles(max_len)
+
+    def test_memory_is_bounded(self):
+        """The level-wise part holds at most 2^13 words: no list of all 2^20 of them."""
+        tracemalloc.start()
+        try:
+            search_cycles(20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCycleValues:

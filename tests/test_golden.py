@@ -36,6 +36,9 @@ def _stdout(capsys, argv: list[str]) -> str:
          "3fe4c79f6423533420313215f9753ab016317a6ebfc95dee294e23a620246611"),
         ("trajectory 26 --reduced",
          "3368c158ca27270e58bfa8110bcdfc035f40f8d2a8c61904ab35b96ba6867897"),
+        # Cut off by the budget at step 100 of 221; the peak 10966508 is one of the stored values.
+        ("trajectory 77031 --budget 100 --json",
+         "bc70d7afe05ae40112b925ada43d54aae188365e200a9057c803ef94d63fbf11"),
         ("facts all 1 500 --json",
          "e5b6b79959bcc730ed5156240a62b1ffabd2eb0049a5e097377672691937cd5f"),
         ("facts reduction 1 60 --budget 5 --json",
@@ -45,6 +48,9 @@ def _stdout(capsys, argv: list[str]) -> str:
          "7990aca52f899c254377ed13713e206e6a907549bb811ba7a8914d20531a3685"),
         ("cycles --max-len 8 --json",
          "e774d160b06d673d8313590f70706d530b1141f75e4f087b779a732b3888e79d"),
+        # Depth first to length 8, then the last 12 levels a level at a time.
+        ("cycles --max-len 20 --json",
+         "b01f8cc5516f7bc661dceff5870e713ba7fa1b3fc5ade58658300f69a2f154fd"),
         ("tree --reduced --max-value 64 --json",
          "0ea3fb4ffaafb73b4e51ae55208b182d9bc39c64e3b187d09cf49125491980a4"),
         ("tree --reduced --max-value 64 --dot",

@@ -1,7 +1,9 @@
 """Unit tests for orbits, convergence probes, and the reduced-orbit correspondence."""
 
 import inspect
+import pickle
 import textwrap
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,11 +24,28 @@ positives = st.integers(min_value=1, max_value=10**5)
 c2_values = st.integers(min_value=0, max_value=33_332).map(lambda k: 3 * k + 2)
 
 
-def reference_walk(step_fn, x, budget, target, value_cap):
+class ReferenceWalk(NamedTuple):
+    """The reference walk's record: every field of a `Trajectory`, with the rules it fired stored."""
+
+    start: int
+    values: tuple
+    rules: tuple
+    steps: int
+    peak: int
+    final: int
+    truncated: bool
+
+
+def record(traj: Trajectory) -> ReferenceWalk:
+    """The fields of `traj` that the reference walk records, `rules` included."""
+    return ReferenceWalk(*(getattr(traj, field) for field in ReferenceWalk._fields))
+
+
+def reference_walk(step_fn, x, budget, target, value_cap) -> ReferenceWalk:
     """Apply `step_fn` from x until `target` is hit or `budget` steps elapse.
 
     The loop `trajectory._walk` inlines: one `step`/`reduced_step` call, and
-    one (value, rule) pair kept, per step.
+    one (value, rule) pair kept, per step, with the peak tracked at each step.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -46,7 +65,7 @@ def reference_walk(step_fn, x, budget, target, value_cap):
             rules.append(rule)
         else:
             truncated = True
-    return Trajectory(
+    return ReferenceWalk(
         start=x,
         values=tuple(values),
         rules=tuple(rules),
@@ -353,7 +372,8 @@ class TestWalkAgainstStepFunctions:
     @example(1, 5, 0, 2)  # target 0 is never reached: the 1-2 cycle runs the budget out
     def test_orbit(self, x, budget, target, value_cap):
         got = orbit(x, budget, target, value_cap)
-        assert got == reference_walk(step, x, budget, target, value_cap)
+        assert record(got) == reference_walk(step, x, budget, target, value_cap)
+        assert not got.reduced
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -366,17 +386,92 @@ class TestWalkAgainstStepFunctions:
     @example(41, 48, 48)
     def test_reduced_orbit(self, x, budget, value_cap):
         got = reduced_orbit(x, budget, value_cap)
-        assert got == reference_walk(reduced_step, x, budget, 2, value_cap)
+        assert record(got) == reference_walk(reduced_step, x, budget, 2, value_cap)
+        assert got.reduced
 
     @pytest.mark.parametrize("cap", [5, 10**4])
     def test_every_rule_on_both_sides_of_the_cap(self, cap):
         full, reduced = orbit(27, 300, 1, cap), reduced_orbit(41, 300, cap)
-        assert full == reference_walk(step, 27, 300, 1, cap)
-        assert reduced == reference_walk(reduced_step, 41, 300, 2, cap)
+        assert record(full) == reference_walk(step, 27, 300, 1, cap)
+        assert record(reduced) == reference_walk(reduced_step, 41, 300, 2, cap)
         assert full.truncated == reduced.truncated == (cap == 5)
         if cap > 5:
             assert set(full.rules) == set(Rule)
             assert set(reduced.rules) == set(ReducedRule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(positives, near_1e12),
+        st.integers(0, 200),
+        # value_cap = max(1, scale * budget + offset): 1, 2, budget - 1, budget, budget + 1
+        st.sampled_from([(0, 1), (0, 2), (1, -1), (1, 0), (1, 1)]),
+        st.booleans(),
+        st.sampled_from([0, 1]),
+    )
+    @example(27, 70, (1, 0), False, 1)  # the last step is the first past the cap
+    @example(27, 70, (1, 1), False, 1)  # the cap holds every value
+    @example(27, 71, (1, -1), False, 1)  # the orbit ends before the budget, past the cap
+    @example(1, 0, (0, 1), False, 0)
+    @example(13, 48, (1, 0), True, 0)  # reduced_orbit(41): its last step is past the cap
+    def test_cap_around_the_budget(self, x, budget, cap, reduced, target):
+        """The value cap before, at and after the budget: the second loop runs only past the cap."""
+        scale, offset = cap
+        value_cap = max(1, scale * budget + offset)
+        if reduced:
+            x = 3 * x + 2
+            got = reduced_orbit(x, budget, value_cap)
+            want = reference_walk(reduced_step, x, budget, 2, value_cap)
+        else:
+            got = orbit(x, budget, target, value_cap)
+            want = reference_walk(step, x, budget, target, value_cap)
+        assert record(got) == want
+        assert got.reduced == reduced
+
+
+class TestDerivedRules:
+    """`rules` is derived from the stored values and cached: it changes no comparison."""
+
+    @pytest.mark.parametrize(
+        "walk", [lambda: orbit(27, 1000, 1), lambda: reduced_orbit(41, 1000)],
+        ids=["orbit", "reduced_orbit"],
+    )
+    def test_computed_on_first_read(self, walk):
+        traj = walk()
+        assert "rules" not in vars(traj)
+        rules = traj.rules
+        assert vars(traj)["rules"] is rules
+        assert traj.rules is rules
+
+    def test_equal_whether_or_not_rules_were_read(self):
+        for a, b in ((orbit(27, 1000, 1), orbit(27, 1000, 1)),
+                     (reduced_orbit(41, 1000, 5), reduced_orbit(41, 1000, 5))):
+            assert a.rules
+            assert "rules" not in vars(b)
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+            assert "rules" not in repr(a)
+
+    def test_flavors_differ(self):
+        """The same values under the two maps are different trajectories."""
+        full, reduced = orbit(2, 10, 2), reduced_orbit(2, 10)
+        assert full.values == reduced.values and full.rules == reduced.rules == ()
+        assert full != reduced
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    @pytest.mark.parametrize(
+        "walk", [lambda: orbit(27, 1000, 1), lambda: reduced_orbit(41, 1000, 5)],
+        ids=["orbit", "reduced_orbit"],
+    )
+    def test_pickle_round_trip(self, walk, read_first):
+        traj = walk()
+        if read_first:
+            traj.rules
+        copy = pickle.loads(pickle.dumps(traj))
+        assert copy == traj
+        assert hash(copy) == hash(traj)
+        assert ("rules" in vars(copy)) == read_first
+        assert copy.rules == traj.rules
 
 
 class TestStepsAccounting:
