@@ -237,7 +237,9 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call, not at import, and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="collatz-lab",
         description="Shortcut Collatz map toolkit: orbits, trees, verifiers, cycle search.",
@@ -293,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cycles)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first `main` call, not at import, and kept for the process."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,6 @@ import contextlib
 import functools
 import json
 import os
-import sys
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
@@ -239,7 +238,7 @@ def _residue_table() -> tuple:
 @functools.cache
 def _survivor_table(
     k: int,
-) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple, tuple | None]:
+) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple, tuple]:
     """The sieve of depth k: the residues mod 2^k that do not drop within k steps, and the rest.
 
     For the 3x + 1 map, grown one bit at a time from the one class mod 1.
@@ -263,32 +262,23 @@ def _survivor_table(
     * settled: the classes (r, 2^j) that drop, first at step j <= k; with
       the survivors they partition the residues mod 2^k.  Mod 2^16 there
       are 791 of them.
-    * leads, at depth S only (None at every other depth): the lead row
-      (c_k, d_k, cp, dp) of each survivor, for `_orbits`.  n = 2^k*t + R
-      has T^k(n) = c_k*t + d_k, and its peak over steps 0..k is cp*t + dp
-      for every t >= 0, since the form with the largest c_j also has the
-      largest d_j (checked for every survivor mod 2^S).  leads[q] lays the
-      rows of by_mod_9[q] out flat, in the same order, as a pair: c_k, cp
-      per survivor in a tuple that shares one int object per distinct value
-      (6 and 43 of them mod 2^16), and d_k, dp in 64-bit words.
+    * leads[q]: the lead rows of by_mod_9[q] as four columns c_k, d_k,
+      cp, dp, aligned with it, for `_orbits`.  n = 2^k*t + R has
+      T^k(n) = c_k*t + d_k, and its peak over steps 0..k is cp*t + dp for
+      every t >= 0, since the form with the largest c_j also has the
+      largest d_j (checked for every survivor at every depth 1..S).  A
+      residue R >= 2^k has the row of R mod 2^k, for t = n >> k.
     """
     t_min, c_drop, d_drop, c_peak, d_peak = 0, 1 << k, 1 << k, 0, 0
-    settled, lead, shared = [], k == S, {}
-    # Per residue mod 9: the survivors over a period in the order found, and their lead rows.
-    found: list[list[int]] = [[] for _ in range(9)]
-    coefs: list[list[int]] = [[] for _ in range(9)]
-    consts = [bytearray() for _ in range(9)]
+    settled = []
+    # Per residue mod 9: the survivors over a period, each with its lead row, in the order found.
+    found: list[list[tuple]] = [[] for _ in range(9)]
     grow = [(0, 0, 1, 0, 1, 0, 0)]  # (j, r, c, d, cp, dp, dm), depth first
     while grow:
         j, r, c, d, cp, dp, dm = grow.pop()
         if j == k:
             for lifted in range(r, 1 << max(k, P), 1 << k):
-                found[lifted % 9].append(lifted)
-                if lead:
-                    coefs[lifted % 9] += shared.setdefault(c, c), shared.setdefault(cp, cp)
-                    words = consts[lifted % 9]
-                    words += d.to_bytes(8, sys.byteorder)
-                    words += dp.to_bytes(8, sys.byteorder)
+                found[lifted % 9].append((lifted, c, d, cp, dp))
             continue
         top = 2 << j  # c_0 mod 2^(j+1)
         for b in (0, 1):
@@ -306,20 +296,13 @@ def _survivor_table(
             t_min = max(t_min, (d_b - rb) // (top - c_b) + 1)
             c_drop, d_drop = min(c_drop, c_b * scale), min(d_drop, d_b)
             c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dm_b + cp_b * (scale - 1))
-    by_mod_9, leads = [], []
-    for rs, cs, ds in zip(found, coefs, consts):
-        order = sorted(range(len(rs)), key=rs.__getitem__)
-        by_mod_9.append(tuple(rs[i] for i in order))
-        if lead:
-            cs = tuple(cs[2 * i + x] for i in order for x in (0, 1))
-            words = memoryview(b"".join(ds[16 * i : 16 * i + 16] for i in order)).cast("Q")
-            leads.append((cs, words))
+    columns = [tuple(zip(*sorted(rows))) or ((),) * 5 for rows in found]
     return (
-        tuple(by_mod_9),
+        tuple(cols[0] for cols in columns),
         (t_min, c_drop, d_drop),
         (c_peak, d_peak),
         tuple(sorted(settled)),
-        tuple(leads) if lead else None,
+        tuple(cols[1:] for cols in columns),
     )
 
 
@@ -420,8 +403,8 @@ def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[
     """The survivors mod 2^k in [a, b] with a residue mod 9 in `residues`, in ascending runs.
 
     One run per period of the table and residue mod 9: base + R ≡ q (mod 9)
-    picks the survivors R ≡ q - base.  Where the table has lead rows (depth
-    S), a run yields (n, c_k, d_k, cp, dp) per survivor n, else n alone.
+    picks the survivors R ≡ q - base.  A run yields (n, c_k, d_k, cp, dp)
+    per survivor n: n with the lead row of its residue (`_survivor_table`).
     """
     by_mod_9, *_, leads = _survivor_table(k)
     period = 1 << max(k, P)
@@ -430,12 +413,7 @@ def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[
             m = (q - base) % 9
             rs = by_mod_9[m]
             i, j = bisect_left(rs, a - base), bisect_right(rs, b - base)
-            run = map(base.__add__, rs[i:j])
-            if leads:
-                coefs, consts = leads[m]
-                cs, ds = iter(coefs[2 * i : 2 * j]), iter(consts[2 * i : 2 * j])
-                run = zip(run, cs, ds, cs, ds)
-            yield run
+            yield zip(map(base.__add__, rs[i:j]), *[col[i:j] for col in leads[m]])
 
 
 def _settled_ends(first: int, hi: int, settled: tuple) -> set[int]:
@@ -467,15 +445,14 @@ def _sweep_chunk(
     A chunk takes the sieve at depth k = min(S, budget, log2 of its width)
     when every such start in it drops onto 1 or a start of the sweep:
     from about 2 * range_lo on, and from the first chunk on in a sweep from
-    1 (`_plan_depth`).  It walks only the survivors; at depth S each of them
-    starts at step S, from its residue's lead row.  The other starts have
-    at most k steps and peaks at most c*(hi >> k) + d, the table's bound:
-    if the walked starts' records beat both strictly, none of them can hold
-    a record and they are left out.  Otherwise every class that drops is
-    folded: its first and its last start in the chunk, which hold its step
-    and peak records, are walked.  Apart from that fold, the sieve costs
-    nothing per settled class.  A chunk that does not take it walks all its
-    starts.
+    1 (`_plan_depth`).  It walks only the survivors, each from step k on,
+    from its residue's lead row.  The other starts have at most k steps
+    and peaks at most c*(hi >> k) + d, the table's bound: if the walked
+    starts' records beat both strictly, none of them can hold a record and
+    they are left out.  Otherwise every class that drops is folded: its
+    first and its last start in the chunk, which hold its step and peak
+    records, are walked.  Apart from that fold, the sieve costs nothing per
+    settled class.  A chunk that does not take it walks all its starts.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -507,9 +484,9 @@ def _sweep_chunk(
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
     if k:
-        _, _, (c, d), settled, leads = _survivor_table(k)
+        _, _, (c, d), settled, _ = _survivor_table(k)
         runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
-        records = walk(chain.from_iterable(runs), records, k if leads else 0)
+        records = walk(chain.from_iterable(runs), records, k)
         if not (records[0] > k and records[2] > c * (hi >> k) + d):
             records = walk(_settled_ends(first, hi, settled), records)
     else:

@@ -93,6 +93,13 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # full chunk starts at step 16 from its lead row, exactly on the budget.
         ("verify-range 1 300000 --budget 16 --json",
          "3eadf185c2562609ae1864334499f97519ca8f582b126ba99c5af250af992d20"),
+        # 8,964 inconclusive starts: chunks of 1,000 take the sieve at depth 9, and each
+        # survivor starts at step 9 from its lead row.
+        ("verify-range 1 200000 --budget 14 --chunk-size 1000 --json",
+         "3a6a7393741dab69e819337ef6f8e1cabcd1e7ee64a1dd1975e7649f2e5154e0"),
+        # No witnesses: chunks of 3,000 take the sieve at depth 11.
+        ("verify-range 1 100000 --chunk-size 3000 --json",
+         "17638ccc10676a10d75485a697b8482da50a30df28cb278909217b2b037480e0"),
     ],
 )
 def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):

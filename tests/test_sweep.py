@@ -1,6 +1,5 @@
 """The sweep kernel against a per-start reference, and checkpoint safety of RangeVerifier."""
 
-import functools
 import gc
 import json
 import multiprocessing
@@ -465,27 +464,43 @@ def test_survivors_and_settled_classes_partition_the_residues(k):
 
 
 def test_lead_rows_against_single_steps():
-    by_mod_9, *_, leads = sweep._survivor_table(S)
-    assert all(sweep._survivor_table(k)[4] is None for k in range(1, S))  # depth S only
-    rows = {}
-    for rs, (coefs, consts) in zip(by_mod_9, leads):
-        assert len(coefs) == len(consts) == 2 * len(rs)
-        rows.update((r, (coefs[2 * i], consts[2 * i], coefs[2 * i + 1], consts[2 * i + 1]))
-                    for i, r in enumerate(rs))
-    assert len(rows) == SURVIVOR_COUNTS[S - 1]
-    # The rows share one int object per distinct coefficient: 6 of c_S and 43 of cp.
-    for at, distinct in ((0, 6), (2, 43)):
-        values = [row[at] for row in rows.values()]
-        assert len({id(v) for v in values}) == len(set(values)) == distinct
-    for r, (c, d, cp, dp) in rows.items():
-        # The form with the largest c_j has the largest d_j too: cp*t + dp is the
-        # peak over steps 0..S from t = 0 on.
-        forms = sweep._forms(r, S)
-        assert max(forms) == (cp, max(d for _, d in forms))
-        for t in (0, 1, 2**48, 3**40):
-            values = _values((t << S) + r, S)
-            assert values[S] == c * t + d
-            assert max(values) == cp * t + dp
+    for k in range(1, S + 1):
+        by_mod_9, *_, leads = sweep._survivor_table(k)
+        rows = {}
+        for rs, columns in zip(by_mod_9, leads):
+            assert len(columns) == 4 and all(len(col) == len(rs) for col in columns)
+            rows.update(zip(rs, zip(*columns)))
+        # A lifted residue R has the row of R mod 2^k: n = 2^k*t + R starts at t = n >> k.
+        assert all(row == rows[r % (1 << k)] for r, row in rows.items())
+        survivors = {r: row for r, row in rows.items() if r < 1 << k}
+        assert len(survivors) == SURVIVOR_COUNTS[k - 1]
+        for r, (c, d, cp, dp) in survivors.items():
+            # The form with the largest c_j has the largest d_j too: cp*t + dp is the
+            # peak over steps 0..k from t = 0 on.
+            forms = sweep._forms(r, k)
+            assert max(forms) == (cp, max(d for _, d in forms)), (k, r)
+            for t in (0, 1, 2**48, 3**40):
+                values = _values((t << k) + r, k)
+                assert values[k] == c * t + d, (k, r, t)
+                assert max(values) == cp * t + dp, (k, r, t)
+
+
+@pytest.mark.parametrize("k", range(1, S + 1))
+def test_a_sieve_chunk_starts_its_survivors_at_step_k(monkeypatch, k):
+    # The chunk shape of test_chunk_equals_reference_at_each_depth: it takes the sieve at
+    # depth k and walks its survivors from their lead rows, before any fold.
+    leads, orbits = [], sweep._orbits
+
+    def recording(*args):
+        leads.append(args[6] if len(args) > 6 else 0)
+        return orbits(*args)
+
+    monkeypatch.setattr(sweep, "_orbits", recording)
+    lo = fold_bound(k, 1000) + 3
+    task = (lo, lo + (1 << k), 1000, 10**6)
+    assert sweep._plan_depth(*task) == k
+    sweep._sweep_chunk(task, residues=EVERY)
+    assert leads[0] == k
 
 
 @pytest.mark.parametrize("k", range(1, S + 1))
@@ -623,9 +638,6 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
         if plan == "per class":
             monkeypatch.undo()
             monkeypatch.setattr(sweep, "S", K)
-            # Tables built while S is patched stay out of the session's cache.
-            monkeypatch.setattr(sweep, "_survivor_table",
-                                functools.cache(sweep._survivor_table.__wrapped__))
             assert sweep._plan_depth(*task) == K
         plans[plan] = [sweep._sweep_chunk(task, residues=r) for r in (EVERY, *PASSES)]
     # Over all nine residues every plan gives each start's exact records.
