@@ -217,22 +217,41 @@ def _forms(r: int, k: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def _residue_table() -> tuple:
-    """The first K steps of x -> x/2, (3x + 1)/2 on each class mod 2^K (`_forms`).
+def _residue_table() -> tuple[tuple, tuple]:
+    """The first K steps of x -> x/2, (3x + 1)/2 on each class mod 2^K: (rows, landings).
 
-    Row r, for n = 2^K*t + r, is (c_K, d_K, minc, cp, dp): the value after
-    K steps; minc, the smallest c_j over the K-1 values in between; the
-    peak form cp*t + dp (largest c_j over j = 0..K), which is the exact
-    maximum of the K+1 values for every t >= 0, since dp >= d_j for every j.
+    Row r, for n = 2^K*t + r, is (c_K, d_K, minc, cp, dp) in the forms of
+    `_forms`: the value after K steps; minc, the smallest c_j over the K-1
+    values in between; the peak form cp*t + dp (largest c_j over j =
+    0..K), which is the exact maximum of the K+1 values for every t >= 0,
+    since dp >= d_j for every j.
+
+    Landing r is (lows, lands), for a start n whose orbit is at v = 2^K*t
+    + r with t >= 1 and minc*t <= n, where the jump might reach n: the
+    orbit loop lands instead on the first step j with c_j*t <= n, and
+    every value before it exceeds n.  Only a step whose c_j is below every
+    c_i before it (i >= 1) can be that step.  For these steps j_1 = 1 < ...
+    < j_p < K, lands holds (j, c_j, d_j, cp_j, dp_j) from j_p down to j_1:
+    the value at step j and the peak form over steps 0..j, exact for every
+    t >= 0 like the row's, since dp_j >= d_i for every i <= j.  lows holds
+    the c_j of all but j_p (whose c_j is minc), from j_(p-1) down to j_1,
+    ascending.  Since c*t > n exactly when c > n // t,
+    lands[bisect_right(lows, n // t)] is the landing.  Equal ints share
+    one object.
     """
-    rows = []
+    rows, landings = [], []
+    ints: dict[int, int] = {}
     for r in range(_WIDTH):
-        forms = _forms(r, K)
-        c, d = forms[K]
-        cp, dp = max(forms)
-        minc = min(cj for cj, _ in forms[1:K])
-        rows.append((c, d, minc, cp, dp))
-    return tuple(rows)
+        forms = [(ints.setdefault(c, c), ints.setdefault(d, d)) for c, d in _forms(r, K)]
+        lows, lands, peak = [], [], forms[0]
+        for j, form in enumerate(forms[1:K], 1):
+            peak = max(peak, form)
+            if not lows or form[0] < lows[-1]:
+                lows.append(form[0])
+                lands.append((j, *form, *peak))
+        rows.append((*forms[K], lows.pop(), *max(forms)))
+        landings.append((tuple(reversed(lows)), tuple(reversed(lands))))
+    return tuple(rows), tuple(landings)
 
 
 @functools.cache
@@ -517,10 +536,13 @@ def _orbits(
     by this run.  An orbit that returns to n is a cycle, appended to
     `violations`; one that runs out of budget is appended to `inconclusive`.
 
-    Orbits move K steps per `_residue_table` lookup while no value in
-    between can reach n and the budget allows, single steps otherwise, so
-    step counts, peaks, drops and witnesses are exactly those of single
-    steps.
+    Orbits move K steps per `_residue_table` row while no value in between
+    can reach n and the budget allows.  When one might, and t = v >> K >=
+    1, they land on the first step j < K with c_j*t <= n (the row's
+    landing): every value before it exceeds n, and the one there is the
+    drop, a cycle or the next value to follow.  Single steps remain below
+    2^K and in the last K steps of the budget.  So step counts, peaks,
+    drops and witnesses are exactly those of single steps.
 
     With `lead` = k > 0 each start comes as (n, c, d, cp, dp), the lead row
     of its survivor residue mod 2^k (`_survivor_table`), and its orbit
@@ -529,7 +551,7 @@ def _orbits(
     and it fits, since a chunk's depth k is at most its budget.
     """
     _, _, range_lo, budget = task
-    jumps = _residue_table()
+    jumps, landings = _residue_table()
     tail = _tail_table()
     no_conclusion = f"no conclusion within {budget} steps"
     mask = _MASK
@@ -554,6 +576,14 @@ def _orbits(
                 if top > peak:
                     peak = top
                 steps += K
+            elif t and steps <= last_jump:
+                lows, lands = landings[v & mask]
+                j, c, d, cp, dp = lands[bisect_right(lows, n // t)]
+                v = c * t + d
+                top = cp * t + dp
+                if top > peak:
+                    peak = top
+                steps += j
             elif v & 1:
                 v = (3 * v + 1) >> 1
                 if v > peak:

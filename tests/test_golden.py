@@ -100,6 +100,11 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # No witnesses: chunks of 3,000 take the sieve at depth 11.
         ("verify-range 1 100000 --chunk-size 3000 --json",
          "17638ccc10676a10d75485a697b8482da50a30df28cb278909217b2b037480e0"),
+        # No witnesses at the default budget, the shape of the benchmark's sweep: every
+        # full chunk takes the sieve at depth 16, and its orbits jump and land until
+        # they drop.  max_steps 164 and max_peak 12324038948, both at 270271.
+        ("verify-range 1 300000 --json",
+         "c92be0f9c52b9e102c953c28beede6957661af7c2d2506d8c6d4557b029cd0b4"),
     ],
 )
 def test_mid_scale_sweep_report_is_byte_stable(capsys, command, digest):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,65 @@ def test_a_memo_hit_ends_a_chase_exactly_at_the_budget(monkeypatch):
     assert reference_chunk((n2, n2, n2, total - 1))[3] != []
 
 
+def _loop_work(n, v, steps, budget):
+    """(iterations, landings) of the orbit loop for start n from v, reached after `steps`.
+
+    While t = v >> K >= 1 and K steps fit in the budget, an iteration moves
+    to the first step j whose t-coefficient can reach n, c_j*t <= n, or K
+    steps when none can: a jump for j = K, a landing otherwise.  Else it
+    takes a single step.  It stops when the orbit drops to n or below.
+    """
+    iterations = landings = 0
+    while steps < budget:
+        iterations += 1
+        t, j = v >> K, 1
+        if t and steps <= budget - K:
+            coefs = [c for c, _ in sweep._forms(v % WIDTH, K)]
+            j = next((i for i in range(1, K) if coefs[i] * t <= n), K)
+            landings += j < K
+        for _ in range(j):
+            v = _step(v)
+        steps += j
+        if v <= n:
+            break
+    return iterations, landings
+
+
+def test_the_orbit_loop_reads_at_most_2_5_rows_per_walked_start(monkeypatch):
+    # The kernel's work on [1, 2^18] at the default budget, the shape of the benchmark's
+    # sweep, counted without a clock: one row read per iteration of the orbit loop, and a
+    # landing read per landing.  Single steps wherever a jump might reach the start
+    # would read 4.73 rows per walked start.
+    rows, landings = sweep._residue_table()
+    row_reads, landing_reads = _Reads(rows), _Reads(landings)
+    row_reads.reads, landing_reads.reads = [], []
+    monkeypatch.setattr(sweep, "_residue_table", lambda: (row_reads, landing_reads))
+    walked = []
+    orbits = sweep._orbits
+
+    def recording(task, memo, violations, inconclusive, starts, records, lead=0):
+        starts = list(starts)
+        walked.extend((start, lead) for start in starts)
+        return orbits(task, memo, violations, inconclusive, starts, records, lead)
+
+    monkeypatch.setattr(sweep, "_orbits", recording)
+    budget = sweep.DEFAULT_BUDGET
+    assert RangeVerifier(1, 1 << 18, budget=budget).run().inconclusive == []
+    assert len(row_reads.reads) <= 2.5 * len(walked)
+    # Exactly the model's work: in particular no single step while t >= 1 and the
+    # budget allows a jump.
+    iterations = landed = 0
+    for start, lead in walked:
+        if lead:
+            n, c, d, _, _ = start
+            work = _loop_work(n, c * (n >> lead) + d, lead, budget)
+        else:
+            work = _loop_work(start, start, 0, budget)
+        iterations += work[0]
+        landed += work[1]
+    assert (len(row_reads.reads), len(landing_reads.reads)) == (iterations, landed)
+
+
 @pytest.mark.parametrize("budget", [10**6, 200, 150])
 def test_memo_entries_equal_single_steps(budget):
     memo = sweep._ChaseMemo()
@@ -296,11 +356,27 @@ def test_memo_entries_equal_single_steps(budget):
 def test_every_3x_plus_1_row_jumps_from_t_2_to_the_b_minus_1():
     # `_chase` jumps without checking the row from t = 2^(B-1) on: minc*t > 2^B - 1.  A
     # jump's top is its peak from t = 0 on: cp >= c_j and dp >= d_j for every j.
-    for r, (_, _, minc, cp, dp) in enumerate(sweep._residue_table()):
+    rows, landings = sweep._residue_table()
+    for r, (_, _, minc, cp, dp) in enumerate(rows):
         forms = sweep._forms(r, K)
         assert minc == min(c for c, _ in forms[1:K]) >= 2
         assert (cp, dp) == max(forms)
         assert all(dp >= d for _, d in forms)
+        # A landing's top over steps 0..j is its peak from t = 0 on as well.  That does
+        # not follow from the row's: the form with the largest c_j of a prefix need not
+        # have its largest d_j, since a larger c_j does not always come with a larger d_j
+        # (the 13 pairs below).  So every prefix a landing takes is checked on its own.
+        for j, _, _, cpj, dpj in landings[r][1]:
+            assert (cpj, dpj) == max(forms[: j + 1])
+            assert all(dpj >= d for _, d in forms[: j + 1])
+    pairs = [
+        (r, i, j)
+        for r in range(WIDTH)
+        for i, (ci, di) in enumerate(sweep._forms(r, K))
+        for j, (cj, dj) in enumerate(sweep._forms(r, K))
+        if ci > cj and di < dj
+    ]
+    assert len(pairs) == 13 and len({r for r, _, _ in pairs}) == 9
 
 
 def test_kernel_equals_reference_with_a_one_slot_memo(monkeypatch):
@@ -418,20 +494,45 @@ def _values(n, count):
 
 
 def test_table_rows_against_single_steps():
-    jumps = sweep._residue_table()
-    assert sweep._residue_table() is jumps  # built once, on first use
+    table = sweep._residue_table()
+    assert sweep._residue_table() is table  # built once, on first use
+    rows, landings = table
     for r in range(WIDTH):
-        c, d, minc, cp, dp = jumps[r]
-        for t in (0, 1, 2, 10**12 + r):
+        c, d, minc, cp, dp = rows[r]
+        lows, lands = landings[r]
+        for t in (0, 1, 2, 10**12 + r, 2**64 + r):
             if (t, r) == (0, 0):
                 continue
-            n = t * WIDTH + r
-            values = _values(n, K)
-            ahead = _values(n + WIDTH, K)
+            v = t * WIDTH + r
+            values = _values(v, K)
+            ahead = _values(v + WIDTH, K)
+            coefs = [b - a for a, b in zip(values, ahead)]  # c_j, the t-coefficients
             assert values[K] == c * t + d
             # minc is the smallest t-coefficient of the values strictly between.
-            assert minc == min(b - a for a, b in zip(values[1:K], ahead[1:K]))
+            assert minc == min(coefs[1:K])
             assert max(values) == cp * t + dp
+            # The landing steps are the j < K whose c_j is below every c_i before them,
+            # from the last down; lows are the prefix minima min(c_1..c_j) at all of
+            # them but the last, whose prefix minimum is minc.
+            firsts = [j for j in range(1, K) if all(coefs[j] < ci for ci in coefs[1:j])]
+            assert [j for j, *_ in lands] == firsts[::-1]
+            assert list(lows) == [min(coefs[1 : j + 1]) for j, *_ in lands[1:]]
+            assert min(coefs[1 : lands[0][0] + 1]) == minc
+            for j, cj, dj, cpj, dpj in lands:
+                assert values[j] == cj * t + dj
+                assert max(values[: j + 1]) == cpj * t + dpj
+            # A start n < v that the jump might reach (minc*t <= n) lands on the first
+            # step j with c_j*t <= n, and every value before it exceeds n.  Checked at
+            # both sides of each threshold c_j*t and for the n just below v, where at
+            # large t the landing is the first step whose value is at most n.
+            near = range(v - 64, v)
+            for n in {*near, *(ci * t + e for ci in coefs[1:K] for e in (-1, 0))}:
+                if not (t and minc * t <= n < v):
+                    continue
+                j = lands[bisect_right(lows, n // t)][0]
+                assert j == next(i for i in range(1, K) if coefs[i] * t <= n)
+                drop = next((i for i in range(1, K + 1) if values[i] <= n), K + 1)
+                assert drop == j if t > 2 and n in near else drop >= j, (r, t, n)
 
 
 #: Survivors mod 2^k for k = 1..16 (OEIS A076227).
@@ -914,6 +1015,25 @@ def test_importing_the_package_builds_no_sweep_table():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[0, 0, 0]\n"
+
+
+def test_the_residue_table_and_its_landings_take_under_160_kib():
+    """Rows and landing columns of `_residue_table`, by `tracemalloc` in a fresh interpreter.
+
+    147,064 bytes on Python 3.11 to 3.13 (148,288 on 3.10), against 34,112 for the rows
+    alone: per row, one landing per step that can be the first to reach a start (3.5 on
+    average), and equal ints share one object.  `gc.collect` first empties the free
+    lists, whose reused tuples tracing would not count.
+    """
+    src = str(Path(collatz_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import gc, tracemalloc; from collatz_lab import sweep; gc.collect(); "
+            "built = sweep._residue_table.cache_info().currsize; tracemalloc.start(); "
+            "table = sweep._residue_table(); print(built, tracemalloc.get_traced_memory()[0])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    built, size = map(int, out.stdout.split())
+    assert built == 0 and size < 160 * 1024
 
 
 # ---------------------------------------------------------------------------
