@@ -11,9 +11,9 @@ A tree stores its nodes only.  Every node but the root has one parent,
 its forward step, and the rule on that edge is fixed by the child mod 4 in
 both flavors, the limit-cycle edges included (it is read off the child as
 `trajectory._walk` reads it).  So the edges are a function of the nodes:
-the build expands one level at a time and keeps no edge, the exports
-render the child, parent and rule columns, and the parse checks the
-document's columns against those of its nodes.
+the build expands one level at a time and keeps no edge, and the exports
+render the child, parent and rule columns.  The parse builds the tree of
+the document's flavor, root and caps again and compares the two.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from operator import and_, itemgetter, lt, mod
+from itertools import repeat, zip_longest
+from operator import and_, itemgetter, lt
 from typing import NamedTuple
 
 from .core_map import ReducedRule, ResidueClass, Rule, residue_class
@@ -66,35 +66,27 @@ class Tree:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """Each node other than the root to its forward step, sorted by child."""
-        return _edges(*_columns_of(self))
+        """Each node other than the root to its forward step, sorted by child.
+
+        Made from the columns in one pass, without an `Edge(...)` call per edge.
+        """
+        return tuple(map(tuple.__new__, repeat(Edge), zip(*_columns_of(self))))
 
 
 #: Each flavor's rule at a child c, by c mod 4.
 _RULES_AT = {TreeFlavor.FULL: _RULES, TreeFlavor.REDUCED: _REDUCED_RULES}
 
-#: Each flavor's limit-cycle edges: a tree has at most one of them cut.
-_CYCLE_EDGES = {
-    TreeFlavor.FULL: (Edge(1, 2, Rule.R2), Edge(2, 1, Rule.R1)),
-    TreeFlavor.REDUCED: (Edge(2, 2, ReducedRule.Q2),),
-}
 
-
-def _rules(flavor: TreeFlavor, children):
-    """The rule column of `children`, `_RULES_AT[flavor][c & 3]` for each c."""
-    return map(_RULES_AT[flavor].__getitem__, map(and_, children, repeat(3)))
+def _rules(table, children):
+    """The rule column of `children`, `table[c & 3]` for each c: rules or their names."""
+    return map(table.__getitem__, map(and_, children, repeat(3)))
 
 
 def _columns_of(tree: Tree):
     """The child, parent and rule columns of a tree's edges: its nodes other than the root."""
     i = bisect_left(tree.nodes, tree.root)
     children = tree.nodes[:i] + tree.nodes[i + 1 :]
-    return children, _images(tree.flavor, children), _rules(tree.flavor, children)
-
-
-def _edges(children, parents, rules) -> tuple[Edge, ...]:
-    """Edges from their columns in one pass, without an `Edge(...)` call per edge."""
-    return tuple(map(tuple.__new__, repeat(Edge), zip(children, parents, rules)))
+    return children, _images(tree.flavor, children), _rules(_RULES_AT[tree.flavor], children)
 
 
 def _check_caps(flavor: TreeFlavor, root: int, max_depth: int | None, max_value: int | None):
@@ -128,11 +120,24 @@ def build_tree(
     root, when the root's orbit has come back to it; that is the one
     membership test.
     """
+    nodes, cut = _grow(flavor, root, max_depth, max_value)
+    nodes.sort()
+    return Tree(flavor, root, max_depth, max_value, tuple(nodes), cut)
+
+
+def _grow(flavor: TreeFlavor, root: int, max_depth: int | None, max_value: int | None,
+          most: float = math.inf) -> tuple[list[int], tuple[Edge, ...]]:
+    """`build_tree`'s level loop: the nodes in the order found, and the suppressed edges.
+
+    The loop stops after the first level that brings the count past `most`
+    nodes.  A level at most doubles the frontier, so it then holds at most
+    3 * `most` nodes, whatever the caps.
+    """
     _check_caps(flavor, root, max_depth, max_value)
     cap = math.inf if max_value is None else max_value
     levels = math.inf if max_depth is None else max_depth
     nodes, frontier, cut, depth = [root], [root], [], 0
-    while frontier and depth < levels:
+    while frontier and depth < levels and len(nodes) <= most:
         depth += 1
         # `predecessors` and `reduced_predecessors`, a level at a time.  Reduced
         # flavor: (4p-2)/3 is in C2 iff p = 2 (mod 9), and (2p-1)/3 iff p = 8.
@@ -150,9 +155,8 @@ def build_tree(
                 cut.append(Edge(root, p, _RULES_AT[flavor][root & 3]))
         frontier = [c for c in kids if c <= cap]
         nodes += frontier
-    nodes.sort()
     # At most one suppressed edge: the limit cycle closes once.
-    return Tree(flavor, root, max_depth, max_value, tuple(nodes), tuple(cut))
+    return nodes, tuple(cut)
 
 
 def export_dot(tree: Tree) -> str:
@@ -199,35 +203,6 @@ def export_json(tree: Tree) -> str:
     )
 
 
-class _RuleNames(dict):
-    """One flavor's rules by name; an unknown name raises ValueError, not KeyError."""
-
-    def __missing__(self, name):
-        raise ValueError(f"unknown rule name {name!r} in a tree of this flavor")
-
-
-_RULES_BY_NAME = {
-    TreeFlavor.FULL: _RuleNames({r.name: r for r in Rule}),
-    TreeFlavor.REDUCED: _RuleNames({r.name: r for r in ReducedRule}),
-}
-
-_CHILD, _PARENT, _RULE = map(itemgetter, ("child", "parent", "rule"))
-
-
-def _columns(items, names: _RuleNames) -> tuple[tuple, tuple, tuple]:
-    """The child, parent and rule columns of a document's edge list.
-
-    One pass per column: a pass that takes all three fields at once makes
-    a tuple per edge, and those short-lived tuples set off more full
-    garbage collections than the columns save.
-    """
-    return (
-        tuple(map(_CHILD, items)),
-        tuple(map(_PARENT, items)),
-        tuple(map(names.__getitem__, map(_RULE, items))),
-    )
-
-
 def _images(flavor: TreeFlavor, children: tuple[int, ...]) -> tuple[int, ...]:
     """Each child's forward step under the flavor's map (`step` or `reduced_step`)."""
     if flavor is TreeFlavor.REDUCED:
@@ -236,67 +211,18 @@ def _images(flavor: TreeFlavor, children: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([(3 * c + 1) >> 1 if c & 1 else c >> 1 for c in children])
 
 
-def _check_tree(tree: Tree, columns: tuple[tuple, tuple, tuple]) -> None:
-    """Raise ValueError unless a parsed tree has the shape of a `build_tree` result.
-
-    The nodes strictly ascend from 1 up, hold the root, stay within
-    `max_value` and, in reduced flavor, lie in class C2.  The document's
-    edge columns are those the tree derives from its nodes: the children
-    are the nodes other than the root, in order, each parent is its child's
-    forward step and a node, and each rule is the one the map fires at the
-    child.  At most one edge is cut, and it is a limit-cycle edge;
-    no regular edges close that cycle.  So following parents from a
-    node walks its orbit, which ends at the root (an unknown cycle aside).
-    The caps are not re-applied beyond `max_value`: a tree cut short, or
-    deeper than `max_depth`, still passes.
-    """
-    flavor, root, max_value, nodes = tree.flavor, tree.root, tree.max_value, tree.nodes
-    suppressed = tree.suppressed_edges
-    children, parents, rules = columns
-    if not all(map(lt, nodes, nodes[1:])):
-        raise ValueError("tree nodes do not strictly ascend")
-    i = bisect_left(nodes, root)
-    if nodes[i : i + 1] != (root,):
-        raise ValueError(f"tree nodes do not include the root {root}")
-    if nodes[0] < 1:
-        raise ValueError(f"tree node {nodes[0]} is not a positive integer")
-    if max_value is not None and nodes[-1] > max_value:
-        raise ValueError(f"tree node {nodes[-1]} exceeds max_value {max_value}")
-    if flavor is TreeFlavor.REDUCED and {*map(mod, nodes, repeat(3))} != {2}:
-        raise ValueError("reduced tree nodes lie outside class C2")
-    derived, images, want = _columns_of(tree)
-    if children != derived:
-        raise ValueError("tree edge children are not the nodes other than the root, in order")
-    if parents != images:
-        c, p, q = next(e for e in zip(children, parents, images) if e[1] != e[2])
-        raise ValueError(f"tree edge {c} -> {p}: the map sends {c} to {q}")
-    want = tuple(want)
-    if rules != want:
-        c, r, w = next(e for e in zip(children, rules, want) if e[1] is not e[2])
-        raise ValueError(f"tree edge from {c} has rule {r._name_}, but the map fires {w._name_}")
-    if missing := set(parents).difference(nodes):
-        raise ValueError(f"tree edge parent {min(missing)} is not a node")
-    cycle = _CYCLE_EDGES[flavor]
-    if len(suppressed) > 1:
-        raise ValueError(f"a tree cuts at most one limit-cycle edge, got {len(suppressed)}")
-    # The cycle's values are 1 and 2, so its edges and nodes come first.
-    if suppressed and (suppressed[0] not in cycle or not {*suppressed[0][:2]} <= {*nodes[:2]}):
-        raise ValueError(f"suppressed edge {suppressed[0][:2]} is not a limit-cycle edge")
-    if _edges(children[: len(cycle)], parents, rules) == cycle:
-        raise ValueError("regular tree edges close the limit cycle")
-
-
 def tree_from_json(text: str) -> Tree:
     """Parse the export_json format back into a Tree.
 
-    Anything else raises ValueError with a message: a top level that is
-    not an object, a missing key, a rule name of the other flavor, a root,
-    limit, node or edge value that is not an integer, caps `build_tree`
-    refuses, or nodes and edges that do not form a tree of the flavor (see
-    `_check_tree`).  The edge lists are read as child, parent and rule
-    columns, and the checks compare whole columns.  Once they pass, the
-    document's edges are the ones the tree derives from its nodes, so only
-    the nodes are kept.
+    Anything else raises ValueError with a message.  A top level that is
+    not an object, a missing key, a root, limit, node or edge value that is
+    not an integer, and caps `build_tree` refuses fail first.  Then the tree
+    of the document's flavor, root and caps is built again, and the
+    document's nodes, edges and suppressed edges must be the build's: the
+    message names the first node or edge where the two differ (a rule name
+    of the other flavor is such an edge).  The build stops once it holds
+    more nodes than the document lists, so a document costs time in
+    proportion to its own size, whatever caps it claims.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -306,19 +232,43 @@ def tree_from_json(text: str) -> Tree:
         raise ValueError(f"unsupported tree schema_version: {version!r}")
     try:
         flavor = TreeFlavor(doc["flavor"])
-        names = _RULES_BY_NAME[flavor]
         root, limits, nodes = doc["root"], doc["limits"], tuple(doc["nodes"])
         max_depth, max_value = limits["max_depth"], limits["max_value"]
-        columns, cut_columns = (_columns(doc[k], names) for k in ("edges", "suppressed_edges"))
+        # The child, parent and rule columns of each edge list, one pass per column: a
+        # pass that takes all three fields at once makes a tuple per edge, and those
+        # short-lived tuples set off more garbage collections than the columns save.
+        edges, cut = ([tuple(map(itemgetter(f), doc[k])) for f in ("child", "parent", "rule")]
+                      for k in ("edges", "suppressed_edges"))
     except KeyError as exc:
         raise ValueError(f"tree document has no {exc} key") from None
     except TypeError as exc:
         raise ValueError(f"malformed tree document: {exc}") from None
+    del doc  # a full garbage collection during the rebuild would walk every edge dict
     require_ints("tree root", [root])
     require_ints("tree limits", [v for v in (max_depth, max_value) if v is not None])
     require_ints("tree nodes", nodes)
-    require_ints("tree edges", columns[0] + columns[1] + cut_columns[0] + cut_columns[1])
-    _check_caps(flavor, root, max_depth, max_value)
-    tree = Tree(flavor, root, max_depth, max_value, nodes, _edges(*cut_columns))
-    _check_tree(tree, columns)
-    return tree
+    require_ints("tree edges", edges[0] + edges[1] + cut[0] + cut[1])
+    built, suppressed = _grow(flavor, root, max_depth, max_value, len(nodes))
+    # The build's nodes are distinct, so ascending nodes of the same count that
+    # it holds are its nodes in order.
+    have = set(built)
+    if len(nodes) != len(built) or not have.issuperset(nodes) or not all(map(lt, nodes, nodes[1:])):
+        # A node the build has and the document lacks comes first: a build that stopped
+        # early has one, as it holds more nodes than the document lists, while nodes
+        # past where it stopped may still be the tree's.
+        if lack := have.difference(nodes):
+            raise ValueError(f"tree node {min(lack)}: the build has it, the document does not")
+        if extra := set(nodes).difference(have):
+            raise ValueError(f"tree node {min(extra)}: the document has it, the build does not")
+        raise ValueError("tree nodes do not strictly ascend")
+    # Edges and suppressed edges alike go from a child to its forward step by its rule.
+    names = tuple(r._name_ for r in _RULES_AT[flavor])
+    i = bisect_left(nodes, root)
+    for what, got, children in (("tree edge", edges, nodes[:i] + nodes[i + 1 :]),
+                                ("suppressed edge", cut, tuple(e.child for e in suppressed))):
+        want = [children, _images(flavor, children), tuple(_rules(names, children))]
+        if got != want:
+            g, w = next(pair for pair in zip_longest(zip(*got), zip(*want)) if pair[0] != pair[1])
+            raise ValueError(f"{what}: the document has {g or 'none'} "
+                             f"where the build has {w or 'none'}")
+    return Tree(flavor, root, max_depth, max_value, nodes, suppressed)

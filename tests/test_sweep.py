@@ -535,6 +535,47 @@ def test_table_rows_against_single_steps():
                 assert drop == j if t > 2 and n in near else drop >= j, (r, t, n)
 
 
+def _starts_on_a_landing_threshold(lo, count):
+    """The starts in [lo, lo + count) where the orbit loop lands with n // t a prefix minimum.
+
+    The walk takes the loop's jumps and landings from step 0, as a one-start
+    chunk does, and stops at its drop.  At n // t = c_j for a prefix minimum
+    c_j, c_j*t <= n < (c_j + 1)*t: the landing is step j itself, and the
+    value there may be the drop.
+    """
+    rows, landings = sweep._residue_table()
+    found = []
+    for n in range(lo, lo + count):
+        v = n
+        while True:
+            t, r = v >> K, v % WIDTH
+            c, d, minc, _, _ = rows[r]
+            if minc * t <= n:
+                lows, lands = landings[r]
+                i = bisect_right(lows, n // t)
+                if i and lows[i - 1] == n // t:
+                    found.append(n)
+                    break
+                _, c, d, _, _ = lands[i]
+            v = c * t + d
+            if v <= n:
+                break
+    return found
+
+
+@pytest.mark.parametrize("lo", [10**6, 10**9, 10**12])
+def test_each_start_on_a_landing_threshold_equals_single_steps(lo):
+    # The other reference tests reach such a start rarely: a loop that landed one prefix
+    # minimum late there (`bisect_left` for `bisect_right`) stepped over drops and passed
+    # all of them but one.
+    starts = _starts_on_a_landing_threshold(lo, 1 << 16)
+    assert len(starts) >= 10
+    for n in starts:
+        task = (n, n, lo, sweep.DEFAULT_BUDGET)
+        assert sweep._plan_depth(*task) == 0  # walked from step 0, as the scan walks it
+        assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
+
+
 #: Survivors mod 2^k for k = 1..16 (OEIS A076227).
 SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2114]
 

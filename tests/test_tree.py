@@ -1,7 +1,10 @@
 """Unit tests for backward tree construction and DOT/JSON export."""
 
+import gc
 import json
 import pickle
+import re
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
@@ -452,32 +455,38 @@ class TestMalformedDocument:
             tree_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda doc: doc.update(limits=[]),
-            lambda doc: doc.update(edges=3),
-            lambda doc: doc["edges"].__setitem__(0, [2, 1, "R1"]),
-            lambda doc: doc["edges"][0].update(rule=["R1"]),
+            (lambda doc: doc.update(limits=[]), "malformed tree document"),
+            (lambda doc: doc.update(edges=3), "malformed tree document"),
+            (lambda doc: doc["edges"].__setitem__(0, [2, 1, "R1"]), "malformed tree document"),
+            # A rule is compared with the build's rule name, whatever its type.
+            (lambda doc: doc["edges"][0].update(rule=["R1"]),
+             "tree edge: the document has (2, 1, ['R1']) where the build has (2, 1, 'R1')"),
         ],
         ids=["limits-list", "edges-int", "edge-list", "rule-list"],
     )
-    def test_wrong_container(self, mutate):
+    def test_wrong_container(self, mutate, message):
         doc = _tree_doc()
         mutate(doc)
-        with pytest.raises(ValueError, match="malformed tree document"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             tree_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "R3", "r1"])
     def test_unknown_rule_name(self, name):
+        """A rule name the flavor does not have is an edge that differs from the build's."""
         doc = _tree_doc()
         doc["suppressed_edges"][0]["rule"] = name
-        with pytest.raises(ValueError, match=f"unknown rule name '{name}'"):
+        message = (f"suppressed edge: the document has (1, 2, '{name}') "
+                   "where the build has (1, 2, 'R2')")
+        with pytest.raises(ValueError, match=re.escape(message)):
             tree_from_json(json.dumps(doc))
 
     def test_full_rule_name_in_reduced_tree(self):
         doc = json.loads(export_json(build_tree(TreeFlavor.REDUCED, 2, max_value=32)))
         doc["edges"][0]["rule"] = "R1"
-        with pytest.raises(ValueError, match="unknown rule name 'R1'"):
+        message = "tree edge: the document has (5, 8, 'R1') where the build has (5, 8, 'Q3')"
+        with pytest.raises(ValueError, match=re.escape(message)):
             tree_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
@@ -539,46 +548,58 @@ def _set_limits(doc, **limits):
 
 
 def _structure_cases():
-    """(document, message) pairs: each document breaks one structural rule."""
+    """(document, message) pairs: each document is not the build from its flavor, root and caps."""
     full, reduced = TreeFlavor.FULL, TreeFlavor.REDUCED
+    lacks = "tree node {}: the build has it, the document does not".format
+    holds = "tree node {}: the document has it, the build does not".format
+    differs = "{} edge: the document has {} where the build has {}".format
     cases = {}
-    doc = _tree_doc()  # the first three documents parsed before the structural checks
+    doc = _tree_doc()
     _edge_of(doc, 2)["parent"] = 7
-    cases["parent-1-to-7"] = doc, "tree edge 2 -> 7: the map sends 2 to 1"
+    cases["parent-1-to-7"] = doc, differs("tree", (2, 7, "R1"), (2, 1, "R1"))
     doc = _tree_doc()
     doc["nodes"].reverse()
     cases["nodes-reversed"] = doc, "tree nodes do not strictly ascend"
     doc = _tree_doc()
     doc["nodes"].append(999)
-    cases["extra-node-999"] = doc, "tree node 999 exceeds max_value 24"
+    cases["extra-node-999"] = doc, holds(999)
     doc = _doc(full, 1, max_depth=4)
     doc["nodes"].append(999)
-    cases["extra-node-999-depth-cap"] = doc, "children are not the nodes other than the root"
+    cases["extra-node-999-depth-cap"] = doc, holds(999)
     doc = _tree_doc()
     doc["nodes"].remove(1)
-    cases["root-not-a-node"] = doc, "tree nodes do not include the root 1"
+    cases["root-not-a-node"] = doc, lacks(1)
     doc = _add(_tree_doc(), (0, 0, "R1"))
-    cases["node-0"] = doc, "tree node 0 is not a positive integer"
+    cases["node-0"] = doc, holds(0)
     doc = _add(_doc(reduced, 2, max_value=32), (3, 5, "Q3"))
-    cases["reduced-node-in-c0"] = doc, "reduced tree nodes lie outside class C2"
+    cases["reduced-node-in-c0"] = doc, holds(3)
     doc = _tree_doc()
     _edge_of(doc, 2)["rule"] = "R2"
-    cases["wrong-rule"] = doc, "tree edge from 2 has rule R2, but the map fires R1"
+    cases["wrong-rule"] = doc, differs("tree", (2, 1, "R2"), (2, 1, "R1"))
     doc = _add(_doc(full, 5, max_depth=1), (12, 6, "R1"))
-    cases["parent-not-a-node"] = doc, "tree edge parent 6 is not a node"
+    cases["parent-not-a-node"] = doc, holds(12)
     doc = _tree_doc()
     doc["suppressed_edges"].append({"child": 2, "parent": 1, "rule": "R1"})
-    cases["two-suppressed"] = doc, "a tree cuts at most one limit-cycle edge, got 2"
+    cases["two-suppressed"] = doc, differs("suppressed", (2, 1, "R1"), "none")
     doc = _tree_doc()
     doc["suppressed_edges"] = [{"child": 4, "parent": 2, "rule": "R1"}]
-    cases["suppressed-not-a-cycle-edge"] = doc, r"suppressed edge \(4, 2\) is not a limit-cycle"
+    cases["suppressed-not-a-cycle-edge"] = doc, differs("suppressed", (4, 2, "R1"), (1, 2, "R2"))
     doc = _doc(full, 5, max_depth=1)
     doc["suppressed_edges"] = [{"child": 1, "parent": 2, "rule": "R2"}]
-    cases["suppressed-off-the-tree"] = doc, r"suppressed edge \(1, 2\) is not a limit-cycle"
+    cases["suppressed-off-the-tree"] = doc, differs("suppressed", (1, 2, "R2"), "none")
     doc = _add(_doc(full, 4, max_depth=1), (1, 2, "R2"), (2, 1, "R1"))
-    cases["full-cycle-closed"] = doc, "regular tree edges close the limit cycle"
+    cases["full-cycle-closed"] = doc, holds(1)
     doc = _add(_doc(reduced, 5, max_depth=1), (2, 2, "Q2"))
-    cases["reduced-cycle-closed"] = doc, "regular tree edges close the limit cycle"
+    cases["reduced-cycle-closed"] = doc, holds(2)
+    doc = _tree_doc()
+    doc["nodes"].remove(24)
+    doc["edges"].remove(_edge_of(doc, 24))
+    cases["cut-short"] = doc, lacks(24)
+    doc = _set_limits(_doc(full, 1, max_depth=3), max_depth=5)
+    cases["depth-3-tree-at-max-depth-5"] = doc, lacks(5)
+    doc = _set_limits(_doc(full, 1, max_depth=5), max_depth=3)
+    cases["deeper-than-max-depth"] = doc, holds(3)
+    cases["caps-past-the-node-list"] = _one_node_under_a_large_cap(), lacks(2)
     doc = _set_limits(_tree_doc(), max_value=None)
     cases["uncapped"] = doc, "need max_depth and/or max_value"
     doc = _set_limits(_tree_doc(), max_depth=-1)
@@ -592,6 +613,11 @@ def _structure_cases():
     return cases
 
 
+def _one_node_under_a_large_cap():
+    """Node 1 alone, under a value cap of 10^15 and no depth cap: a tree far too large to build."""
+    return _set_limits(_doc(TreeFlavor.FULL, 1, max_depth=0), max_depth=None, max_value=10**15)
+
+
 _STRUCTURE_CASES = _structure_cases()
 
 
@@ -601,34 +627,45 @@ class TestStructure:
     @pytest.mark.parametrize("name", list(_STRUCTURE_CASES))
     def test_not_a_tree(self, name):
         doc, message = _STRUCTURE_CASES[name]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             tree_from_json(json.dumps(doc))
 
-    def test_other_flavor_rule_name_is_reported_first(self):
-        """A rule name of the other flavor fails before the structural checks."""
-        doc = _tree_doc()
-        _edge_of(doc, 2)["rule"] = "Q1"
-        doc["nodes"].reverse()
-        with pytest.raises(ValueError, match="unknown rule name 'Q1'"):
-            tree_from_json(json.dumps(doc))
+    def test_the_rebuild_stops_past_the_node_count(self):
+        """A document costs what its own nodes cost, whatever caps it claims.
+
+        The build from root 1 under a cap of 10^15 would not end; the parse
+        stops it after two nodes.
+        """
+        text = json.dumps(_one_node_under_a_large_cap())
+        gc.collect()  # free-list objects made before tracing would go uncounted
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                tree_from_json(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @settings(max_examples=300, deadline=None)
     @given(tree_args(), st.data())
     def test_one_mutated_field_raises(self, args, data):
         """Any other value in one field of an exported tree makes it no tree of its flavor.
 
-        Raising `max_value` or `max_depth` is left out: it only makes the
-        tree one cut short, which the parse does not detect.
+        The caps are the exception: a document whose `max_value` or
+        `max_depth` is changed is still a tree when the build with the new
+        caps has the same nodes and suppressed edges.  So it raises iff that
+        build differs, or `build_tree` refuses the new caps.
         """
-        doc = json.loads(export_json(build_tree(*args)))
+        tree = build_tree(*args)
+        doc = json.loads(export_json(tree))
         fields = ("child", "parent", "rule")
         places = [("root",), *[("nodes", i) for i in range(len(doc["nodes"]))]]
         for key in ("edges", "suppressed_edges"):
             places += [(key, i, f) for i in range(len(doc[key])) for f in fields]
         if doc["edges"]:  # a root-only tree may be a tree of the other flavor too
             places.append(("flavor",))
-        if doc["limits"]["max_value"] is not None:
-            places.append(("limits", "max_value"))
+        places += [("limits", "max_value"), ("limits", "max_depth")]
         *path, last = data.draw(st.sampled_from(places))
         holder = doc
         for key in path:
@@ -638,10 +675,19 @@ class TestStructure:
             new = "reduced" if old == "full" else "full"
         elif last == "rule":
             new = data.draw(st.sampled_from(["R1", "R2", "Q1", "Q2", "Q3"]).filter(old.__ne__))
-        elif last == "max_value":
-            new = data.draw(st.integers(-3, top - 1))
-        else:
-            new = data.draw(st.integers(-3, 2 * top + 3).filter(old.__ne__))
+        elif last == "max_depth":
+            new = data.draw(st.integers(-3, 15).filter(lambda v: v != old))
+        else:  # a cap may be None
+            new = data.draw(st.integers(-3, 2 * top + 3).filter(lambda v: v != old))
         holder[last] = new
+        if path == ["limits"]:
+            try:
+                rebuilt = build_tree(tree.flavor, tree.root, **doc["limits"])
+            except ValueError:
+                rebuilt = None
+            same = ("nodes", "suppressed_edges")
+            if rebuilt is not None and all(getattr(rebuilt, f) == getattr(tree, f) for f in same):
+                assert tree_from_json(json.dumps(doc)) == rebuilt
+                return
         with pytest.raises(ValueError):
             tree_from_json(json.dumps(doc))
