@@ -129,32 +129,35 @@ def _grow(flavor: TreeFlavor, root: int, max_depth: int | None, max_value: int |
           most: float = math.inf) -> tuple[list[int], tuple[Edge, ...]]:
     """`build_tree`'s level loop: the nodes in the order found, and the suppressed edges.
 
-    The loop stops after the first level that brings the count past `most`
-    nodes.  A level at most doubles the frontier, so it then holds at most
-    3 * `most` nodes, whatever the caps.
+    The loop stops after the first level that brings the nodes' total bit
+    length past `most`.  A node's predecessors have at most 3.5 times its bit
+    length between them, so the nodes then hold at most 4.5 * `most` bits (or
+    are the root alone), whatever the caps.
     """
     _check_caps(flavor, root, max_depth, max_value)
     cap = math.inf if max_value is None else max_value
     levels = math.inf if max_depth is None else max_depth
-    nodes, frontier, cut, depth = [root], [root], [], 0
-    while frontier and depth < levels and len(nodes) <= most:
+    nodes, frontier, cut, depth, size = [root], [root], [], 0, root.bit_length()
+    while frontier and depth < levels and size <= most:
         depth += 1
-        # `predecessors` and `reduced_predecessors`, a level at a time.  Reduced
-        # flavor: (4p-2)/3 is in C2 iff p = 2 (mod 9), and (2p-1)/3 iff p = 8.
+        # `predecessors` and `reduced_predecessors` within the value cap, a level at
+        # a time.  Reduced flavor: (4p-2)/3 is in C2 iff p = 2 (mod 9), and (2p-1)/3
+        # iff p = 8.  (2p-1)/3 is below p, so it is within the cap whenever p is.
         if flavor is TreeFlavor.REDUCED:
-            kids = [4 * p for p in frontier]
-            kids += [(4 * p - 2) // 3 for p in frontier if p % 9 == 2]
+            kids = [4 * p for p in frontier if 4 * p <= cap]
+            kids += [(4 * p - 2) // 3 for p in frontier if p % 9 == 2 and (4 * p - 2) // 3 <= cap]
             kids += [(2 * p - 1) // 3 for p in frontier if p % 9 == 8]
         else:
-            kids = [2 * p for p in frontier]
+            kids = [2 * p for p in frontier if 2 * p <= cap]
             kids += [(2 * p - 1) // 3 for p in frontier if p % 3 == 2]
         if root in kids:
             kids.remove(root)
             (p,) = _images(flavor, (root,))
             if root == p or root + p == 3:  # 2-2 (reduced map) or 1-2 (full map)
                 cut.append(Edge(root, p, _RULES_AT[flavor][root & 3]))
-        frontier = [c for c in kids if c <= cap]
-        nodes += frontier
+        nodes += kids
+        size += sum(map(int.bit_length, kids))
+        frontier = kids
     # At most one suppressed edge: the limit cycle closes once.
     return nodes, tuple(cut)
 
@@ -220,9 +223,9 @@ def tree_from_json(text: str) -> Tree:
     of the document's flavor, root and caps is built again, and the
     document's nodes, edges and suppressed edges must be the build's: the
     message names the first node or edge where the two differ (a rule name
-    of the other flavor is such an edge).  The build stops once it holds
-    more nodes than the document lists, so a document costs time in
-    proportion to its own size, whatever caps it claims.
+    of the other flavor is such an edge).  The build stops once its nodes
+    hold more bits than the document's, so a document costs time and memory
+    in proportion to its own size, whatever caps it claims.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -248,13 +251,13 @@ def tree_from_json(text: str) -> Tree:
     require_ints("tree limits", [v for v in (max_depth, max_value) if v is not None])
     require_ints("tree nodes", nodes)
     require_ints("tree edges", edges[0] + edges[1] + cut[0] + cut[1])
-    built, suppressed = _grow(flavor, root, max_depth, max_value, len(nodes))
+    built, suppressed = _grow(flavor, root, max_depth, max_value, sum(map(int.bit_length, nodes)))
     # The build's nodes are distinct, so ascending nodes of the same count that
     # it holds are its nodes in order.
     have = set(built)
     if len(nodes) != len(built) or not have.issuperset(nodes) or not all(map(lt, nodes, nodes[1:])):
         # A node the build has and the document lacks comes first: a build that stopped
-        # early has one, as it holds more nodes than the document lists, while nodes
+        # early has one, as its nodes hold more bits than the document's, while nodes
         # past where it stopped may still be the tree's.
         if lack := have.difference(nodes):
             raise ValueError(f"tree node {min(lack)}: the build has it, the document does not")

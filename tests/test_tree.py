@@ -618,6 +618,17 @@ def _one_node_under_a_large_cap():
     return _set_limits(_doc(TreeFlavor.FULL, 1, max_depth=0), max_depth=None, max_value=10**15)
 
 
+def _small_nodes_on_a_chain():
+    """Nodes 1 to 20000 under root 3, a depth cap of 10^6 and no value cap.
+
+    Every 3 * 2^d is 0 mod 3, so the tree has no odd predecessors: it is
+    the one chain 3, 6, 12, ...
+    """
+    doc = _set_limits(_doc(TreeFlavor.FULL, 3, max_depth=0), max_depth=10**6)
+    doc["nodes"] = list(range(1, 20001))
+    return doc
+
+
 _STRUCTURE_CASES = _structure_cases()
 
 
@@ -630,22 +641,26 @@ class TestStructure:
         with pytest.raises(ValueError, match=re.escape(message)):
             tree_from_json(json.dumps(doc))
 
-    def test_the_rebuild_stops_past_the_node_count(self):
+    @pytest.mark.parametrize("make", [_one_node_under_a_large_cap, _small_nodes_on_a_chain])
+    def test_the_rebuild_stops_past_the_document_size(self, make):
         """A document costs what its own nodes cost, whatever caps it claims.
 
-        The build from root 1 under a cap of 10^15 would not end; the parse
-        stops it after two nodes.
+        The build from root 1 under a cap of 10^15 would not end.  The build
+        from root 3 is one chain 3 * 2^d, a bit longer at each level, so a
+        build as deep as the document has nodes would hold about d^2 / 2
+        bits.  The parse stops each once its nodes hold more bits than the
+        document's.
         """
-        text = json.dumps(_one_node_under_a_large_cap())
+        text = json.dumps(make())
         gc.collect()  # free-list objects made before tracing would go uncounted
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="the build has it, the document does not"):
                 tree_from_json(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert peak < 64 * 1024 + 10 * len(text)
 
     @settings(max_examples=300, deadline=None)
     @given(tree_args(), st.data())
