@@ -178,7 +178,7 @@ def verify_reduction(
     even x.  By induction the reduced orbit is then the C2 subsequence of
     the full orbit once that reaches 2; x is inconclusive, never a
     violation, exactly when it does not within `budget` steps, which the
-    sweep's orbit loop decides (`sweep.unconverged`).  For x in C1: both the
+    sweep's chase loop decides (`sweep.unconverged`).  For x in C1: both the
     even predecessor and the forward image lie in C2 — the two hooks that
     make contracting C1 vertices sound.
     """

@@ -169,14 +169,22 @@ def load_checkpoint(path: Path) -> Checkpoint:
 
 
 def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
-    """Write atomically: the file is always a complete snapshot, never torn."""
+    """Write atomically: the file is always a complete snapshot, never torn.
+
+    A write or rename that fails removes its temporary file.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(checkpoint.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(checkpoint.to_json())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 #: Steps per table lookup: n mod 2^K fixes the first K parity steps of n.
@@ -187,7 +195,7 @@ _MASK = _WIDTH - 1
 S = 16
 #: A sieve of depth k lists its survivors over a period of 2^max(k, P) starts.
 P = 12
-#: A chase below range_lo ends at its first value under 2^B with one tail-table lookup.
+#: A chase (`_chase`) ends at its first value under 2^B with one tail-table lookup.
 B = 12
 #: A chase memo holds 2^M slots, direct-mapped on x mod 2^M (`_ChaseMemo`).
 M = 12
@@ -698,15 +706,15 @@ def _chase(
 
 
 def unconverged(starts: range, budget: int) -> list[int]:
-    """The starts (each >= 2, ascending) whose orbit does not reach 1 within `budget` steps.
+    """The starts (each >= 2) whose orbit does not reach 1 within `budget` steps, in their order.
 
-    One orbit loop (`_orbits`) with range_lo above every start: every drop is
-    chased to 1, each step count is exact and a cycle does not reach 1.
+    Each start is chased to 1 (`_chase`), whose step count is exact; a
+    cycle never reaches 1.  The call's chases share one memo.
     """
-    found: list[tuple[int, str]] = []  # cycles and budget-limited starts, in start order
-    task = (0, 0, starts[-1] + 1 if starts else 0, budget)
-    _orbits(task, _ChaseMemo(), found, found, starts, (-1, 0, 0, 0))
-    return [n for n, _ in found]
+    jumps, _ = _residue_table()
+    tail = _tail_table()
+    memo = _ChaseMemo()
+    return [n for n in starts if _chase(n, 0, budget, jumps, tail, memo)[0] < 0]
 
 
 #: The chase memo that a pool worker's chunks share, from `_start_worker`; None elsewhere.
@@ -760,6 +768,10 @@ class RangeVerifier:
             raise CheckpointError(
                 f"cannot write checkpoint {self.checkpoint_path}: "
                 f"no directory {self.checkpoint_path.parent}"
+            )
+        if self.checkpoint_path and self.checkpoint_path.is_dir():
+            raise CheckpointError(
+                f"cannot write checkpoint {self.checkpoint_path}: it is a directory"
             )
 
         if resume:

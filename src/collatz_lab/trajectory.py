@@ -3,9 +3,9 @@
 `orbit` records values, step counts and peaks (the rule at each value is
 read off the value); `converges` is the per-start convergence probe, the
 reference that the range sweep kernel in `sweep` is tested against;
-`correspondence` checks that the reduced orbit of a C2 value is exactly
-the C2 subsequence of its full orbit, the oracle that the reduction suite
-`facts.verify_reduction` is tested against.
+`correspondence` runs both orbits of a C2 value and checks that the
+reduced one is exactly the C2 subsequence of the full one, the oracle
+that the reduction suite `facts.verify_reduction` is tested against.
 """
 
 from __future__ import annotations
@@ -180,37 +180,18 @@ def correspondence(x: int, budget: int) -> bool:
 
     The full orbit is run to target 2 (every orbit reaching 1 passes
     through 2 first, since 2 is the only predecessor of 1).  Both value
-    sequences include the start and the terminal 2.  If either orbit fails
+    sequences include the start and the terminal 2, and both orbits are
+    recorded whole, so this holds O(steps) values.  If either orbit fails
     to terminate within `budget`, the comparison is inconclusive and
     BudgetExhaustedError is raised — inconclusive is not false; a full
     orbit that misses 2 takes precedence.
-
-    One lockstep walk: the full orbit advances, and each C2 value it meets
-    takes the reduced orbit one step further for comparison.  Only after a
-    mismatch is the reduced orbit walked alone, to tell False from its own
-    budget running out.
     """
     if residue_class(x) is not ResidueClass.C2:
         raise ValueError(f"correspondence is defined on class C2, got {x}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    v = r = x
-    matched = True
-    for _ in range(budget):
-        if v == 2:
-            break
-        v = (3 * v + 1) >> 1 if v & 1 else v >> 1
-        # While matched, r is the previous C2 value (not 2) and has taken
-        # fewer steps than v, so its next step is within the budget too.
-        if matched and v % 3 == 2:
-            r = (3 * r + 1) >> 1 if r & 1 else (3 * r + 2) >> 2 if r & 2 else r >> 2
-            matched = r == v
-    if v != 2:
-        raise BudgetExhaustedError(
-            f"orbit of {x} did not reach 2 within {budget} steps"
-        )
-    if not matched and reduced_orbit(x, budget, value_cap=1).final != 2:
-        raise BudgetExhaustedError(
-            f"reduced orbit of {x} did not reach 2 within {budget} steps"
-        )
-    return matched
+    full = orbit(x, budget, 2, value_cap=budget + 1)
+    if full.final != 2:
+        raise BudgetExhaustedError(f"orbit of {x} did not reach 2 within {budget} steps")
+    reduced = reduced_orbit(x, budget, value_cap=budget + 1)
+    if reduced.final != 2:
+        raise BudgetExhaustedError(f"reduced orbit of {x} did not reach 2 within {budget} steps")
+    return [v for v in full.values if v % 3 == 2] == list(reduced.values)

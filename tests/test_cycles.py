@@ -1,5 +1,6 @@
 """Unit tests for the rule-word algebra, fixed points, and cycle search."""
 
+import gc
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -252,6 +253,7 @@ class TestSearchCycles:
 
     def test_memory_is_bounded(self):
         """The level-wise part holds at most 2^13 words: no list of all 2^20 of them."""
+        gc.collect()  # free-list objects made before tracing would go uncounted
         tracemalloc.start()
         try:
             search_cycles(20)

@@ -16,7 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import collatz_lab
 from collatz_lab import cli, core_map, sweep
-from collatz_lab.sweep import CheckpointError, RangeVerifier, SweepStats, load_checkpoint
+from collatz_lab.sweep import (
+    Checkpoint,
+    CheckpointError,
+    RangeVerifier,
+    SweepStats,
+    load_checkpoint,
+    write_checkpoint,
+)
 from collatz_lab.trajectory import OrbitOutcome, converges
 
 K, WIDTH = sweep.K, 1 << sweep.K
@@ -402,13 +409,13 @@ def test_unconverged_equals_single_steps_at_every_exact_budget(monkeypatch, lo, 
     # At a budget equal to a start's steps to 1 it converges, and one step less it does
     # not.  Drops end in the tail table, in the memo (with one slot, each value a chase
     # stores overwrites the last) or run out of budget.  The starts are those of C2, as
-    # `facts.verify_reduction` passes them.
+    # `facts.verify_reduction` passes them, and then a contiguous range of every class.
     monkeypatch.setattr(sweep, "M", memo_bits)
-    starts = range(lo + (2 - lo) % 3, lo + 900, 3)
-    steps = {n: _steps_to_1(n) for n in starts}
-    for budget in sorted({b for s in steps.values() for b in (s, s - 1)}):
-        want = [n for n in starts if steps[n] > budget]
-        assert sweep.unconverged(starts, budget) == want, budget
+    for starts in (range(lo + (2 - lo) % 3, lo + 900, 3), range(lo, lo + 300)):
+        steps = {n: _steps_to_1(n) for n in starts}
+        for budget in sorted({b for s in steps.values() for b in (s, s - 1)}):
+            want = [n for n in starts if steps[n] > budget]
+            assert sweep.unconverged(starts, budget) == want, budget
     assert sweep.unconverged(range(lo, lo, 3), 0) == []
 
 
@@ -939,9 +946,26 @@ class TestResumeBudget:
 def test_unwritable_checkpoint_fails_before_any_chunk(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(sweep, "_sweep_chunk", lambda task: calls.append(task))
-    with pytest.raises(CheckpointError, match="checkpoint"):
-        RangeVerifier(1, 400_000, checkpoint_path=tmp_path / "missing" / "cp.json").run()
+    missing, directory = tmp_path / "missing" / "cp.json", tmp_path / "dir"
+    directory.mkdir()
+    for path, why in ((missing, "no directory"), (directory, "is a directory")):
+        with pytest.raises(CheckpointError, match=why):
+            RangeVerifier(1, 400_000, checkpoint_path=path).run()
     assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
+def test_failed_checkpoint_write_leaves_no_temp_file(monkeypatch, tmp_path):
+    path = tmp_path / "cp.json"
+    record = Checkpoint(1, 100, 1000, verified_up_to=10, stats=SweepStats(5, 7, 16, 7))
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(sweep.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_checkpoint(path, record)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRunPasses:
