@@ -146,21 +146,14 @@ def _interruption(checkpoint: Path | None, saved_up_to: int | None) -> str:
     )
 
 
-_FACT_SUITES = ("predecessors", "transitions", "reduction", "small-cycles", "c0-structure")
-
-
-def _run_fact_suite(name: str, lo: int, hi: int, budget: int) -> RangeReport:
-    if name == "predecessors":
-        return facts_mod.verify_predecessor_structure(lo, hi)
-    if name == "transitions":
-        return facts_mod.verify_transitions(lo, hi)
-    if name == "reduction":
-        return facts_mod.verify_reduction(lo, hi, budget=budget)
-    if name == "small-cycles":
-        return cycles_mod.verify_no_small_cycles(hi)
-    if name == "c0-structure":
-        return cycles_mod.verify_c0_structure(hi)
-    raise AssertionError(name)
+#: The fact suites by name, each called with (lo, hi, budget).
+_FACT_SUITES = {
+    "predecessors": lambda lo, hi, budget: facts_mod.verify_predecessor_structure(lo, hi),
+    "transitions": lambda lo, hi, budget: facts_mod.verify_transitions(lo, hi),
+    "reduction": lambda lo, hi, budget: facts_mod.verify_reduction(lo, hi, budget=budget),
+    "small-cycles": lambda lo, hi, budget: cycles_mod.verify_no_small_cycles(hi),
+    "c0-structure": lambda lo, hi, budget: cycles_mod.verify_c0_structure(hi),
+}
 
 
 def _cmd_facts(args: argparse.Namespace) -> int:
@@ -169,7 +162,7 @@ def _cmd_facts(args: argparse.Namespace) -> int:
         raise ValueError("small-cycles and c0-structure sweep [1, hi]; lo must be 1")
     if args.budget < 0:  # bad input, even when no suite that runs takes a budget
         raise ValueError(f"budget must be >= 0, got {args.budget}")
-    reports = [_run_fact_suite(n, args.lo, args.hi, args.budget) for n in names]
+    reports = [_FACT_SUITES[n](args.lo, args.hi, args.budget) for n in names]
     violations = sum(len(r.violations) for r in reports)
     inconclusive = sum(len(r.inconclusive) for r in reports)
     doc = {
@@ -266,7 +259,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_range)
 
     p = sub.add_parser("facts", help="run residue-class fact verifiers over a range")
-    p.add_argument("suite", choices=_FACT_SUITES + ("all",))
+    p.add_argument("suite", choices=[*_FACT_SUITES, "all"])
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

@@ -112,10 +112,7 @@ def drives(seq: RuleSequence | Iterable[Rule], x: int) -> bool:
 
 def _minimal_period(rules: tuple[Rule, ...]) -> int:
     k = len(rules)
-    for p in range(1, k + 1):
-        if k % p == 0 and rules == rules[:p] * (k // p):
-            return p
-    return k
+    return next(p for p in range(1, k + 1) if k % p == 0 and rules == rules[:p] * (k // p))
 
 
 @dataclass(frozen=True)

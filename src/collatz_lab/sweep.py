@@ -263,29 +263,23 @@ def _residue_table() -> tuple[tuple, tuple]:
 
 
 @functools.cache
-def _survivor_table(
-    k: int,
-) -> tuple[tuple, tuple[int, int, int], tuple[int, int], tuple, tuple]:
+def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple, tuple]:
     """The sieve of depth k: the residues mod 2^k that do not drop within k steps, and the rest.
 
     For the 3x + 1 map, grown one bit at a time from the one class mod 1.
-    For n = 2^j*t + r the state is (c, d, cp, dp, dm): T^j(n) = c*t + d, the
-    form of the j + 1 values so far with the largest coefficient is
-    cp*t + dp (`_forms`), and every d_i is at most dm.  As r + b*2^j mod
-    2^(j+1), each form c_i*t + d_i becomes 2*c_i*t + b*c_i + d_i, and one
-    more step is taken.  A residue survives step j while c > 2^j
-    (3^a > 2^j); then d = T^j(r) > r too (r is odd), so its values stay
-    above n for every t >= 0.  At the first step j with c < 2^j the class
-    (r, 2^j) drops, and only bounds are kept.  Returns (by_mod_9, settle,
+    For n = 2^j*t + r the state is (c, d, cp, dp): T^j(n) = c*t + d, and
+    the form of the j + 1 values so far with the largest coefficient is
+    cp*t + dp (`_forms`).  As r + b*2^j mod 2^(j+1), each form c_i*t + d_i
+    becomes 2*c_i*t + b*c_i + d_i, and one more step is taken.  A residue
+    survives step j while c > 2^j (3^a > 2^j); then d = T^j(r) > r too (r
+    is odd), so its values stay above n for every t >= 0.  At the first
+    step j with c < 2^j the class (r, 2^j) drops.  Returns (by_mod_9,
     peak, settled, leads), for n = 2^k*t + R:
 
     * by_mod_9[q]: the survivors R ≡ q (mod 9) over a period of 2^max(k, P),
       ascending.  Mod 2^16 there are 2114 survivors (OEIS A076227).
-    * settle = (t_min, c, d): for t >= t_min every other start n drops
-      below itself for the first time at its class's step, onto at least
-      c*t + d.
-    * peak = (c, d): the values of those other starts up to their drop
-      are at most c*t + d.
+    * peak = (c, d): the values of the other starts up to their drop are
+      at most c*t + d.
     * settled: the classes (r, 2^j) that drop, first at step j <= k; with
       the survivors they partition the residues mod 2^k.  Mod 2^16 there
       are 791 of them.
@@ -293,16 +287,17 @@ def _survivor_table(
       cp, dp, aligned with it, for `_orbits`.  n = 2^k*t + R has
       T^k(n) = c_k*t + d_k, and its peak over steps 0..k is cp*t + dp for
       every t >= 0, since the form with the largest c_j also has the
-      largest d_j (checked for every survivor at every depth 1..S).  A
-      residue R >= 2^k has the row of R mod 2^k, for t = n >> k.
+      largest d_j (checked for every survivor and every settled class at
+      every depth 1..S).  A residue R >= 2^k has the row of R mod 2^k, for
+      t = n >> k.
     """
-    t_min, c_drop, d_drop, c_peak, d_peak = 0, 1 << k, 1 << k, 0, 0
+    c_peak, d_peak = 0, 0
     settled = []
     # Per residue mod 9: the survivors over a period, each with its lead row, in the order found.
     found: list[list[tuple]] = [[] for _ in range(9)]
-    grow = [(0, 0, 1, 0, 1, 0, 0)]  # (j, r, c, d, cp, dp, dm), depth first
+    grow = [(0, 0, 1, 0, 1, 0)]  # (j, r, c, d, cp, dp), depth first
     while grow:
-        j, r, c, d, cp, dp, dm = grow.pop()
+        j, r, c, d, cp, dp = grow.pop()
         if j == k:
             for lifted in range(r, 1 << max(k, P), 1 << k):
                 found[lifted % 9].append((lifted, c, d, cp, dp))
@@ -312,21 +307,16 @@ def _survivor_table(
             rb, c_b, d_b = r | b << j, 2 * c, b * c + d
             c_b, d_b = ((3 * c_b) >> 1, (3 * d_b + 1) >> 1) if d_b & 1 else (c_b >> 1, d_b >> 1)
             cp_b, dp_b = (c_b, d_b) if c_b > 2 * cp else (2 * cp, b * cp + dp)
-            dm_b = max(dm + b * cp, d_b)
             if c_b > top:
-                grow.append((j + 1, rb, c_b, d_b, cp_b, dp_b, dm_b))
+                grow.append((j + 1, rb, c_b, d_b, cp_b, dp_b))
                 continue
             settled.append((rb, top))
-            # Below n from (top - c_b)*t > d_b - rb on; n = 2^(j+1)*t + rb has
-            # t = scale*(n >> k) + u with 0 <= u < scale, so t >= n >> k.
+            # n = 2^(j+1)*t + rb has t = scale*(n >> k) + u with 0 <= u < scale.
             scale = (1 << k) // top
-            t_min = max(t_min, (d_b - rb) // (top - c_b) + 1)
-            c_drop, d_drop = min(c_drop, c_b * scale), min(d_drop, d_b)
-            c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dm_b + cp_b * (scale - 1))
+            c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dp_b + cp_b * (scale - 1))
     columns = [tuple(zip(*sorted(rows))) or ((),) * 5 for rows in found]
     return (
         tuple(cols[0] for cols in columns),
-        (t_min, c_drop, d_drop),
         (c_peak, d_peak),
         tuple(sorted(settled)),
         tuple(cols[1:] for cols in columns),
@@ -410,20 +400,14 @@ def _plan_depth(lo: int, hi: int, range_lo: int, budget: int) -> int:
     2^k starts, counted from lo, and every class that drops within k steps
     drops within the budget.  The chunk takes the sieve when k >= 1 and
     every start n >= 2 in it that is no survivor drops at its class's step
-    onto 1 or onto a start of the sweep.  From t = lo >> k >= t_min on, the
-    drop is at least c*t + d (`_survivor_table`).  The classes that drop
-    within k steps are those that drop within S steps with a modulus of at
-    most 2^k, so below t_min = 1 only n = 0 and 1 drop later, at every
-    depth, and those are never walked: every other n < 2^k drops at its
-    class's step onto a positive value, which in a sweep from 1 is 1 or a
-    smaller start.
+    onto 1 or onto a start of the sweep: when max(lo, 2) >= 2 * range_lo.
+    Every such n >= 2 drops below itself for the first time at its class's
+    step (`_survivor_table`), and that value comes after an even value
+    v >= n, since an odd v >= n steps to (3v + 1)/2 > v: it is v/2 >= n/2
+    >= range_lo.
     """
     k = min(S, budget, (hi - lo + 1).bit_length() - 1)
-    if k < 1:
-        return 0
-    t_min, c, d = _survivor_table(k)[1]
-    t = lo >> k
-    return k if (c * t + d >= range_lo if t >= t_min else t == 0 and range_lo == 1) else 0
+    return k if k >= 1 and max(lo, 2) >= 2 * range_lo else 0
 
 
 def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[Iterable]:
@@ -470,16 +454,17 @@ def _sweep_chunk(
     The sieve.  A start n whose residue mod 2^k does not survive k steps
     drops below itself at a step fixed by that residue (`_survivor_table`).
     A chunk takes the sieve at depth k = min(S, budget, log2 of its width)
-    when every such start in it drops onto 1 or a start of the sweep:
-    from about 2 * range_lo on, and from the first chunk on in a sweep from
-    1 (`_plan_depth`).  It walks only the survivors, each from step k on,
-    from its residue's lead row.  The other starts have at most k steps
-    and peaks at most c*(hi >> k) + d, the table's bound: if the walked
-    starts' records beat both strictly, none of them can hold a record and
-    they are left out.  Otherwise every class that drops is folded: its
-    first and its last start in the chunk, which hold its step and peak
-    records, are walked.  Apart from that fold, the sieve costs nothing per
-    settled class.  A chunk that does not take it walks all its starts.
+    when every such start in it drops onto 1 or a start of the sweep: when
+    it starts at 2 * range_lo or later, and from the first chunk on in a
+    sweep from 1 (`_plan_depth`).  It walks only the survivors, each from
+    step k on, from its residue's lead row.  The other starts have at most
+    k steps and peaks at most c*(hi >> k) + d, the table's bound: if the
+    walked starts' records beat both strictly, none of them can hold a
+    record and they are left out.  Otherwise every class that drops is
+    folded: its first and its last start in the chunk, which hold its step
+    and peak records, are walked.  Apart from that fold, the sieve costs
+    nothing per settled class.  A chunk that does not take it walks all its
+    starts.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -511,7 +496,7 @@ def _sweep_chunk(
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
     if k:
-        _, _, (c, d), settled, _ = _survivor_table(k)
+        _, (c, d), settled, _ = _survivor_table(k)
         runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
         records = walk(chain.from_iterable(runs), records, k)
         if not (records[0] > k and records[2] > c * (hi >> k) + d):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from collatz_lab import cli
+from collatz_lab import cli, facts
 from collatz_lab.cli import main
 from collatz_lab.sweep import (
     Checkpoint,
@@ -310,6 +310,27 @@ class TestFactsCommand:
             capsys, "facts", "reduction", "26", "26", "--budget", "2", "--strict"
         )
         assert code == 1
+
+    def test_output_file_after_an_unclean_run_only_with_force(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        argv = ("facts", "reduction", "1", "60", "--budget", "5", "--strict", "-o", str(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == f"not writing {path}: run was not clean\n"
+        assert not path.exists()
+        code, out, _ = run_cli(capsys, *argv, "--force", "--json")
+        assert code == 1
+        assert path.read_text() == out
+
+    def test_text_report_lists_each_violation(self, capsys, monkeypatch):
+        # The schedule of TestWitnesses.test_step_class in test_facts.py.
+        monkeypatch.setattr(facts, "_STEP_CLASS", (0, 2, 1, 2, 2, 1))
+        code, out, _ = run_cli(capsys, "facts", "transitions", "1", "12")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("  ")] == [
+            "  violation at 5: C2 -> C2 at step(5) = 8, expected C1",
+            "  violation at 11: C2 -> C2 at step(11) = 17, expected C1",
+        ]
 
     def test_c0_structure_leaves_no_start_open_at_any_budget(self, capsys):
         # Its one-step check takes no budget; at budget 1 an orbit walk left 49 starts open.

@@ -50,6 +50,8 @@ class TestRuleSequence:
         assert seq.r1_count == 1
         assert seq.r2_count == 2
         assert str(seq) == "R1-R2-R2"
+        assert len(seq) == 3
+        assert list(seq) == [R1, R2, R2]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -291,6 +291,8 @@ class TestReduction:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             verify_reduction(0, 10)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            verify_reduction(1, 10, budget=-1)
 
 
 class TestReportShape:

@@ -81,9 +81,9 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # 25,000 inconclusive starts: the sieve at depth 3, the budget, walks 3 and 7 mod 8.
         ("verify-range 1 100000 --budget 3 --json",
          "c9e51561586e1ea9819564ea9c0104cc3d73e32cfd8301993b893db23a89db59"),
-        # The first three chunks start too close above lo for the sieve and walk all their
-        # starts, past the ancestor cut at 150,001 only the kept five residues mod 9; the
-        # last one, 3,393 starts, takes the sieve at depth 11.
+        # The first two chunks start below 2*lo, too close above lo for the sieve, and walk
+        # all their starts, past the ancestor cut at 150,001 only the kept five residues
+        # mod 9; the third takes the sieve at depth 16 and the last, 3,393 starts, at 11.
         ("verify-range 100000 300000 --json",
          "9c78ed2435d5501d24c469504b36965c8bb428567736bb0bf1eae45219822396"),
         # 11,036 inconclusive starts: chunks of 5,000 take the sieve at depth 12.

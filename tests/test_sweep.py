@@ -70,8 +70,7 @@ budgets = st.one_of(st.integers(0, 3), st.sampled_from([5, 10, 50, 10**6]))
 
 @st.composite
 def chunks(draw):
-    # Chunks start near range_lo or near 2*range_lo, where chunks from about 2*range_lo
-    # on take the sieve.
+    # Chunks start near range_lo or near 2*range_lo, from which on chunks take the sieve.
     range_lo = draw(range_los)
     near = draw(st.sampled_from([range_lo, 2 * range_lo]))
     lo = max(range_lo, near + draw(st.integers(-60, 60)))
@@ -88,20 +87,18 @@ def test_chunk_equals_reference(task):
 budgets_near_k = st.one_of(st.sampled_from([K - 1, K, K + 1]), budgets)
 
 
-def fold_bound(k, range_lo):
-    """The first lo from which a chunk at depth k takes the sieve: its settled classes fold."""
-    t_min, c, d = sweep._survivor_table(k)[1]
-    return 1 if range_lo == 1 else max(t_min, -((d - range_lo) // c)) << k
+def fold_bound(range_lo):
+    """The first lo from which a chunk takes the sieve: its settled classes fold."""
+    return 1 if range_lo == 1 else 2 * range_lo
 
 
 @st.composite
 def chunks_near_fold_bounds(draw):
     # Chunks at depth k = min(S, budget, log2 of the width), or one less or more, around
-    # the first lo from which they take the sieve, or around 2*range_lo.
+    # the first lo from which they take the sieve.
     range_lo = draw(st.one_of(st.just(1), st.integers(2, 3000), st.integers(10**5, 10**6)))
     k = draw(st.integers(1, 10))
-    near = draw(st.sampled_from([fold_bound(k, range_lo), 2 * range_lo]))
-    lo = max(range_lo, near + draw(st.integers(-(2 << k) - 60, 60)))
+    lo = max(range_lo, fold_bound(range_lo) + draw(st.integers(-(2 << k) - 60, 60)))
     hi = lo + draw(st.integers((1 << k) - 2, (2 << k) + 300))
     return lo, hi, range_lo, draw(st.one_of(st.integers(k, k + 2), st.just(10**6)))
 
@@ -122,7 +119,7 @@ def test_chunk_equals_reference_at_each_depth(k, budget):
     # A chunk of 2^k + 1 starts just past the first lo at which it takes the sieve.  At
     # budget k no survivor beats the settled starts' k steps, so their classes fold.
     budget = k if budget == "k" else budget
-    lo = fold_bound(k, 1000) + 3
+    lo = fold_bound(1000) + 3
     task = (lo, lo + (1 << k), 1000, budget)
     assert sweep._plan_depth(*task) == k
     assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
@@ -135,7 +132,7 @@ def test_chunk_equals_reference_at_each_depth(k, budget):
         (2, 2, 1, 0),
         (1, 64, 1, 1),  # budget 1: only even starts are settled
         (4, 5, 1, 10),  # depth 1: 4 is settled, 5 is walked
-        (100, 140, 60, 10**6),  # straddles 2*range_lo; at depth 5 the sieve starts at 128
+        (100, 140, 60, 10**6),  # straddles 2*range_lo, from which on chunks take the sieve
         (27, 27, 27, 10**6),
         # 684 and 701 inconclusive starts, listed across classes: witness order
         (1000, 1800, 1000, 3),
@@ -589,7 +586,7 @@ SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2
 
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_survivors_and_settled_classes_partition_the_residues(k):
-    by_mod_9, _, _, settled, _ = sweep._survivor_table(k)
+    by_mod_9, _, settled, _ = sweep._survivor_table(k)
     assert sweep._survivor_table(k)[0] is by_mod_9  # built once per depth, on first use
     period = 1 << max(k, sweep.P)
     for q, rs in enumerate(by_mod_9):
@@ -601,7 +598,7 @@ def test_survivors_and_settled_classes_partition_the_residues(k):
     members = survivors + [n for r, modulus in settled for n in range(r, 1 << k, modulus)]
     assert sorted(members) == list(range(1 << k))
     # A shallower sieve settles the classes of the deepest one with a modulus up to 2^k.
-    assert settled == tuple((r, m) for r, m in sweep._survivor_table(S)[3] if m <= 1 << k)
+    assert settled == tuple((r, m) for r, m in sweep._survivor_table(S)[2] if m <= 1 << k)
     assert k < S or len(settled) == 791
     for r in survivors:
         # Every coefficient c_j, j = 1..k, exceeds 2^k: the residue survives k steps,
@@ -645,7 +642,7 @@ def test_a_sieve_chunk_starts_its_survivors_at_step_k(monkeypatch, k):
         return orbits(*args)
 
     monkeypatch.setattr(sweep, "_orbits", recording)
-    lo = fold_bound(k, 1000) + 3
+    lo = fold_bound(1000) + 3
     task = (lo, lo + (1 << k), 1000, 10**6)
     assert sweep._plan_depth(*task) == k
     sweep._sweep_chunk(task, residues=EVERY)
@@ -654,20 +651,26 @@ def test_a_sieve_chunk_starts_its_survivors_at_step_k(monkeypatch, k):
 
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
-    _, (t_min, c_drop, d_drop), (c_peak, d_peak), settled, _ = sweep._survivor_table(k)
-    assert t_min == 1  # the classes 0 mod 2 and 1 mod 4 drop from their second member on
+    # From t_min = 1 on, that is from the class's second member modulus + r on, each
+    # start n drops at its class's step onto at least n/2.  Below 2^16 the first
+    # members do too (test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step).
+    t_min = 1
+    _, (c_peak, d_peak), settled, _ = sweep._survivor_table(k)
     for r, modulus in settled:
         j = modulus.bit_length() - 1
         assert 1 <= j <= k
-        # The first and the last member of the class mod 2^k: the bounds hold for every
-        # n = 2^k*t + R, coefficient by coefficient.
+        # The form with the largest c_i over steps 0..j has the largest d_i too, so
+        # cp*t + dp is the class's peak up to its drop for every t >= 0.
+        forms = sweep._forms(r, j)
+        assert max(forms)[1] == max(d for _, d in forms), (k, r)
+        # The first and the last member of the class mod 2^k: the peak bound holds for
+        # every n = 2^k*t + R, coefficient by coefficient.
         for u in (0, (1 << k) // modulus - 1):
-            forms = sweep._forms(r + u * modulus, k)
-            assert all(c <= c_peak and d <= d_peak for c, d in forms[: j + 1])
-            assert forms[j][0] >= c_drop and forms[j][1] >= d_drop
+            lifted = sweep._forms(r + u * modulus, k)
+            assert all(c <= c_peak and d <= d_peak for c, d in lifted[: j + 1])
         for n in (t_min * modulus + r, (t_min + 1) * modulus + r, (10**12 << k) - modulus + r):
             values = _values(n, j)
-            assert min(values[1:j], default=n + 1) > n > values[j] >= c_drop * (n >> k) + d_drop
+            assert min(values[1:j], default=n + 1) > n > values[j] >= -(-n // 2)
             assert max(values) <= c_peak * (n >> k) + d_peak
 
 
@@ -759,19 +762,19 @@ def _fold_every_settled_residue(monkeypatch):
     """Give each table a peak bound that no start beats: every chunk on the sieve then folds."""
     table = sweep._survivor_table
     monkeypatch.setattr(sweep, "_survivor_table",
-                        lambda k: (*table(k)[:2], (0, 10**30), *table(k)[3:]))
+                        lambda k: (table(k)[0], (0, 10**30), *table(k)[2:]))
 
 
 @pytest.mark.parametrize("budget", [17, 24, 40, 10**4])
 @pytest.mark.parametrize(
     "task",
     [
-        (1, PERIOD, 1),  # the first chunk of a sweep from 1, below t_min
+        (1, PERIOD, 1),  # the first chunk of a sweep from 1
         (1, PERIOD + 5, 1),
         (PERIOD + 5, 2 * PERIOD + 4, 1),  # one period, not aligned
         (PERIOD, 2 * PERIOD - 1, 2),  # one period, aligned
         (2 * PERIOD, 4 * PERIOD + 999, 1000),
-        (4 * PERIOD + 123, 5 * PERIOD + 300, 10**5),  # the first t at which 10^5 is settled
+        (4 * PERIOD + 123, 5 * PERIOD + 300, 10**5),  # past 2 * 10^5, not aligned
     ],
 )
 def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
@@ -799,9 +802,10 @@ def test_survivor_plan_equals_the_per_class_plan(monkeypatch, task, budget):
 
 
 def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
-    # A sweep from 1 takes the sieve in its first chunk, at t = 0 < t_min.  A shallower
-    # sieve settles a subset of the same classes, so this covers every depth.
-    by_mod_9, _, (_, d_peak), _, _ = sweep._survivor_table(S)
+    # A chunk on the sieve that starts below 2^k, such as the first chunk of a sweep from
+    # 1, holds the first members of its classes.  A shallower sieve settles a subset of
+    # the same classes, so this covers every depth.
+    by_mod_9, (_, d_peak), _, _ = sweep._survivor_table(S)
     survivors = {r for rs in by_mod_9 for r in rs}
     for n in range(2, PERIOD):
         if n in survivors:
@@ -831,15 +835,15 @@ def test_a_sweep_from_1_takes_the_survivor_plan_from_its_first_chunk(monkeypatch
     assert depths == [S] * 4
 
 
-@pytest.mark.parametrize("range_lo", [1000, 10**6, 10**12 + 7])
+@pytest.mark.parametrize("range_lo", [2, 3, 1000, 10**6, 10**12 + 7])
 @pytest.mark.parametrize("budget", [5, 10**6])
 def test_chunk_equals_reference_where_classes_can_start_to_fold(range_lo, budget):
-    # A chunk of 600 starts has depth k = min(budget, 9).  Its classes fold from the
-    # first lo at which c*(lo >> k) + d reaches range_lo; the chunk before walks them.
+    # A chunk of 600 starts has depth k = min(budget, 9).  Its classes fold from
+    # lo = 2*range_lo on, where every drop, at least n/2, is a start of the sweep; the
+    # chunk before walks them.
     k = min(budget, 9)
-    lo = fold_bound(k, range_lo)
-    _, c, d = sweep._survivor_table(k)[1]
-    assert c * ((lo - 1) >> k) + d < range_lo <= c * (lo >> k) + d
+    lo = fold_bound(range_lo)
+    assert lo == 2 * range_lo
     for lo, depth in ((lo - 1, 0), (lo, k)):
         task = (lo, lo + 599, range_lo, budget)
         assert sweep._plan_depth(*task) == depth
@@ -859,7 +863,7 @@ def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, bu
     if walked == "the lowest peak":
         n = min((n for n in range(lo, PERIOD + lo) if n % PERIOD in survivors),
                 key=lambda n: converges(n, budget, n).peak / n)
-        c, d = sweep._survivor_table(S)[2]
+        c, d = sweep._survivor_table(S)[1]
         assert converges(n, budget, n).peak < c * (hi >> S) + d
         starts.append(n)
         runs = [list(run) for run in sweep._survivor_runs(n, n, EVERY, S)]  # n with its lead row
@@ -875,7 +879,7 @@ def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, bu
         *((lo, 2**18, budget) for lo in (1, 2, 1000) for budget in (16, 17, 24, 40, 10**4)),
         # Here the plan starts at 3 * 2^16, in a chunk of 2^17 starts as well.
         *((2**16 + 1, 2**18, budget) for budget in (17, 40)),
-        # No chunk takes the sieve, which starts at about 2*lo, so only the chunk
+        # No chunk takes the sieve, which starts at 2*lo, so only the chunk
         # boundaries move.  Most starts drop below lo and are chased: short windows.
         *((lo, 2**16 + 2**12, budget) for lo in (2**20 + 1, 10**9) for budget in (17, 10**4)),
     ],
