@@ -31,12 +31,8 @@ from .cycles import (
     verify_c0_structure,
     verify_no_small_cycles,
 )
-from .facts import (
-    RangeReport,
-    verify_predecessor_structure,
-    verify_reduction,
-    verify_transitions,
-)
+from .facts import verify_predecessor_structure, verify_reduction, verify_transitions
+from .report import RangeReport
 from .trajectory import (
     BudgetExhaustedError,
     OrbitOutcome,

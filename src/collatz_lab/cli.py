@@ -19,18 +19,18 @@ from pathlib import Path
 
 from . import cycles as cycles_mod
 from . import facts as facts_mod
-from .facts import SCHEMA_VERSION, RangeReport, witnesses_to_json
-from .sweep import (
+from .report import SCHEMA_VERSION, RangeReport, witnesses_to_json
+from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
+from .tree import TreeFlavor, build_tree, export_dot, export_json
+from .verify import (
     DEFAULT_CHUNK_SIZE,
     TASK_VERIFY_RANGE,
     CheckpointError,
     RangeVerifier,
 )
-from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
-from .tree import TreeFlavor, build_tree, export_dot, export_json
 
 # Not used here; perfbench/run.py reads load_checkpoint and write_checkpoint from this module.
-from .sweep import load_checkpoint, write_checkpoint  # noqa: F401
+from .verify import load_checkpoint, write_checkpoint  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1

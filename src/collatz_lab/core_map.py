@@ -42,6 +42,10 @@ class ReducedRule(Enum):
     Q3 = "Q3"
 
 
+#: The rule each map fires at v, by v mod 4.
+RULE_AT = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
+REDUCED_RULE_AT = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
+
 _CLASSES = (ResidueClass.C0, ResidueClass.C1, ResidueClass.C2)
 
 

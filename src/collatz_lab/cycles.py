@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from . import facts
 from .core_map import ResidueClass, Rule, residue_class
-from .facts import RangeReport
+from .report import RangeReport
 from .trajectory import orbit
 
 #: Enumeration is 2^k words per length; lengths beyond this are refused.

@@ -1,41 +1,23 @@
-"""Checkpointed convergence sweeps over a range of starts.
+"""The convergence sweep's kernel: the exact result of one chunk of starts at a time.
 
-`RangeVerifier` confirms that every start in [lo, hi] iterates to 1.  It
-works through the range in ascending chunks, in a worker pool when a pass
-has two or more of them.  At a chunk boundary at most once every
-`CHECKPOINT_INTERVAL` seconds, and after the last chunk a pass consumes,
-it writes an atomic JSON checkpoint that a later run can resume from.
+`_sweep_chunk` verifies that every start of a chunk [lo, hi] of a sweep from
+range_lo iterates to 1 under x -> x/2, (3x + 1)/2, and `_second_pass`
+completes its result where a witness may hide something.  The residue
+tables, the orbit loop and the chase loop with its memo serve them and
+`unconverged`.  The module opens no file, reads no clock and starts no
+process: `verify` runs the kernel over a range.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import json
-import os
-import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
-from datetime import datetime, timezone
-from itertools import chain, pairwise
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
-from .facts import (
-    SCHEMA_VERSION,
-    RangeReport,
-    require_ints,
-    witnesses_from_json,
-    witnesses_to_json,
-)
-from .trajectory import DEFAULT_BUDGET, orbit
-
-TASK_VERIFY_RANGE = "verify-range"
-DEFAULT_CHUNK_SIZE = 1 << 16
-
-
-class CheckpointError(Exception):
-    """A checkpoint file is unreadable, unwritable, or does not match the requested run."""
+from .report import require_ints
+from .trajectory import DEFAULT_BUDGET, orbit  # noqa: F401 (tests read DEFAULT_BUDGET here)
 
 
 def _pick(value_a: int, at_a: int, value_b: int, at_b: int) -> tuple[int, int]:
@@ -82,111 +64,6 @@ class SweepStats:
         return cls(*values)
 
 
-@dataclass
-class Checkpoint:
-    """Atomic progress snapshot of a `verify-range` sweep.
-
-    Resuming from a checkpoint and running to completion yields the same
-    final report as an uninterrupted run; witnesses found so far are part
-    of the snapshot for exactly that reason.
-    """
-
-    lo: int
-    hi: int
-    budget: int
-    verified_up_to: int
-    stats: SweepStats
-    violations: list[tuple[int, str]] = field(default_factory=list)
-    inconclusive: list[tuple[int, str]] = field(default_factory=list)
-    timestamp: str = ""
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": TASK_VERIFY_RANGE,
-            "range": [self.lo, self.hi],
-            "budget": self.budget,
-            "verified_up_to": self.verified_up_to,
-            "stats": self.stats.to_json_dict(),
-            "violations": witnesses_to_json(self.violations),
-            "inconclusive": witnesses_to_json(self.inconclusive),
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-
-def load_checkpoint(path: Path) -> Checkpoint:
-    """Read a checkpoint file and check every rule within it; CheckpointError on anything off."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise CheckpointError(f"unreadable checkpoint {path}: not a JSON object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint schema_version: {doc.get('schema_version')!r}"
-            )
-        if doc.get("task") != TASK_VERIFY_RANGE:
-            raise CheckpointError(
-                f"checkpoint {path} is for task {doc.get('task')!r}, not {TASK_VERIFY_RANGE}"
-            )
-        if "budget" not in doc:
-            raise CheckpointError(
-                f"checkpoint {path} has no budget field; its report cannot be resumed"
-            )
-        lo, hi = doc["range"]
-        budget, verified_up_to = doc["budget"], doc["verified_up_to"]
-        require_ints("checkpoint range", [lo, hi])
-        require_ints("checkpoint budget", [budget])
-        require_ints("checkpoint verified_up_to", [verified_up_to])
-        stats = SweepStats.from_json_dict(doc["stats"])
-        # The chunk at lo always sets both records, so they name starts swept so far.
-        at = sorted((stats.max_steps_at, stats.max_peak_at))
-        if not lo <= at[0] <= at[1] <= verified_up_to <= hi:
-            raise CheckpointError(
-                f"checkpoint {path} has stats at {at[0]} and {at[1]} and verified_up_to "
-                f"{verified_up_to}, outside the order {lo} <= stats <= verified_up_to <= {hi}"
-            )
-        witnesses = {k: witnesses_from_json(doc[k]) for k in ("violations", "inconclusive")}
-        for name, found in witnesses.items():
-            # A sweep bisects these lists, and a resume appends to them.
-            xs = [lo - 1, *(x for x, _ in found), verified_up_to + 1]
-            if found and not all(a < b for a, b in pairwise(xs)):
-                raise CheckpointError(
-                    f"checkpoint {path} {name} witnesses are not strictly ascending "
-                    f"within [{lo}, {verified_up_to}]"
-                )
-        return Checkpoint(
-            lo=lo,
-            hi=hi,
-            budget=budget,
-            verified_up_to=verified_up_to,
-            stats=stats,
-            timestamp=str(doc.get("timestamp", "")),
-            **witnesses,
-        )
-    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-
-
-def write_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
-    """Write atomically: the file is always a complete snapshot, never torn.
-
-    A write or rename that fails removes its temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(checkpoint.to_json())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
-
-
 #: Steps per table lookup: n mod 2^K fixes the first K parity steps of n.
 K = 8
 _WIDTH = 1 << K
@@ -199,10 +76,6 @@ P = 12
 B = 12
 #: A chase memo holds 2^M slots, direct-mapped on x mod 2^M (`_ChaseMemo`).
 M = 12
-#: Least seconds between two checkpoint writes within a pass (Young, CACM 17(9), 1974).
-CHECKPOINT_INTERVAL = 1.0
-#: The clock that paces checkpoint writes; tests replace it.
-_clock = time.monotonic
 
 
 def _forms(r: int, k: int) -> list[tuple[int, int]]:
@@ -351,9 +224,9 @@ class _ChaseMemo:
 
     Three parallel lists of 2^M slots; x takes slot x mod 2^M and overwrites
     whatever was there, so the memo never grows.  Both entries are exact
-    and depend on x alone.  A pass (`RangeVerifier.run`), a pool worker
-    (`_start_worker`), a chunk given none or an `unconverged` call owns it,
-    and drops it when it ends.
+    and depend on x alone.  A pass (`verify.RangeVerifier.run`), a pool
+    worker (`_start_worker`), a chunk given none or an `unconverged` call
+    owns it, and drops it when it ends.
     """
 
     __slots__ = ("keys", "steps", "peaks")
@@ -472,12 +345,11 @@ def _sweep_chunk(
     of the same sweep whose run passes through x.  Unless a's run is a
     witness, x converges with fewer steps than a and a peak no higher, so
     it never holds a record (ties go to the smaller start) and may be left
-    out.  `RangeVerifier._consume` walks the skipped four in a second pass
-    when a witness may hide something: the same plan with the other
-    residues.  Tests walk all nine to compare every start with a
-    reference.  Settled starts enter the records whatever their residue
-    mod 9, and the witness lists are sorted by start before they are
-    returned.
+    out.  `_second_pass` walks the skipped four when a witness may hide
+    something: the same plan with the other residues.  Tests walk all nine
+    to compare every start with a reference.  Settled starts enter the
+    records whatever their residue mod 9, and the witness lists are sorted
+    by start before they are returned.
 
     `memo` is the pass's chase memo (`_chase`); a chunk given none takes
     its pool worker's, or else starts its own.
@@ -509,6 +381,42 @@ def _sweep_chunk(
     inconclusive.sort()
     # max_steps is still -1 when every start was skipped: nothing was observed.
     stats = SweepStats(max(max_steps, 0), max_steps_at, max_peak, max_peak_at)
+    return hi, stats, violations, inconclusive
+
+
+def _second_pass(
+    task: tuple[int, int, int, int],
+    result: tuple[int, SweepStats, list, list],
+    found: tuple[list, list],
+    memo: _ChaseMemo,
+) -> tuple[int, SweepStats, list, list]:
+    """The exact result of the chunk `task` from `result`, its first pass (`_sweep_chunk`).
+
+    That pass left out the starts past the ancestor cut whose ancestor is a
+    smaller start of the sweep: exact unless an ancestor's run is a witness,
+    and a left-out witness has a witness ancestor in turn.  So if a witness of
+    the chunk or of `found` (the sweep's witness lists below the chunk) covers
+    (`_covered_by`) a start past the cut, a second pass walks the left-out
+    residues there, and both passes are merged.
+    """
+    lo, hi, range_lo, budget = task
+    _, stats, violations, inconclusive = result
+    lo = max(lo, _ancestor_cut(range_lo))
+    # The ancestors (2x - 1)/3 and (8x - 5)/9 of the x in [lo, hi]; the witness
+    # lists ascend, so bisection finds the witnesses among them.
+    windows = ((2 * lo - 1) // 3, (2 * hi - 1) // 3), ((8 * lo - 5) // 9, (8 * hi - 5) // 9)
+    if lo <= hi and any(
+        lo <= x <= hi
+        for witnesses in (*found, violations, inconclusive)
+        for a, b in windows
+        for w, _ in witnesses[bisect_left(witnesses, (a,)) : bisect_left(witnesses, (b + 1,))]
+        for x in _covered_by(w)
+    ):
+        task = (lo, hi, range_lo, budget)
+        _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9, memo=memo)
+        stats.merge(more)
+        violations = sorted(violations + skipped[0])
+        inconclusive = sorted(inconclusive + skipped[1])
     return hi, stats, violations, inconclusive
 
 
@@ -712,201 +620,3 @@ def _start_worker() -> None:
     _worker_memo = _ChaseMemo()
 
 
-class RangeVerifier:
-    """Ascending chunked convergence sweep with atomic checkpointing.
-
-    Chunks are verified strictly in ascending order (a chunk is only
-    marked verified once everything below it is), which is what makes the
-    below-floor early exit of each orbit sound.  A pass over C chunks with
-    W workers starts min(W, C) processes, and none when that is one.
-    Per-start results do not depend on worker layout, so any worker count
-    produces the identical report.
-    """
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        *,
-        budget: int = DEFAULT_BUDGET,
-        workers: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        checkpoint_path: Path | None = None,
-        resume: bool = False,
-    ):
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        self.lo = lo
-        self.hi = hi
-        self.budget = budget
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        # Fail before any chunk is verified, not at the first checkpoint write.
-        if self.checkpoint_path and not self.checkpoint_path.parent.is_dir():
-            raise CheckpointError(
-                f"cannot write checkpoint {self.checkpoint_path}: "
-                f"no directory {self.checkpoint_path.parent}"
-            )
-        if self.checkpoint_path and self.checkpoint_path.is_dir():
-            raise CheckpointError(
-                f"cannot write checkpoint {self.checkpoint_path}: it is a directory"
-            )
-
-        if resume:
-            if self.checkpoint_path is None:
-                raise CheckpointError("resume requires a checkpoint path")
-            cp = load_checkpoint(self.checkpoint_path)
-            if (cp.lo, cp.hi, cp.budget) != (lo, hi, budget):
-                raise CheckpointError(
-                    f"checkpoint is for [{cp.lo}, {cp.hi}] at budget {cp.budget}, "
-                    f"not [{lo}, {hi}] at budget {budget}"
-                )
-            self._record = cp
-        else:
-            self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats())
-        # verified_up_to of the checkpoint file as this run resumed or last wrote it, else None.
-        self.saved_up_to = self._record.verified_up_to if resume else None
-        # Whether the record holds whole chunks that the checkpoint file does not, and when
-        # the pass started or last wrote it.
-        self._unsaved = False
-        self._saved_at = 0.0
-
-    @property
-    def stats(self) -> SweepStats:
-        return self._record.stats
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot of the progress so far (requires at least one finished chunk)."""
-        record = self._record
-        if record.verified_up_to < self.lo:
-            raise CheckpointError("no chunk verified yet, nothing to checkpoint")
-        return replace(
-            record,
-            stats=replace(record.stats),
-            violations=list(record.violations),
-            inconclusive=list(record.inconclusive),
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def _consume(self, result: tuple[int, SweepStats, list, list], memo: _ChaseMemo) -> None:
-        """Merge the next chunk in ascending order; checkpoint if the interval has passed.
-
-        The chunk's first pass left out the starts past the ancestor cut
-        whose ancestor is a smaller start of the sweep (`_sweep_chunk`).
-        That is exact unless an ancestor's run is a witness, and a left-out
-        witness has a witness ancestor in turn.  So if a witness of the
-        record or of the chunk covers (`_covered_by`) a start in the chunk's
-        part past the cut, the kernel walks the left-out residues of that
-        part in a second pass, which verifies each of them exactly.  Both
-        passes are merged before the record is touched: the record takes
-        whole chunks only.
-
-        The checkpoint is written only when `CHECKPOINT_INTERVAL` seconds
-        have passed since the pass started or last wrote it; `run` writes
-        the rest.  A merge cut short (an exception or KeyboardInterrupt
-        inside it) leaves a half-merged record, so until the merge is done
-        there is nothing unsaved that may be written.
-        """
-        hi, stats, violations, inconclusive = result
-        record = self._record
-        lo = max(record.verified_up_to + 1, _ancestor_cut(self.lo))
-        # The ancestors (2x - 1)/3 and (8x - 5)/9 of the x in [lo, hi]; the witness
-        # lists ascend, so bisection finds the witnesses among them.
-        windows = ((2 * lo - 1) // 3, (2 * hi - 1) // 3), ((8 * lo - 5) // 9, (8 * hi - 5) // 9)
-        if lo <= hi and any(
-            lo <= x <= hi
-            for found in (record.violations, record.inconclusive, violations, inconclusive)
-            for a, b in windows
-            for w, _ in found[bisect_left(found, (a,)) : bisect_left(found, (b + 1,))]
-            for x in _covered_by(w)
-        ):
-            task = (lo, hi, self.lo, self.budget)
-            _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9, memo=memo)
-            stats.merge(more)
-            violations = sorted(violations + skipped[0])
-            inconclusive = sorted(inconclusive + skipped[1])
-        self._unsaved = False
-        record.verified_up_to = hi
-        record.stats.merge(stats)
-        record.violations.extend(violations)
-        record.inconclusive.extend(inconclusive)
-        self._unsaved = self.checkpoint_path is not None
-        if self._unsaved and _clock() - self._saved_at >= CHECKPOINT_INTERVAL:
-            self._save()
-
-    def _save(self) -> None:
-        write_checkpoint(self.checkpoint_path, self.checkpoint())
-        self.saved_up_to = self._record.verified_up_to
-        self._unsaved = False
-        self._saved_at = _clock()
-
-    def run(self, max_chunks: int | None = None) -> RangeReport | None:
-        """Process pending chunks (all of them unless `max_chunks` limits the pass).
-
-        Returns the final report once the whole range is verified, None if
-        chunks remain (partial pass).  The pool, or this process when there
-        is none, runs each chunk's first kernel pass, and `_consume` a
-        second one where a witness needs it.  However the pass ends, when it
-        has run out of chunks, reached `max_chunks` or is unwinding from an
-        exception or KeyboardInterrupt, the checkpoint is written for the
-        last chunk it consumed, unless that one is written already or its
-        merge was cut short; a chunk stopped in either kernel pass is not
-        consumed.  A failed write then does not mask the exception that
-        ended the pass: that one propagates, with the write error as its
-        cause.  Only a hard kill (SIGKILL, power loss) can lose the chunks
-        consumed since the last write, at most about `CHECKPOINT_INTERVAL`
-        seconds of them; a resume verifies them again and ends with the
-        same report.
-        """
-        if max_chunks is not None and max_chunks < 0:
-            raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")
-        t0 = time.perf_counter()
-        # The plan is a lazy range of chunk starts; its full length is never taken.
-        size = self.chunk_size
-        starts = range(self._record.verified_up_to + 1, self.hi + 1, size)[:max_chunks]
-        tasks = ((a, min(a + size - 1, self.hi), self.lo, self.budget) for a in starts)
-        processes = len(starts[: self.workers])
-        # A pool pays off only for two or more chunks.  imap preserves
-        # submission order: chunks are consumed, and therefore checkpointed,
-        # strictly ascending.
-        pool = None
-        if processes > 1:
-            import multiprocessing  # only a pass with a pool pays for the import
-
-            pool = multiprocessing.Pool(processes, _start_worker)
-        # One chase memo for the chunks this process walks, which dies with the pass: a
-        # verifier kept after its run holds none.  Pool workers keep their own.
-        memo = _ChaseMemo()
-        kernel = _sweep_chunk if pool else functools.partial(_sweep_chunk, memo=memo)
-        self._saved_at = _clock()
-        try:
-            with pool or contextlib.nullcontext():
-                for result in (pool.imap if pool else map)(kernel, tasks):
-                    self._consume(result, memo)
-        except BaseException as exc:
-            if self._unsaved:
-                try:
-                    self._save()
-                except Exception as write_error:
-                    raise exc from write_error
-            raise
-        if self._unsaved:
-            self._save()
-        if self._record.verified_up_to < self.hi:
-            return None
-        return RangeReport(
-            fact_id="convergence",
-            lo=self.lo,
-            hi=self.hi,
-            checked=self.hi - self.lo + 1,
-            violations=self._record.violations,
-            inconclusive=self._record.inconclusive,
-            elapsed=time.perf_counter() - t0,
-        )

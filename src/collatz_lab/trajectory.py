@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .core_map import ReducedRule, ResidueClass, Rule, residue_class
+from .core_map import REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule, residue_class
 
 #: Default per-orbit step budget of every verifier and CLI command.
 DEFAULT_BUDGET = 10**6
@@ -25,11 +25,6 @@ DEFAULT_VALUE_CAP = 100_000
 
 class BudgetExhaustedError(RuntimeError):
     """An orbit hit its step budget before reaching a conclusion."""
-
-
-#: The rule each map fires at v, by v mod 4.
-_RULES = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
-_REDUCED_RULES = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class Trajectory:
     @cached_property
     def rules(self) -> tuple[Rule, ...] | tuple[ReducedRule, ...]:
         """The rule applied at each value but the last."""
-        table = _REDUCED_RULES if self.reduced else _RULES
+        table = REDUCED_RULE_AT if self.reduced else RULE_AT
         return tuple([table[u & 3] for u in self.values[:-1]])
 
 

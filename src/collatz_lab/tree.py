@@ -28,9 +28,8 @@ from itertools import repeat, zip_longest
 from operator import and_, itemgetter, lt
 from typing import NamedTuple
 
-from .core_map import ReducedRule, ResidueClass, Rule, residue_class
-from .facts import SCHEMA_VERSION, require_ints
-from .trajectory import _REDUCED_RULES, _RULES
+from .core_map import REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule, residue_class
+from .report import SCHEMA_VERSION, require_ints
 
 
 class TreeFlavor(Enum):
@@ -74,7 +73,7 @@ class Tree:
 
 
 #: Each flavor's rule at a child c, by c mod 4.
-_RULES_AT = {TreeFlavor.FULL: _RULES, TreeFlavor.REDUCED: _REDUCED_RULES}
+_RULES_AT = {TreeFlavor.FULL: RULE_AT, TreeFlavor.REDUCED: REDUCED_RULE_AT}
 
 
 def _rules(table, children):

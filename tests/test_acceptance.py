@@ -25,9 +25,9 @@ from collatz_lab.facts import (
     verify_reduction,
     verify_transitions,
 )
-from collatz_lab.sweep import RangeVerifier
 from collatz_lab.trajectory import orbit
 from collatz_lab.tree import Edge, TreeFlavor, build_tree, export_dot, export_json, tree_from_json
+from collatz_lab.verify import RangeVerifier
 
 R1, R2 = Rule.R1, Rule.R2
 

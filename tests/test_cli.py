@@ -13,11 +13,11 @@ import pytest
 
 from collatz_lab import cli, facts
 from collatz_lab.cli import main
-from collatz_lab.sweep import (
+from collatz_lab.sweep import SweepStats
+from collatz_lab.verify import (
     Checkpoint,
     CheckpointError,
     RangeVerifier,
-    SweepStats,
     load_checkpoint,
     write_checkpoint,
 )

@@ -197,7 +197,7 @@ class TestFusedAgainstReference:
 
 @pytest.mark.parametrize("first", ["collatz_lab.facts", "collatz_lab.sweep"])
 def test_reduction_runs_whichever_of_facts_and_sweep_is_imported_first(first):
-    """`sweep` imports `facts`, and the suite reaches the sweep's orbit loop at call time."""
+    """`facts` imports `sweep.unconverged` at load time, and `sweep` does not import `facts`."""
     src = str(Path(facts.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (f"import {first}; from collatz_lab.facts import verify_reduction; "

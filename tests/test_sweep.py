@@ -15,12 +15,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatz_lab
-from collatz_lab import cli, core_map, sweep
-from collatz_lab.sweep import (
+from collatz_lab import cli, core_map, sweep, verify
+from collatz_lab.sweep import SweepStats
+from collatz_lab.verify import (
     Checkpoint,
     CheckpointError,
     RangeVerifier,
-    SweepStats,
     load_checkpoint,
     write_checkpoint,
 )
@@ -458,6 +458,25 @@ def test_kernel_on_depth_s_chunks_far_from_1_equals_reference(lo, budget):
     task = (lo, lo + PERIOD - 1, lo // 4, budget)
     assert sweep._plan_depth(*task) == S
     assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
+
+
+@pytest.mark.parametrize(
+    "lo, peak, at",
+    [
+        (319_750_145, 707_118_223_359_971_240, 319_804_831),
+        (1_410_072_577, 3_562_942_561_397_226_080, 1_410_123_943),
+    ],
+)
+def test_chunk_of_a_sweep_from_1_holds_its_published_path_record(lo, peak, at):
+    # The records of [1, 2^30] and [1, 2^32], each in its 2^16-start chunk of a sweep
+    # from 1.  Each peak is half the 3x + 1 map's maximum for its start among the
+    # published path records (Oliveira e Silva 2010): it follows an odd value x, and
+    # (3x + 1)/2 is half of 3x + 1.  Independent of the kernel's own oracles.
+    task = (lo, lo + PERIOD - 1, 1, sweep.DEFAULT_BUDGET)
+    assert sweep._plan_depth(*task) == S
+    _, stats, violations, inconclusive = sweep._sweep_chunk(task)
+    assert (stats.max_peak, stats.max_peak_at) == (peak, at)
+    assert violations == inconclusive == []
 
 
 def _holds_a_memo(root):
@@ -966,7 +985,7 @@ def test_failed_checkpoint_write_leaves_no_temp_file(monkeypatch, tmp_path):
     def fail(src, dst):
         raise OSError("replace failed")
 
-    monkeypatch.setattr(sweep.os, "replace", fail)
+    monkeypatch.setattr(verify.os, "replace", fail)
     with pytest.raises(OSError, match="replace failed"):
         write_checkpoint(path, record)
     assert list(tmp_path.iterdir()) == []
@@ -1125,19 +1144,19 @@ def _doc(text):
 def writes(monkeypatch):
     """Wrap `write_checkpoint`: the documents it wrote, in order, without timestamps."""
     written = []
-    write = sweep.write_checkpoint
+    write = verify.write_checkpoint
 
     def recording(path, checkpoint):
         write(path, checkpoint)
         written.append(_doc(Path(path).read_text()))
 
-    monkeypatch.setattr(sweep, "write_checkpoint", recording)
+    monkeypatch.setattr(verify, "write_checkpoint", recording)
     return written
 
 
 @pytest.fixture
 def still_clock(monkeypatch):
-    monkeypatch.setattr(sweep, "_clock", lambda: 0.0)
+    monkeypatch.setattr(verify, "_clock", lambda: 0.0)
 
 
 _KERNEL = sweep._sweep_chunk
@@ -1192,7 +1211,7 @@ def _pace(monkeypatch, k, kernel=_KERNEL):
         return kernel(task, residues=residues, memo=memo)
 
     monkeypatch.setattr(sweep, "_sweep_chunk", counting)
-    monkeypatch.setattr(sweep, "_clock", lambda: len(chunks) // k * sweep.CHECKPOINT_INTERVAL)
+    monkeypatch.setattr(verify, "_clock", lambda: len(chunks) // k * verify.CHECKPOINT_INTERVAL)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10, 62, 63, 64])
@@ -1285,7 +1304,7 @@ def test_a_failed_final_write_does_not_mask_the_error(still_clock, monkeypatch, 
     def failing(path, checkpoint):
         raise OSError(f"cannot write {path}")
 
-    monkeypatch.setattr(sweep, "write_checkpoint", failing)
+    monkeypatch.setattr(verify, "write_checkpoint", failing)
     monkeypatch.setattr(sweep, "_sweep_chunk", StopAt(41, 50, RuntimeError))
     with pytest.raises(RuntimeError, match="chunk") as info:
         _cadence_verifier(tmp_path / "cp.json").run()
@@ -1344,14 +1363,14 @@ class TestCtrlC:
     def test_a_failed_final_write_names_the_last_write(self, monkeypatch, capsys, tmp_path):
         # Chunk 3 is written; the write of chunk 4, as chunk 5 is stopped, fails.
         path = tmp_path / "cp.json"
-        write = sweep.write_checkpoint
+        write = verify.write_checkpoint
 
         def first_only(at, checkpoint):
             if at.exists():
                 raise OSError(f"cannot write {at}")
             write(at, checkpoint)
 
-        monkeypatch.setattr(sweep, "write_checkpoint", first_only)
+        monkeypatch.setattr(verify, "write_checkpoint", first_only)
         _pace(monkeypatch, 3, StopAt(41, 50, KeyboardInterrupt))
         assert cli.main(self.ARGV + ["--checkpoint", str(path)]) == 130
         out, err = capsys.readouterr()

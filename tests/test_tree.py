@@ -20,7 +20,7 @@ from collatz_lab.core_map import (
     residue_class,
     step,
 )
-from collatz_lab.facts import SCHEMA_VERSION
+from collatz_lab.report import SCHEMA_VERSION
 from collatz_lab.tree import (
     Edge,
     Tree,
@@ -318,6 +318,24 @@ class TestBuildReduced:
         tree = build_tree(TreeFlavor.REDUCED, 2, max_value=2000)
         for edge in tree.edges:
             assert reduced_step(edge.child) == (edge.parent, edge.rule)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10**4))
+    @example(10**5)
+    def test_nodes_are_the_c2_nodes_of_the_full_tree(self, cap):
+        """Under one value cap, the reduced tree from 2 holds the C2 nodes of the full tree from 1.
+
+        The full tree under the cap holds n iff n's orbit to 1 stays at or
+        below it.  For n in C2 the reduced orbit is the C2 subsequence of
+        the full orbit, and each value it skips is x/2 for an even C2 value
+        x, so it lies below x.  The full flavor rests on the plain map alone,
+        so an error that the reduced map, its inverse and the reduced build
+        share shows here.  Depth caps break the equality: one reduced step
+        can span two full ones.
+        """
+        full = build_tree(TreeFlavor.FULL, 1, max_value=cap).nodes
+        reduced = build_tree(TreeFlavor.REDUCED, 2, max_value=cap).nodes
+        assert reduced == tuple(n for n in full if n % 3 == 2)
 
 
 class TestDomainErrors:
