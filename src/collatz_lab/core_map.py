@@ -45,6 +45,10 @@ class ReducedRule(Enum):
 #: The rule each map fires at v, by v mod 4.
 RULE_AT = (Rule.R1, Rule.R2, Rule.R1, Rule.R2)
 REDUCED_RULE_AT = (ReducedRule.Q1, ReducedRule.Q3, ReducedRule.Q2, ReducedRule.Q3)
+#: The class of step(x), by x mod 6: from C0 to C0 when x/3 is even and to C2
+#: when it is odd; from C1 always to C2; from C2 to C1 when x is even and to C2
+#: when it is odd.
+STEP_CLASS_AT = (0, 2, 1, 2, 2, 2)
 
 _CLASSES = (ResidueClass.C0, ResidueClass.C1, ResidueClass.C2)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from . import facts
+from . import core_map
 from .core_map import ResidueClass, Rule, residue_class
 from .report import RangeReport
 from .trajectory import orbit
@@ -314,17 +314,17 @@ def verify_c0_structure(range_max: int) -> RangeReport:
     of 3, and along every forward orbit the C0 positions form a prefix,
     so an orbit outside C0 never re-enters it.  The second follows from
     one step, T(x) in C0 implies x in C0, which is checked for every x.
-    The class of T(x) depends on x mod 6 alone (`facts._STEP_CLASS`, which
-    the transitions suite checks against the map), so one more check of
-    the six residues covers every integer, the values above range_max that
-    orbits reach included.
+    The class of T(x) depends on x mod 6 alone (`core_map.STEP_CLASS_AT`,
+    which the transitions suite checks against the map), so one more check
+    of the six residues covers every integer, the values above range_max
+    that orbits reach included.
     """
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = [
         (r, f"{r} mod 6 is in C{r % 3}, but the transition table steps it into C0")
-        for r, to in enumerate(facts._STEP_CLASS)
+        for r, to in enumerate(core_map.STEP_CLASS_AT)
         if to == 0 and r % 3
     ]
     for x in range(1, range_max + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 
+from . import core_map
 from .core_map import ResidueClass
 from .report import RangeReport
 from .sweep import unconverged
@@ -32,10 +33,6 @@ _EVEN_PRED_CLASS = (0, 2, 1)
 # Class of the odd predecessor (2x-1)/3 of x in C2, indexed by the class of
 # (x-2)/3; at x = 2 the probe is 0, which counts as a multiple of 3.
 _ODD_PRED_CLASS = (1, 0, 2)
-# Class of step(x), indexed by x mod 6: from C0 to C0 when x/3 is even and to
-# C2 when it is odd; from C1 always to C2; from C2 to C1 when x is even and to
-# C2 when it is odd.
-_STEP_CLASS = (0, 2, 1, 2, 2, 2)
 
 
 def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
@@ -91,9 +88,10 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
     _require_range(lo, hi)
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
+    step_class = core_map.STEP_CLASS_AT
     for x in range(lo, hi + 1):
         t = (3 * x + 1) >> 1 if x & 1 else x >> 1
-        want = _STEP_CLASS[x % 6]
+        want = step_class[x % 6]
         if t % 3 != want:
             violations.append(
                 (x, f"{ResidueClass(x % 3).name} -> {ResidueClass(t % 3).name} at "

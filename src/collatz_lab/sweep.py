@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import chain
 
-from .report import require_ints
-from .trajectory import DEFAULT_BUDGET, orbit  # noqa: F401 (tests read DEFAULT_BUDGET here)
+from .trajectory import orbit
 
 
 def _pick(value_a: int, at_a: int, value_b: int, at_b: int) -> tuple[int, int]:
@@ -57,12 +56,6 @@ class SweepStats:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SweepStats":
-        values = [doc[f.name] for f in fields(cls)]
-        require_ints("checkpoint stats", values)
-        return cls(*values)
-
 
 #: Steps per table lookup: n mod 2^K fixes the first K parity steps of n.
 K = 8
@@ -72,7 +65,7 @@ _MASK = _WIDTH - 1
 S = 16
 #: A sieve of depth k lists its survivors over a period of 2^max(k, P) starts.
 P = 12
-#: A chase (`_chase`) ends at its first value under 2^B with one tail-table lookup.
+#: A chase (`_chase`) ends with one tail-table lookup at a value under 2^B.
 B = 12
 #: A chase memo holds 2^M slots, direct-mapped on x mod 2^M (`_ChaseMemo`).
 M = 12
@@ -521,27 +514,28 @@ def _chase(
     Returns (steps to 1 in all, peak from v on), or (-1, peak over the
     steps the budget allows) when 1 is out of reach within `budget`.
 
-    The chase ends at the first value of two kinds: one under 2^B, whose
-    steps to 1 and peak the tail table holds (`_tail_table`), or one that
-    an earlier chase of the pass walked, whose steps and peak the memo
-    holds.  Both are exact and do not depend on the budget.  Between
-    lookups it moves K steps per `_residue_table` row while no value in
-    between can fall under 2^B, single steps otherwise.  Once it ends, it
-    stores each value it checked in the memo, with the steps from there to
-    1 and the running maximum of the moves' tops, filled from the end back.
+    The chase moves K steps per `_residue_table` row while K steps fit in
+    the budget, single steps otherwise.  It ends at the first value of two
+    kinds that it stands on: one under 2^B, whose steps to 1 and peak the
+    tail table holds (`_tail_table`), or one that an earlier chase of the
+    pass walked, whose steps and peak the memo holds.  Both are exact and
+    do not depend on the budget.  Every value that reaches a jump is at
+    least 2^B, at least B > K steps above 1, so no jump passes 1.  A jump
+    that passes over values under 2^B lands on a later value, whose steps
+    to 1 add up to the same total, and its top covers the values it
+    passed.  Once the chase ends, it stores each value it checked in the
+    memo, with the steps from there to 1 and the running maximum of the
+    moves' tops, filled from the end back.
 
     A lookup whose steps do not fit in the budget proves 1 out of reach.
     If its peak is no higher than the moves' tops so far, those hold the
-    peak; otherwise the chase spends the rest of its budget with neither a
-    memo nor a table to check, so an inconclusive start spends exactly its
-    budget.
+    peak; otherwise `orbit` finishes it by single steps over the rest of
+    the budget, so an inconclusive start spends exactly its budget.
     """
     tail_steps, tail_peak = tail
     keys, memo_steps, memo_peaks = memo.keys, memo.steps, memo.peaks
     slots, mask = len(keys) - 1, _MASK
     edge = (1 << B) - 1
-    # From t = 2^(B-1) on, minc*t > edge holds for every row (minc >= 2).
-    sure = 1 << (B - 1)
     last_jump = budget - K
     trail = []  # (x, steps at x, top of the move from x) per value checked
     push = trail.append
@@ -552,9 +546,9 @@ def _chase(
         if keys[v & slots] == v:
             rest, end_peak = memo_steps[v & slots], memo_peaks[v & slots]
             break
-        t = v >> K
-        c, d, minc, cp, dp = jumps[v & mask]
-        if (t >= sure or minc * t > edge) and steps <= last_jump:
+        if steps <= last_jump:
+            t = v >> K
+            c, d, _, cp, dp = jumps[v & mask]
             push((v, steps, cp * t + dp))
             v = c * t + d
             steps += K
@@ -581,20 +575,9 @@ def _chase(
     if total <= budget:
         return total, peak
     peak = max([top for _, _, top in trail], default=v)
-    if end_peak <= peak:
-        return -1, peak
-    # Jumps from any t are exact, with their tops, and pass no lookup.
-    for _ in range((budget - steps) // K):
-        t = v >> K
-        c, d, _, cp, dp = jumps[v & mask]
-        top = cp * t + dp
-        if top > peak:
-            peak = top
-        v = c * t + d
-    for _ in range((budget - steps) % K):
-        v = (3 * v + 1) >> 1 if v & 1 else v >> 1
-        if v > peak:
-            peak = v
+    if end_peak > peak:
+        # Target 0 is never hit, and value cap 1 keeps no values.
+        peak = max(peak, orbit(v, budget - steps, 0, 1).peak)
     return -1, peak
 
 

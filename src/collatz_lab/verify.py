@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import pairwise
 from pathlib import Path
@@ -94,7 +94,9 @@ def load_checkpoint(path: Path) -> Checkpoint:
         require_ints("checkpoint range", [lo, hi])
         require_ints("checkpoint budget", [budget])
         require_ints("checkpoint verified_up_to", [verified_up_to])
-        stats = SweepStats.from_json_dict(doc["stats"])
+        values = [doc["stats"][f.name] for f in fields(SweepStats)]
+        require_ints("checkpoint stats", values)
+        stats = SweepStats(*values)
         # The chunk at lo always sets both records, so they name starts swept so far.
         at = sorted((stats.max_steps_at, stats.max_peak_at))
         if not lo <= at[0] <= at[1] <= verified_up_to <= hi:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from collatz_lab import cli, facts
+from collatz_lab import cli, core_map
 from collatz_lab.cli import main
 from collatz_lab.sweep import SweepStats
 from collatz_lab.verify import (
@@ -179,10 +179,6 @@ class TestSweepStats:
         assert ab.max_steps_at == 3  # tie on steps: smallest argument wins
         assert ab.max_peak_at == 9
 
-    def test_round_trip(self):
-        s = SweepStats(max_steps=5, max_steps_at=2, max_peak=8, max_peak_at=3)
-        assert SweepStats.from_json_dict(s.to_json_dict()) == s
-
 
 class TestVerifyRangeCommand:
     def test_small_range(self, capsys):
@@ -324,7 +320,7 @@ class TestFactsCommand:
 
     def test_text_report_lists_each_violation(self, capsys, monkeypatch):
         # The schedule of TestWitnesses.test_step_class in test_facts.py.
-        monkeypatch.setattr(facts, "_STEP_CLASS", (0, 2, 1, 2, 2, 1))
+        monkeypatch.setattr(core_map, "STEP_CLASS_AT", (0, 2, 1, 2, 2, 1))
         code, out, _ = run_cli(capsys, "facts", "transitions", "1", "12")
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("  ")] == [

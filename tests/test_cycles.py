@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatz_lab import facts
+from collatz_lab import core_map
 from collatz_lab.core_map import ResidueClass, Rule, residue_class, step
 from collatz_lab.cycles import (
     MAX_SEARCH_LEN,
@@ -441,9 +441,9 @@ class TestC0Structure:
     @pytest.mark.parametrize("row", [1, 2, 4, 5])
     def test_a_transition_row_into_c0_from_outside_is_a_violation(self, monkeypatch, row):
         # The six residues mod 6 carry the one-step lemma past range_max.
-        table = list(facts._STEP_CLASS)
+        table = list(core_map.STEP_CLASS_AT)
         table[row] = 0
-        monkeypatch.setattr(facts, "_STEP_CLASS", tuple(table))
+        monkeypatch.setattr(core_map, "STEP_CLASS_AT", tuple(table))
         report = verify_c0_structure(100)
         assert report.violations == [
             (row, f"{row} mod 6 is in C{row % 3}, but the transition table steps it into C0")

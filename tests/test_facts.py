@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatz_lab import facts
+from collatz_lab import core_map, facts
 from collatz_lab.core_map import (
     ResidueClass,
     Rule,
@@ -348,7 +348,7 @@ class TestWitnesses:
         ]
 
     def test_step_class(self, monkeypatch):
-        monkeypatch.setattr(facts, "_STEP_CLASS", (0, 2, 1, 2, 2, 1))
+        monkeypatch.setattr(core_map, "STEP_CLASS_AT", (0, 2, 1, 2, 2, 1))
         assert verify_transitions(1, 12).violations == [
             (5, "C2 -> C2 at step(5) = 8, expected C1"),
             (11, "C2 -> C2 at step(11) = 17, expected C1"),

@@ -1,9 +1,10 @@
 """The package's modules import each other along its layers, read from their syntax trees.
 
 `report` and `core_map` are leaves.  The sweep kernel (`sweep`) touches no
-file, clock or process; its run layer (`verify`) does.  Every package
-module is imported at the top of its importer, and only by its public names
-or as a module, so the import graph is the one the files show.
+file, clock or process, and imports no package module but `trajectory`;
+its run layer (`verify`) touches all three.  Every package module is
+imported at the top of its importer, and only by its public names or as a
+module, so the import graph is the one the files show.
 """
 
 import ast
@@ -63,6 +64,17 @@ def test_no_relative_import_names_a_private_name(path):
 def test_the_sweep_kernel_imports_no_run_layer_module():
     found = {module.split(".")[0] for module, _ in _imports(_tree("sweep"))}
     assert not found & RUN_LAYER
+
+
+def test_the_sweep_kernel_imports_no_package_module_but_trajectory():
+    # `from . import x` names its modules; any other package import names one module.
+    found = {
+        name
+        for module, names in _imports(_tree("sweep"))
+        if _is_package(module)
+        for name in (names if module in (".", "collatz_lab") else [module.split(".")[-1]])
+    }
+    assert found <= {"trajectory"}, f"sweep.py imports package modules {found}"
 
 
 @pytest.mark.parametrize("name", ["report", "core_map"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import collatz_lab
-from collatz_lab import cli, core_map, sweep, verify
+from collatz_lab import cli, core_map, sweep, trajectory, verify
 from collatz_lab.sweep import SweepStats
 from collatz_lab.verify import (
     Checkpoint,
@@ -27,7 +27,7 @@ from collatz_lab.verify import (
 from collatz_lab.trajectory import OrbitOutcome, converges
 
 K, WIDTH = sweep.K, 1 << sweep.K
-EDGE = 1 << sweep.B  # chases end at the first value below EDGE with a tail lookup
+EDGE = 1 << sweep.B  # a chase ends at the first value below EDGE it stands on, by a tail lookup
 S, PERIOD = sweep.S, 1 << sweep.S
 EVERY = frozenset(range(9))  # the kernel walks every residue mod 9: no start is skipped
 
@@ -235,13 +235,21 @@ class _Reads(tuple):
         return tuple.__getitem__(self, i)
 
 
-def _first_under_edge(n):
-    """The first value below 2^B after n drops below itself."""
-    v = _step(n)
+def _chase_lookup(n, budget):
+    """The value at which the chase from n's first drop reads the tail table.
+
+    From the drop it jumps K steps while the value is at least 2^B and K
+    steps fit in the budget, and takes single steps otherwise; it stops at
+    the first value under 2^B that it stands on.
+    """
+    v, steps = _step(n), 1
     while v >= n:
-        v = _step(v)
+        v, steps = _step(v), steps + 1
     while v >= EDGE:
-        v = _step(v)
+        j = K if steps <= budget - K else 1
+        for _ in range(j):
+            v = _step(v)
+        steps += j
     return v
 
 
@@ -252,15 +260,34 @@ def test_chase_ends_with_one_tail_lookup_exactly_at_the_budget(monkeypatch, n):
     peaks.reads = []
     monkeypatch.setattr(sweep, "_tail_table", lambda: (tail_steps, peaks))
     total = reference_chunk((n, n, n, 10**6))[1].max_steps
-    # At budget S the chase converges with one lookup, at its first value below
-    # 2^B.  At S - 1 that lookup does not fit, which shows that 1 is out of reach;
-    # the chase reads no other entry.
+    # At budget S the chase converges with one lookup, at the first value below 2^B
+    # that it stands on: 1276 and 3340 here.  From 10^12 + 1 a jump passes over 2552,
+    # the orbit's first value below 2^B.  At S - 1 that lookup does not fit, which
+    # shows that 1 is out of reach; the chase reads no other entry.
     for budget in (total, total - 1):
         peaks.reads.clear()
         task = (n, n, n, budget)
         assert sweep._sweep_chunk(task) == reference_chunk(task)
-        assert peaks.reads == [_first_under_edge(n)]
+        assert peaks.reads == [_chase_lookup(n, budget)]
     assert reference_chunk((n, n, n, total - 1))[3] != []
+
+
+@pytest.mark.parametrize("n", [10**12 + 1, 1000000040914, 2**64 + 1, 27])
+def test_chase_equals_single_steps_at_every_budget(n):
+    # (steps to 1, or -1 when they do not fit, and the peak over the steps that do),
+    # from a fresh memo.  A jump guard one step looser, steps <= budget - K + 1, gives
+    # (-1, 20806322382764) from 1000000040914 at budget 39, one step past the budget.
+    # The chase from 27 starts with a tail lookup whose peak, 4616, beats 27, so each
+    # budget from 1 to 69 steps, short of its 70, is finished by single steps.
+    jumps, _ = sweep._residue_table()
+    tail = sweep._tail_table()
+    values = [n]
+    while values[-1] != 1:
+        values.append(_step(values[-1]))
+    total = len(values) - 1
+    for budget in range(total + 2):
+        want = (total if budget >= total else -1, max(values[: budget + 1]))
+        assert sweep._chase(n, 0, budget, jumps, tail, sweep._ChaseMemo()) == want, budget
 
 
 def test_a_memo_hit_ends_a_chase_exactly_at_the_budget(monkeypatch):
@@ -325,7 +352,7 @@ def test_the_orbit_loop_reads_at_most_2_5_rows_per_walked_start(monkeypatch):
         return orbits(task, memo, violations, inconclusive, starts, records, lead)
 
     monkeypatch.setattr(sweep, "_orbits", recording)
-    budget = sweep.DEFAULT_BUDGET
+    budget = trajectory.DEFAULT_BUDGET
     assert RangeVerifier(1, 1 << 18, budget=budget).run().inconclusive == []
     assert len(row_reads.reads) <= 2.5 * len(walked)
     # Exactly the model's work: in particular no single step while t >= 1 and the
@@ -357,8 +384,8 @@ def test_memo_entries_equal_single_steps(budget):
         assert (steps, peak) == (len(values) - 1, max(values)), x
 
 
-def test_every_3x_plus_1_row_jumps_from_t_2_to_the_b_minus_1():
-    # `_chase` jumps without checking the row from t = 2^(B-1) on: minc*t > 2^B - 1.  A
+def test_every_3x_plus_1_row_holds_its_least_coefficient_and_its_peak_form():
+    # `_orbits` jumps while minc*t > n, for minc the least c_j between a row's ends.  A
     # jump's top is its peak from t = 0 on: cp >= c_j and dp >= d_j for every j.
     rows, landings = sweep._residue_table()
     for r, (_, _, minc, cp, dp) in enumerate(rows):
@@ -472,7 +499,7 @@ def test_chunk_of_a_sweep_from_1_holds_its_published_path_record(lo, peak, at):
     # from 1.  Each peak is half the 3x + 1 map's maximum for its start among the
     # published path records (Oliveira e Silva 2010): it follows an odd value x, and
     # (3x + 1)/2 is half of 3x + 1.  Independent of the kernel's own oracles.
-    task = (lo, lo + PERIOD - 1, 1, sweep.DEFAULT_BUDGET)
+    task = (lo, lo + PERIOD - 1, 1, trajectory.DEFAULT_BUDGET)
     assert sweep._plan_depth(*task) == S
     _, stats, violations, inconclusive = sweep._sweep_chunk(task)
     assert (stats.max_peak, stats.max_peak_at) == (peak, at)
@@ -594,7 +621,7 @@ def test_each_start_on_a_landing_threshold_equals_single_steps(lo):
     starts = _starts_on_a_landing_threshold(lo, 1 << 16)
     assert len(starts) >= 10
     for n in starts:
-        task = (n, n, lo, sweep.DEFAULT_BUDGET)
+        task = (n, n, lo, trajectory.DEFAULT_BUDGET)
         assert sweep._plan_depth(*task) == 0  # walked from step 0, as the scan walks it
         assert sweep._sweep_chunk(task, residues=EVERY) == reference_chunk(task)
 
@@ -1466,4 +1493,4 @@ def test_a_violation_drives_the_second_pass_over_the_starts_it_covers(
     report = verifier.run()
     assert [chunk for chunk, residues in passes if residues == sweep._SKIPPED_MOD_9] == second
     assert (report.violations, report.inconclusive) == ([(27, Plant.DETAIL)], [])
-    assert verifier.stats == reference_chunk((1, 100, 1, sweep.DEFAULT_BUDGET))[1]
+    assert verifier.stats == reference_chunk((1, 100, 1, trajectory.DEFAULT_BUDGET))[1]
