@@ -183,8 +183,6 @@ def _cmd_facts(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     flavor = TreeFlavor.REDUCED if args.reduced else TreeFlavor.FULL
     root = args.root if args.root is not None else (2 if args.reduced else 1)
-    if args.max_depth is None and args.max_value is None:
-        raise ValueError("need --max-depth and/or --max-value")
     tree = build_tree(flavor, root, args.max_depth, args.max_value)
     text = export_json(tree) if args.json else export_dot(tree)
     if args.output is not None:

@@ -13,48 +13,40 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .trajectory import orbit
 
 
-def _pick(value_a: int, at_a: int, value_b: int, at_b: int) -> tuple[int, int]:
-    # Associative, order-independent max with smallest-argument tie-break;
-    # at == 0 means "nothing observed yet".
-    if at_a == 0:
-        return value_b, at_b
-    if at_b == 0:
-        return value_a, at_a
-    if value_b > value_a or (value_b == value_a and at_b < at_a):
-        return value_b, at_b
-    return value_a, at_a
-
-
-@dataclass
-class SweepStats:
+class SweepStats(NamedTuple):
     """Records of a convergence sweep: most steps spent on one start, highest peak.
 
     Step counts are per-start verification work: the orbit is followed
     until it reaches 1 or drops onto an already-verified smaller start, so
     for a single-value range they equal the full orbit statistics.
+
+    Each record is the larger value, and on a tie the smaller start: the
+    orbit loop's comparison (`_orbits`), which `merged` applies to two
+    records.  SweepStats() = (-1, 0, 0, 0) observes nothing: `merged`'s identity.
     """
 
-    max_steps: int = 0
+    max_steps: int = -1
     max_steps_at: int = 0
     max_peak: int = 0
     max_peak_at: int = 0
 
-    def merge(self, other: "SweepStats") -> None:
-        self.max_steps, self.max_steps_at = _pick(
-            self.max_steps, self.max_steps_at, other.max_steps, other.max_steps_at
-        )
-        self.max_peak, self.max_peak_at = _pick(
-            self.max_peak, self.max_peak_at, other.max_peak, other.max_peak_at
-        )
+    def merged(self, other: SweepStats) -> SweepStats:
+        """The records over the starts of both, by the rule above; neither is changed."""
+        steps, steps_at, peak, peak_at = self
+        if other.max_steps >= steps and (other.max_steps > steps or other.max_steps_at < steps_at):
+            steps, steps_at = other.max_steps, other.max_steps_at
+        if other.max_peak >= peak and (other.max_peak > peak or other.max_peak_at < peak_at):
+            peak, peak_at = other.max_peak, other.max_peak_at
+        return SweepStats(steps, steps_at, peak, peak_at)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 #: Steps per table lookup: n mod 2^K fixes the first K parity steps of n.
@@ -355,8 +347,8 @@ def _sweep_chunk(
     memo = memo or _worker_memo or _ChaseMemo()
     walk = functools.partial(_orbits, task, memo, violations, inconclusive)
     # Records over the whole chunk; n does not ascend across runs, so ties
-    # go to the smaller n, as _pick does.
-    records = (0, 1, 1, 1) if lo == 1 else (-1, 0, 0, 0)
+    # go to the smaller n, as in SweepStats.merged.
+    records = SweepStats(0, 1, 1, 1) if lo == 1 else SweepStats()
     k = _plan_depth(lo, hi, range_lo, budget)
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
@@ -364,17 +356,14 @@ def _sweep_chunk(
         _, (c, d), settled, _ = _survivor_table(k)
         runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
         records = walk(chain.from_iterable(runs), records, k)
-        if not (records[0] > k and records[2] > c * (hi >> k) + d):
+        if not (records.max_steps > k and records.max_peak > c * (hi >> k) + d):
             records = walk(_settled_ends(first, hi, settled), records)
     else:
         runs = (range(past + (q - past) % 9, hi + 1, 9) for q in residues)
         records = walk(chain(range(first, below + 1), *runs), records)
-    max_steps, max_steps_at, max_peak, max_peak_at = records
     violations.sort()
     inconclusive.sort()
-    # max_steps is still -1 when every start was skipped: nothing was observed.
-    stats = SweepStats(max(max_steps, 0), max_steps_at, max_peak, max_peak_at)
-    return hi, stats, violations, inconclusive
+    return hi, records, violations, inconclusive
 
 
 def _second_pass(
@@ -407,7 +396,7 @@ def _second_pass(
     ):
         task = (lo, hi, range_lo, budget)
         _, more, *skipped = _sweep_chunk(task, residues=_SKIPPED_MOD_9, memo=memo)
-        stats.merge(more)
+        stats = stats.merged(more)
         violations = sorted(violations + skipped[0])
         inconclusive = sorted(inconclusive + skipped[1])
     return hi, stats, violations, inconclusive
@@ -419,10 +408,10 @@ def _orbits(
     violations: list,
     inconclusive: list,
     starts: Iterable,
-    records: tuple[int, int, int, int],
+    records: SweepStats,
     lead: int = 0,
-) -> tuple[int, int, int, int]:
-    """The orbit loop: follow each start; return `records` (max_steps, at, max_peak, at) with them.
+) -> SweepStats:
+    """The orbit loop: follow each start; return `records` merged with theirs (`SweepStats.merged`).
 
     Each start n is followed under x -> x/2, (3x + 1)/2 until it reaches 1
     or drops onto a smaller, already-verified start; a drop below the whole
@@ -503,7 +492,7 @@ def _orbits(
             max_steps, max_steps_at = steps, n
         if peak >= max_peak and (peak > max_peak or n < max_peak_at):
             max_peak, max_peak_at = peak, n
-    return max_steps, max_steps_at, max_peak, max_peak_at
+    return SweepStats(max_steps, max_steps_at, max_peak, max_peak_at)
 
 
 def _chase(

@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import pairwise
 from pathlib import Path
@@ -94,7 +94,7 @@ def load_checkpoint(path: Path) -> Checkpoint:
         require_ints("checkpoint range", [lo, hi])
         require_ints("checkpoint budget", [budget])
         require_ints("checkpoint verified_up_to", [verified_up_to])
-        values = [doc["stats"][f.name] for f in fields(SweepStats)]
+        values = [doc["stats"][name] for name in SweepStats._fields]
         require_ints("checkpoint stats", values)
         stats = SweepStats(*values)
         # The chunk at lo always sets both records, so they name starts swept so far.
@@ -222,7 +222,6 @@ class RangeVerifier:
             raise CheckpointError("no chunk verified yet, nothing to checkpoint")
         return replace(
             record,
-            stats=replace(record.stats),
             violations=list(record.violations),
             inconclusive=list(record.inconclusive),
             timestamp=datetime.now(timezone.utc).isoformat(),
@@ -246,7 +245,7 @@ class RangeVerifier:
         hi, stats, violations, inconclusive = sweep._second_pass(task, result, found, memo)
         self._unsaved = False
         record.verified_up_to = hi
-        record.stats.merge(stats)
+        record.stats = record.stats.merged(stats)
         record.violations.extend(violations)
         record.inconclusive.extend(inconclusive)
         self._unsaved = self.checkpoint_path is not None

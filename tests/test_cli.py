@@ -7,9 +7,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_lab import cli, core_map
 from collatz_lab.cli import main
@@ -165,19 +168,29 @@ class TestRangeVerifier:
             RangeVerifier(1, 10, budget=-1)
 
 
+# Records of a few starts with small values, so that values tie, and the empty record.
+observed = st.builds(SweepStats, st.integers(0, 3), *[st.integers(1, 4)] * 3)
+some_records = st.lists(st.one_of(st.just(SweepStats()), observed), max_size=5)
+
+
 class TestSweepStats:
-    def test_merge_is_order_independent(self):
-        a = SweepStats(max_steps=7, max_steps_at=3, max_peak=100, max_peak_at=3)
-        b = SweepStats(max_steps=7, max_steps_at=9, max_peak=250, max_peak_at=9)
-        ab = SweepStats()
-        ab.merge(a)
-        ab.merge(b)
-        ba = SweepStats()
-        ba.merge(b)
-        ba.merge(a)
-        assert ab == ba
-        assert ab.max_steps_at == 3  # tie on steps: smallest argument wins
-        assert ab.max_peak_at == 9
+    @settings(deadline=None)
+    @given(some_records)
+    # A tie on steps: the smaller start wins.
+    @example([SweepStats(max_steps=7, max_steps_at=3, max_peak=100, max_peak_at=3),
+              SweepStats(max_steps=7, max_steps_at=9, max_peak=250, max_peak_at=9)])
+    def test_merge_is_order_independent(self, records):
+        folds = {reduce(SweepStats.merged, order, SweepStats()) for order in permutations(records)}
+        for stats in records:
+            assert SweepStats().merged(stats) == stats == stats.merged(SweepStats())
+        seen = [stats for stats in records if stats != SweepStats()]
+        if seen:
+            steps = max(seen, key=lambda stats: (stats.max_steps, -stats.max_steps_at))
+            peak = max(seen, key=lambda stats: (stats.max_peak, -stats.max_peak_at))
+            best = SweepStats(steps.max_steps, steps.max_steps_at, peak.max_peak, peak.max_peak_at)
+        else:
+            best = SweepStats()
+        assert folds == {best}  # every order of folding gives the one best record
 
 
 class TestVerifyRangeCommand:
@@ -363,9 +376,11 @@ class TestTreeCommand:
         assert tree_from_json(out) == build_tree(TreeFlavor.FULL, 1, None, 24)
 
     def test_requires_some_cap(self, capsys):
-        code, _, err = run_cli(capsys, "tree")
-        assert code == 2
-        assert "max-depth" in err or "max-value" in err
+        for argv in [], ["--reduced"], ["--json"]:
+            code, out, err = run_cli(capsys, "tree", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: need max_depth and/or max_value: an uncapped tree is infinite\n"
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "tree.dot"

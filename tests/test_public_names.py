@@ -10,7 +10,17 @@ import importlib
 import pytest
 
 NAMES = {
-    "cli": ["main", "RangeVerifier", "load_checkpoint", "write_checkpoint", "DEFAULT_BUDGET"],
+    "cli": [
+        "main",
+        "RangeVerifier",
+        "RangeVerifier.run",
+        "RangeVerifier.checkpoint",
+        "RangeVerifier.stats",
+        "load_checkpoint",
+        "write_checkpoint",
+        "DEFAULT_BUDGET",
+    ],
+    "sweep": ["SweepStats.to_json_dict"],
     "trajectory": ["converges", "OrbitOutcome.DROPPED_BELOW_FLOOR", "orbit", "correspondence"],
     "facts": [
         "DEFAULT_BUDGET",
