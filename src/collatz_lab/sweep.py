@@ -121,8 +121,8 @@ def _residue_table() -> tuple[tuple, tuple]:
 
 
 @functools.cache
-def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple, tuple]:
-    """The sieve of depth k: the residues mod 2^k that do not drop within k steps, and the rest.
+def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple]:
+    """The sieve of depth k: the plan of a chunk at that depth (`_sweep_chunk`).
 
     For the 3x + 1 map, grown one bit at a time from the one class mod 1.
     For n = 2^j*t + r the state is (c, d, cp, dp): T^j(n) = c*t + d, and
@@ -131,23 +131,24 @@ def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple, tuple]:
     becomes 2*c_i*t + b*c_i + d_i, and one more step is taken.  A residue
     survives step j while c > 2^j (3^a > 2^j); then d = T^j(r) > r too (r
     is odd), so its values stay above n for every t >= 0.  At the first
-    step j with c < 2^j the class (r, 2^j) drops.  Returns (by_mod_9,
-    peak, settled, leads), for n = 2^k*t + R:
+    step j with c < 2^j the class (r, 2^j) drops.  Each peak form cp*t + dp
+    is the exact maximum of the values so far for every t >= 0, since the
+    form with the largest c_i also has the largest d_i (checked for every
+    survivor and every settled class at every depth 1..S).  Returns
+    (by_mod_9, peak, settled):
 
     * by_mod_9[q]: the survivors R ≡ q (mod 9) over a period of 2^max(k, P),
-      ascending.  Mod 2^16 there are 2114 survivors (OEIS A076227).
+      ascending, and their lead rows, as five aligned columns R, c_k, d_k,
+      cp, dp for `_orbits`: n = 2^k*t + R has T^k(n) = c_k*t + d_k and a
+      peak of cp*t + dp over steps 0..k.  A residue R >= 2^k has the row
+      of R mod 2^k, for t = n >> k.  Mod 2^16 there are 2114 survivors
+      (OEIS A076227).
     * peak = (c, d): the values of the other starts up to their drop are
-      at most c*t + d.
-    * settled: the classes (r, 2^j) that drop, first at step j <= k; with
-      the survivors they partition the residues mod 2^k.  Mod 2^16 there
-      are 791 of them.
-    * leads[q]: the lead rows of by_mod_9[q] as four columns c_k, d_k,
-      cp, dp, aligned with it, for `_orbits`.  n = 2^k*t + R has
-      T^k(n) = c_k*t + d_k, and its peak over steps 0..k is cp*t + dp for
-      every t >= 0, since the form with the largest c_j also has the
-      largest d_j (checked for every survivor and every settled class at
-      every depth 1..S).  A residue R >= 2^k has the row of R mod 2^k, for
-      t = n >> k.
+      at most c*t + d, for n = 2^k*t + R.
+    * settled: the classes (r, 2^j, cp, dp) that drop, first at step j <= k,
+      with their peak form over steps 0..j in t = n >> j; with the
+      survivors they partition the residues mod 2^k.  Mod 2^16 there are
+      791 of them.
     """
     c_peak, d_peak = 0, 0
     settled = []
@@ -168,17 +169,12 @@ def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple, tuple]:
             if c_b > top:
                 grow.append((j + 1, rb, c_b, d_b, cp_b, dp_b))
                 continue
-            settled.append((rb, top))
+            settled.append((rb, top, cp_b, dp_b))
             # n = 2^(j+1)*t + rb has t = scale*(n >> k) + u with 0 <= u < scale.
             scale = (1 << k) // top
             c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dp_b + cp_b * (scale - 1))
-    columns = [tuple(zip(*sorted(rows))) or ((),) * 5 for rows in found]
-    return (
-        tuple(cols[0] for cols in columns),
-        (c_peak, d_peak),
-        tuple(sorted(settled)),
-        tuple(cols[1:] for cols in columns),
-    )
+    by_mod_9 = tuple(tuple(zip(*sorted(rows))) or ((),) * 5 for rows in found)
+    return by_mod_9, (c_peak, d_peak), tuple(sorted(settled))
 
 
 @functools.cache
@@ -275,26 +271,13 @@ def _survivor_runs(a: int, b: int, residues: Iterable[int], k: int) -> Iterator[
     picks the survivors R ≡ q - base.  A run yields (n, c_k, d_k, cp, dp)
     per survivor n: n with the lead row of its residue (`_survivor_table`).
     """
-    by_mod_9, *_, leads = _survivor_table(k)
+    by_mod_9 = _survivor_table(k)[0]
     period = 1 << max(k, P)
     for base in range(a - a % period, b + 1, period):
         for q in residues:
-            m = (q - base) % 9
-            rs = by_mod_9[m]
+            rs, c, d, cp, dp = by_mod_9[(q - base) % 9]
             i, j = bisect_left(rs, a - base), bisect_right(rs, b - base)
-            yield zip(map(base.__add__, rs[i:j]), *[col[i:j] for col in leads[m]])
-
-
-def _settled_ends(first: int, hi: int, settled: tuple) -> set[int]:
-    """The first and the last start in [first, hi] of each class (r, 2^j) in `settled`.
-
-    A class can have no start there: with lo = 1, first = 2 leaves out 1.
-    """
-    ends = set()
-    for r, modulus in settled:
-        mask = modulus - 1
-        ends.update((first + ((r - first) & mask), hi - ((hi - r) & mask)))
-    return {n for n in ends if first <= n <= hi}
+            yield zip(map(base.__add__, rs[i:j]), c[i:j], d[i:j], cp[i:j], dp[i:j])
 
 
 def _sweep_chunk(
@@ -318,11 +301,12 @@ def _sweep_chunk(
     step k on, from its residue's lead row.  The other starts have at most
     k steps and peaks at most c*(hi >> k) + d, the table's bound: if the
     walked starts' records beat both strictly, none of them can hold a
-    record and they are left out.  Otherwise every class that drops is
-    folded: its first and its last start in the chunk, which hold its step
-    and peak records, are walked.  Apart from that fold, the sieve costs
-    nothing per settled class.  A chunk that does not take it walks all its
-    starts.
+    record and they are left out.  Otherwise every class (r, 2^j, cp, dp)
+    that drops is folded from its table row: each of its starts n drops at
+    step j, with a peak of cp*(n >> j) + dp, onto 1 or a start of the
+    sweep, so its first start in the chunk holds its step record and its
+    last start its peak record.  So only survivors are walked.  A chunk
+    that does not take the sieve walks all its starts.
 
     From `_ancestor_cut(range_lo)` on, a walked start is walked only if
     its residue mod 9 is in `residues`.  By default these are the kept
@@ -353,11 +337,15 @@ def _sweep_chunk(
     # Below the cut every walked start is walked, whatever its residue mod 9.
     below, past = min(hi, cut - 1), max(first, cut)
     if k:
-        _, (c, d), settled, _ = _survivor_table(k)
+        _, (c, d), settled = _survivor_table(k)
         runs = chain(_survivor_runs(first, below, range(9), k), _survivor_runs(past, hi, residues, k))
         records = walk(chain.from_iterable(runs), records, k)
         if not (records.max_steps > k and records.max_peak > c * (hi >> k) + d):
-            records = walk(_settled_ends(first, hi, settled), records)
+            for r, modulus, cp, dp in settled:
+                a, b = first + ((r - first) & (modulus - 1)), hi - ((hi - r) & (modulus - 1))
+                if a <= b:
+                    j = modulus.bit_length() - 1
+                    records = records.merged(SweepStats(j, a, cp * (b >> j) + dp, b))
     else:
         runs = (range(past + (q - past) % 9, hi + 1, 9) for q in residues)
         records = walk(chain(range(first, below + 1), *runs), records)

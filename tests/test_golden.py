@@ -97,6 +97,12 @@ def test_stdout_is_byte_stable(capsys, command, digest):
         # survivor starts at step 9 from its lead row.
         ("verify-range 1 200000 --budget 14 --chunk-size 1000 --json",
          "3a6a7393741dab69e819337ef6f8e1cabcd1e7ee64a1dd1975e7649f2e5154e0"),
+        # 7,904 inconclusive starts: chunks of 65,535 starts take the sieve at depth 15
+        # and the last chunk at depth 11.  At budget 15 no survivor of a depth-15 chunk
+        # has more than 15 steps, so each of them folds its settled classes, in both
+        # kernel passes.
+        ("verify-range 1 200000 --budget 15 --chunk-size 65535 --json",
+         "b24da5a0d5ced4d96e7a4dd3cd99004c2a90fe63e49c9b2d97fed551636ca985"),
         # No witnesses: chunks of 3,000 take the sieve at depth 11.
         ("verify-range 1 100000 --chunk-size 3000 --json",
          "17638ccc10676a10d75485a697b8482da50a30df28cb278909217b2b037480e0"),

@@ -164,7 +164,7 @@ def skipped_starts(task, residues):
     lo, hi, range_lo, budget = task
     first = -(-(3 * max(range_lo, 2) + 1) // 2)
     k = sweep._plan_depth(lo, hi, range_lo, budget)
-    survivors = {r % (1 << k) for rs in sweep._survivor_table(k)[0] for r in rs} if k else {0}
+    survivors = {r % (1 << k) for rs, *_ in sweep._survivor_table(k)[0] for r in rs} if k else {0}
     return {
         n
         for n in range(max(lo, first), hi + 1)
@@ -635,19 +635,19 @@ SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2
 
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_survivors_and_settled_classes_partition_the_residues(k):
-    by_mod_9, _, settled, _ = sweep._survivor_table(k)
+    by_mod_9, _, settled = sweep._survivor_table(k)
     assert sweep._survivor_table(k)[0] is by_mod_9  # built once per depth, on first use
     period = 1 << max(k, sweep.P)
-    for q, rs in enumerate(by_mod_9):
+    for q, (rs, *_) in enumerate(by_mod_9):
         assert list(rs) == sorted(rs) and all(r % 9 == q and 0 <= r < period for r in rs)
-    listed = sorted(r for rs in by_mod_9 for r in rs)
+    listed = sorted(r for rs, *_ in by_mod_9 for r in rs)
     survivors = [r for r in listed if r < 1 << k]
     assert len(survivors) == SURVIVOR_COUNTS[k - 1]
     assert listed == sorted(r + i for r in survivors for i in range(0, period, 1 << k))
-    members = survivors + [n for r, modulus in settled for n in range(r, 1 << k, modulus)]
+    members = survivors + [n for r, modulus, *_ in settled for n in range(r, 1 << k, modulus)]
     assert sorted(members) == list(range(1 << k))
     # A shallower sieve settles the classes of the deepest one with a modulus up to 2^k.
-    assert settled == tuple((r, m) for r, m in sweep._survivor_table(S)[2] if m <= 1 << k)
+    assert settled == tuple(row for row in sweep._survivor_table(S)[2] if row[1] <= 1 << k)
     assert k < S or len(settled) == 791
     for r in survivors:
         # Every coefficient c_j, j = 1..k, exceeds 2^k: the residue survives k steps,
@@ -660,9 +660,8 @@ def test_survivors_and_settled_classes_partition_the_residues(k):
 
 def test_lead_rows_against_single_steps():
     for k in range(1, S + 1):
-        by_mod_9, *_, leads = sweep._survivor_table(k)
         rows = {}
-        for rs, columns in zip(by_mod_9, leads):
+        for rs, *columns in sweep._survivor_table(k)[0]:
             assert len(columns) == 4 and all(len(col) == len(rs) for col in columns)
             rows.update(zip(rs, zip(*columns)))
         # A lifted residue R has the row of R mod 2^k: n = 2^k*t + R starts at t = n >> k.
@@ -683,19 +682,22 @@ def test_lead_rows_against_single_steps():
 @pytest.mark.parametrize("k", range(1, S + 1))
 def test_a_sieve_chunk_starts_its_survivors_at_step_k(monkeypatch, k):
     # The chunk shape of test_chunk_equals_reference_at_each_depth: it takes the sieve at
-    # depth k and walks its survivors from their lead rows, before any fold.
-    leads, orbits = [], sweep._orbits
+    # depth k and walks only its survivors, from their lead rows.  At budget k no
+    # survivor has more than k steps, so every settled class folds, from its table row.
+    orbits = sweep._orbits
+    for budget in (k, 10**6):
+        leads = []
 
-    def recording(*args):
-        leads.append(args[6] if len(args) > 6 else 0)
-        return orbits(*args)
+        def recording(*args):
+            leads.append(args[6] if len(args) > 6 else 0)
+            return orbits(*args)
 
-    monkeypatch.setattr(sweep, "_orbits", recording)
-    lo = fold_bound(1000) + 3
-    task = (lo, lo + (1 << k), 1000, 10**6)
-    assert sweep._plan_depth(*task) == k
-    sweep._sweep_chunk(task, residues=EVERY)
-    assert leads[0] == k
+        monkeypatch.setattr(sweep, "_orbits", recording)
+        lo = fold_bound(1000) + 3
+        task = (lo, lo + (1 << k), 1000, budget)
+        assert sweep._plan_depth(*task) == k
+        sweep._sweep_chunk(task, residues=EVERY)
+        assert leads == [k], budget
 
 
 @pytest.mark.parametrize("k", range(1, S + 1))
@@ -704,14 +706,15 @@ def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
     # start n drops at its class's step onto at least n/2.  Below 2^16 the first
     # members do too (test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step).
     t_min = 1
-    _, (c_peak, d_peak), settled, _ = sweep._survivor_table(k)
-    for r, modulus in settled:
+    _, (c_peak, d_peak), settled = sweep._survivor_table(k)
+    for r, modulus, cp, dp in settled:
         j = modulus.bit_length() - 1
         assert 1 <= j <= k
         # The form with the largest c_i over steps 0..j has the largest d_i too, so
         # cp*t + dp is the class's peak up to its drop for every t >= 0.
         forms = sweep._forms(r, j)
         assert max(forms)[1] == max(d for _, d in forms), (k, r)
+        assert max(forms) == (cp, dp), (k, r)
         # The first and the last member of the class mod 2^k: the peak bound holds for
         # every n = 2^k*t + R, coefficient by coefficient.
         for u in (0, (1 << k) // modulus - 1):
@@ -720,6 +723,7 @@ def test_each_settled_class_drops_at_its_step_from_t_min_on(k):
         for n in (t_min * modulus + r, (t_min + 1) * modulus + r, (10**12 << k) - modulus + r):
             values = _values(n, j)
             assert min(values[1:j], default=n + 1) > n > values[j] >= -(-n // 2)
+            assert max(values) == cp * (n >> j) + dp
             assert max(values) <= c_peak * (n >> k) + d_peak
 
 
@@ -854,8 +858,8 @@ def test_every_start_below_2_16_but_the_survivors_drops_at_its_class_step():
     # A chunk on the sieve that starts below 2^k, such as the first chunk of a sweep from
     # 1, holds the first members of its classes.  A shallower sieve settles a subset of
     # the same classes, so this covers every depth.
-    by_mod_9, (_, d_peak), _, _ = sweep._survivor_table(S)
-    survivors = {r for rs in by_mod_9 for r in rs}
+    by_mod_9, (_, d_peak), _ = sweep._survivor_table(S)
+    survivors = {r for rs, *_ in by_mod_9 for r in rs}
     for n in range(2, PERIOD):
         if n in survivors:
             continue
@@ -906,7 +910,7 @@ def test_a_fold_gives_the_records_of_every_settled_start(monkeypatch, walked, bu
     lo, hi = 3 * PERIOD + 7, 4 * PERIOD + PERIOD // 2
     task = (lo, hi, 1000, budget)
     assert sweep._plan_depth(*task) == S
-    survivors = {r for rs in sweep._survivor_table(S)[0] for r in rs}
+    survivors = {r for rs, *_ in sweep._survivor_table(S)[0] for r in rs}
     starts = [n for n in range(lo, hi + 1) if n % PERIOD not in survivors]
     runs = []
     if walked == "the lowest peak":
