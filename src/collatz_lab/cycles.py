@@ -11,31 +11,51 @@ arithmetic; no floating point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import core_map
 from .core_map import ResidueClass, Rule, residue_class
 from .report import RangeReport
 from .trajectory import orbit
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 #: Enumeration is 2^k words per length; lengths beyond this are refused.
 MAX_SEARCH_LEN = 30
 
 
-@dataclass(frozen=True)
 class RuleSequence:
-    """A non-empty word over {R1, R2}, applied left to right."""
+    """A non-empty word over {R1, R2}, applied left to right.
 
-    rules: tuple[Rule, ...]
+    Not a NamedTuple: it iterates and sizes as its rules, and a tuple
+    pickles by iterating itself.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if not self.rules:
+    __slots__ = ("_rules",)
+
+    def __init__(self, rules: Iterable[Rule]) -> None:
+        rules = tuple(rules)
+        if not rules:
             raise ValueError("rule sequence must be non-empty")
-        if any(not isinstance(r, Rule) for r in self.rules):
+        if any(not isinstance(r, Rule) for r in rules):
             raise TypeError("rule sequence must contain Rule members only")
+        self._rules = rules
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        return self._rules
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._rules == other._rules
+
+    def __hash__(self) -> int:
+        return hash((self._rules,))
+
+    def __repr__(self) -> str:
+        return f"RuleSequence(rules={self._rules!r})"
 
     @property
     def length(self) -> int:
@@ -59,8 +79,7 @@ class RuleSequence:
         return "-".join(r.name for r in self.rules)
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """Composed action of a rule word: x -> (3**pow3 * x + addend) / 2**pow2.
 
     addend is 0 exactly when the word contains no R2.
@@ -72,6 +91,8 @@ class AffineForm:
 
     def apply(self, x: int) -> Fraction:
         """Exact image of x, as a rational (integral iff the word is driven by x)."""
+        from fractions import Fraction  # only this method pays for the import
+
         return Fraction(3**self.pow3 * x + self.addend, 2**self.pow2)
 
 
@@ -115,8 +136,7 @@ def _minimal_period(rules: tuple[Rule, ...]) -> int:
     return next(p for p in range(1, k + 1) if k % p == 0 and rules == rules[:p] * (k // p))
 
 
-@dataclass(frozen=True)
-class CycleCandidate:
+class CycleCandidate(NamedTuple):
     """A positive integer solution of form(x) = x for some rule word.
 
     `consistent` records whether x's parities drive the word, checked by
@@ -275,12 +295,12 @@ def verify_no_small_cycles(range_max: int) -> RangeReport:
         hi=range_max,
         checked=range_max,
         violations=violations,
+        inconclusive=[],
         elapsed=time.perf_counter() - t0,
     )
 
 
-@dataclass(frozen=True)
-class C0Chain:
+class C0Chain(NamedTuple):
     """Decomposition x = 2**halvings * odd_part of a multiple of 3.
 
     The odd part keeps the factor 3 (halving cannot remove it), so the
@@ -342,5 +362,6 @@ def verify_c0_structure(range_max: int) -> RangeReport:
         hi=range_max,
         checked=range_max,
         violations=violations,
+        inconclusive=[],
         elapsed=time.perf_counter() - t0,
     )

@@ -75,6 +75,7 @@ def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
         hi=hi,
         checked=hi - lo + 1,
         violations=violations,
+        inconclusive=[],
         elapsed=time.perf_counter() - t0,
     )
 
@@ -103,6 +104,7 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
         hi=hi,
         checked=hi - lo + 1,
         violations=violations,
+        inconclusive=[],
         elapsed=time.perf_counter() - t0,
     )
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Version of every JSON document the package writes: reports, checkpoints, trees.
 SCHEMA_VERSION = 1
@@ -28,21 +28,22 @@ def require_ints(what: str, values: list) -> None:
         raise ValueError(f"non-integer {what}: {', '.join(sorted(k.__name__ for k in kinds))}")
 
 
-@dataclass
-class RangeReport:
+class RangeReport(NamedTuple):
     """Outcome of sweeping one fact over [lo, hi].
 
     `violations` and `inconclusive` hold (x, detail) witnesses; a fact held
     everywhere iff `violations` is empty.  Inconclusive entries record
-    budget-limited checks, which are not counterexamples.
+    budget-limited checks, which are not counterexamples.  The package's
+    verifiers fill both with lists; left out, each is the empty tuple, as
+    a default is one object shared by every report.
     """
 
     fact_id: str
     lo: int
     hi: int
     checked: int
-    violations: list[tuple[int, str]] = field(default_factory=list)
-    inconclusive: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[tuple[int, str]] | tuple[()] = ()
+    inconclusive: list[tuple[int, str]] | tuple[()] = ()
     elapsed: float = 0.0
 
     @property

@@ -10,9 +10,8 @@ that the reduction suite `facts.verify_reduction` is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 from .core_map import REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule, residue_class
 
@@ -27,16 +26,15 @@ class BudgetExhaustedError(RuntimeError):
     """An orbit hit its step budget before reaching a conclusion."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """An orbit of the full map (or of the reduced map, `reduced` set).
 
     `values` includes the start and the last value reached.  When the
     orbit outgrows the storage cap, `values` keeps only the leading entries
     (`truncated` is set) while `steps`, `peak` and `final` remain exact.
     `rules` is not stored: `rules[i]`, the rule applied at `values[i]`, is
-    read off that value mod 4 on first read and cached, so equality,
-    hashing and `repr` go by the stored fields alone.
+    read off that value mod 4 on each read, so equality, hashing and
+    `repr` go by the stored fields alone.
     """
 
     start: int
@@ -47,7 +45,7 @@ class Trajectory:
     truncated: bool = False
     reduced: bool = False
 
-    @cached_property
+    @property
     def rules(self) -> tuple[Rule, ...] | tuple[ReducedRule, ...]:
         """The rule applied at each value but the last."""
         table = REDUCED_RULE_AT if self.reduced else RULE_AT
@@ -60,8 +58,7 @@ class OrbitOutcome(Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class OrbitStatus:
+class OrbitStatus(NamedTuple):
     """Result of a convergence probe: how it stopped and where.
 
     `final` and `peak` let callers resume verification below a range floor

@@ -21,9 +21,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import repeat, zip_longest
 from operator import and_, itemgetter, lt
 from typing import NamedTuple
@@ -45,15 +43,14 @@ class Edge(NamedTuple):
     rule: Rule | ReducedRule
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     """A finite backward expansion, deterministic for given root and caps.
 
     `nodes` is ascending.  `suppressed_edges` records the limit-cycle edges
     cut during construction (the backward edge closing the 1-2 cycle in
     full flavor, the Q2 self-loop at 2 in reduced flavor).  `edges` is not
-    stored: it is derived from the nodes on first read and cached, so
-    equality, hashing and `repr` go by the stored fields alone.
+    stored: it is derived from the nodes on each read, so equality,
+    hashing and `repr` go by the stored fields alone.
     """
 
     flavor: TreeFlavor
@@ -63,7 +60,7 @@ class Tree:
     nodes: tuple[int, ...]
     suppressed_edges: tuple[Edge, ...]
 
-    @cached_property
+    @property
     def edges(self) -> tuple[Edge, ...]:
         """Each node other than the root to its forward step, sorted by child.
 

@@ -15,10 +15,9 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from itertools import pairwise
 from pathlib import Path
+from typing import NamedTuple
 
 from . import sweep
 from .report import (SCHEMA_VERSION, RangeReport, require_ints, witnesses_from_json,
@@ -38,13 +37,13 @@ class CheckpointError(Exception):
     """A checkpoint file is unreadable, unwritable, or does not match the requested run."""
 
 
-@dataclass
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """Atomic progress snapshot of a `verify-range` sweep.
 
     Resuming from a checkpoint and running to completion yields the same
     final report as an uninterrupted run; witnesses found so far are part
-    of the snapshot for exactly that reason.
+    of the snapshot for exactly that reason.  Left out, each witness field
+    is the empty tuple, as a default is one object shared by every record.
     """
 
     lo: int
@@ -52,8 +51,8 @@ class Checkpoint:
     budget: int
     verified_up_to: int
     stats: SweepStats
-    violations: list[tuple[int, str]] = field(default_factory=list)
-    inconclusive: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[tuple[int, str]] | tuple[()] = ()
+    inconclusive: list[tuple[int, str]] | tuple[()] = ()
     timestamp: str = ""
 
     def to_json(self) -> str:
@@ -203,7 +202,9 @@ class RangeVerifier:
                 )
             self._record = cp
         else:
-            self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats())
+            # Lists: `_consume` appends each chunk's witnesses to them.
+            self._record = Checkpoint(lo, hi, budget, verified_up_to=lo - 1, stats=SweepStats(),
+                                      violations=[], inconclusive=[])
         # verified_up_to of the checkpoint file as this run resumed or last wrote it, else None.
         self.saved_up_to = self._record.verified_up_to if resume else None
         # Whether the record holds whole chunks that the checkpoint file does not, and when
@@ -220,8 +221,9 @@ class RangeVerifier:
         record = self._record
         if record.verified_up_to < self.lo:
             raise CheckpointError("no chunk verified yet, nothing to checkpoint")
-        return replace(
-            record,
+        from datetime import datetime, timezone  # only a checkpoint pays for the import
+
+        return record._replace(
             violations=list(record.violations),
             inconclusive=list(record.inconclusive),
             timestamp=datetime.now(timezone.utc).isoformat(),
@@ -236,18 +238,19 @@ class RangeVerifier:
         The checkpoint is written only when `CHECKPOINT_INTERVAL` seconds
         have passed since the pass started or last wrote it; `run` writes
         the rest.  A merge cut short (an exception or KeyboardInterrupt
-        inside it) leaves a half-merged record, so until the merge is done
-        there is nothing unsaved that may be written.
+        inside it) may leave witnesses appended to a record that has not
+        taken the chunk, so until the new record is swapped in there is
+        nothing unsaved that may be written.
         """
         record = self._record
         task = (record.verified_up_to + 1, result[0], self.lo, self.budget)
         found = (record.violations, record.inconclusive)
         hi, stats, violations, inconclusive = sweep._second_pass(task, result, found, memo)
         self._unsaved = False
-        record.verified_up_to = hi
-        record.stats = record.stats.merged(stats)
+        merged = record.stats.merged(stats)
         record.violations.extend(violations)
         record.inconclusive.extend(inconclusive)
+        self._record = record._replace(verified_up_to=hi, stats=merged)
         self._unsaved = self.checkpoint_path is not None
         if self._unsaved and _clock() - self._saved_at >= CHECKPOINT_INTERVAL:
             self._save()

@@ -605,7 +605,8 @@ class TestCheckpointFile:
             timestamp="2025-01-01T00:00:00+00:00",
         )
         write_checkpoint(path, cp)
-        assert load_checkpoint(path) == cp
+        # A loaded checkpoint holds its witnesses in lists, which a resume appends to.
+        assert load_checkpoint(path) == cp._replace(violations=[], inconclusive=[])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -59,6 +60,24 @@ class TestRuleSequence:
 
     def test_coerces_iterables(self):
         assert RuleSequence([R1, R2]).rules == (R1, R2)
+
+    def test_non_rules_rejected(self):
+        with pytest.raises(TypeError):
+            RuleSequence((R1, 2))
+
+    def test_value_semantics(self):
+        a, b = RuleSequence((R1, R2)), RuleSequence(iter([R1, R2]))
+        assert a == b and hash(a) == hash(b)
+        assert a != RuleSequence((R2, R1)) and a != (R1, R2)
+        assert repr(a) == f"RuleSequence(rules={(R1, R2)!r})"
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_rules_are_read_only(self):
+        seq = RuleSequence((R1,))
+        with pytest.raises(AttributeError):
+            seq.rules = (R2,)
+        with pytest.raises(AttributeError):
+            seq.extra = 1
 
 
 class TestAffineForm:
@@ -295,7 +314,7 @@ def reference_no_small_cycles(range_max: int) -> RangeReport:
                 violations.append((x, f"known 2-cycle through 1 and 2 broken at {x}"))
         elif t2 == x:
             violations.append((x, f"step^2({x}) = {x}: 2-cycle outside {{1, 2}}"))
-    return RangeReport("no-small-cycles", 1, range_max, range_max, violations)
+    return RangeReport("no-small-cycles", 1, range_max, range_max, violations, [])
 
 
 def reference_c0_structure(range_max: int, budget: int) -> RangeReport:

@@ -89,7 +89,7 @@ def reference_predecessor_structure(lo: int, hi: int) -> RangeReport:
         else:
             if po is not None or len(preds) != 1:
                 violations.append((x, f"unexpected odd predecessor outside C2: {preds}"))
-    return RangeReport("predecessor-structure", lo, hi, hi - lo + 1, violations)
+    return RangeReport("predecessor-structure", lo, hi, hi - lo + 1, violations, [])
 
 
 def reference_transitions(lo: int, hi: int) -> RangeReport:
@@ -108,7 +108,7 @@ def reference_transitions(lo: int, hi: int) -> RangeReport:
             violations.append(
                 (x, f"{cls.name} -> {tcls.name} at step({x}) = {t}, expected {want.name}")
             )
-    return RangeReport("class-transitions", lo, hi, hi - lo + 1, violations)
+    return RangeReport("class-transitions", lo, hi, hi - lo + 1, violations, [])
 
 
 def reference_reduction(lo, hi, budget=DEFAULT_BUDGET, include_correspondence=True):
@@ -321,8 +321,14 @@ class TestReportShape:
     def test_ok_property(self):
         report = RangeReport(fact_id="demo", lo=1, hi=1, checked=1)
         assert report.ok
-        report.violations.append((1, "witness"))
-        assert not report.ok
+        assert not report._replace(violations=[(1, "witness")]).ok
+
+    def test_default_witnesses_share_no_list(self):
+        """A default is one object for every report, so it is the immutable empty tuple."""
+        a = RangeReport(fact_id="demo", lo=1, hi=1, checked=1)
+        b = RangeReport(fact_id="demo", lo=2, hi=2, checked=1)
+        for witnesses in (a.violations, a.inconclusive, b.violations, b.inconclusive):
+            assert type(witnesses) is tuple and witnesses == ()
 
 
 class TestWitnesses:

@@ -2,7 +2,8 @@
 
 `perfbench/run.py` drives the library through these names, some of which
 (such as `trajectory.converges`, the per-start reference) nothing in
-`src/` calls.
+`src/` calls.  The record fields and properties it reads are pinned too, so
+that a rename fails here rather than in the benchmark.
 """
 
 import importlib
@@ -21,15 +22,46 @@ NAMES = {
         "DEFAULT_BUDGET",
     ],
     "sweep": ["SweepStats.to_json_dict"],
-    "trajectory": ["converges", "OrbitOutcome.DROPPED_BELOW_FLOOR", "orbit", "correspondence"],
+    "trajectory": [
+        "converges",
+        "OrbitOutcome.DROPPED_BELOW_FLOOR",
+        "orbit",
+        "correspondence",
+        "Trajectory.steps",
+        "Trajectory.peak",
+        "Trajectory.final",
+        "OrbitStatus.outcome",
+        "OrbitStatus.steps_used",
+        "OrbitStatus.final",
+    ],
+    "report": ["RangeReport.ok", "RangeReport.to_json_dict"],
+    "verify": [
+        "Checkpoint.verified_up_to",
+        "Checkpoint.stats",
+        "Checkpoint.violations",
+        "Checkpoint.inconclusive",
+    ],
     "facts": [
         "DEFAULT_BUDGET",
         "verify_predecessor_structure",
         "verify_transitions",
         "verify_reduction",
     ],
-    "cycles": ["cycle_values", "search_cycles", "verify_no_small_cycles"],
-    "tree": ["TreeFlavor", "build_tree", "export_json", "export_dot", "tree_from_json"],
+    "cycles": [
+        "cycle_values",
+        "search_cycles",
+        "verify_no_small_cycles",
+        "CycleCandidate.consistent",
+    ],
+    "tree": [
+        "TreeFlavor",
+        "build_tree",
+        "export_json",
+        "export_dot",
+        "tree_from_json",
+        "Tree.nodes",
+        "Tree.edges",
+    ],
     "core_map": ["step", "reduced_step", "residue_class", "predecessors"],
 }
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import types
 from bisect import bisect_right
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -968,6 +969,16 @@ def test_checkpoint_is_a_snapshot():
     assert (later.stats.max_peak, later.stats.max_peak_at) == (242, 31)
 
 
+def test_checkpoint_timestamp_is_a_utc_time(tmp_path):
+    """The one field of a checkpoint file that the golden tests strip."""
+    path = tmp_path / "cp.json"
+    before = datetime.now(timezone.utc)
+    _interrupted(path, 5)
+    stamp = datetime.fromisoformat(json.loads(path.read_text())["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert before <= stamp <= datetime.now(timezone.utc)
+
+
 class TestResumeBudget:
     def test_checkpoint_stores_the_budget(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -1315,18 +1326,19 @@ def test_a_chunk_stopped_in_its_second_pass_is_not_consumed(monkeypatch, tmp_pat
 
 def test_a_merge_cut_short_is_not_written(monkeypatch, tmp_path):
     # Chunk 3 is written, chunk 4 is not yet, and chunk 5, [41, 50], is stopped
-    # while it is merged into the record, which then holds half of it.
+    # after its witnesses are appended to the record and before the record that
+    # takes the chunk is swapped in: the record then holds half of it.
     path = tmp_path / "cp.json"
     _pace(monkeypatch, 3)
     verifier = _cadence_verifier(path)
-    merged = SweepStats.merged
+    replace = Checkpoint._replace
 
-    def cut_short(stats, other):
-        if stats is verifier.stats and verifier._record.verified_up_to == 50:
+    def cut_short(record, **changes):
+        if changes.get("verified_up_to") == 50:
             raise KeyboardInterrupt
-        return merged(stats, other)
+        return replace(record, **changes)
 
-    monkeypatch.setattr(SweepStats, "merged", cut_short)
+    monkeypatch.setattr(Checkpoint, "_replace", cut_short)
     with pytest.raises(KeyboardInterrupt):
         verifier.run()
     assert load_checkpoint(path).verified_up_to == 30

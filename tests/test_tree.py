@@ -183,7 +183,14 @@ class TestBuildAgainstPredecessorFunctions:
 
 
 class TestDerivedEdges:
-    """`edges` is derived from the stored fields and cached: it changes no comparison."""
+    """`edges` is derived from the stored fields on each read: it changes no comparison."""
+
+    @pytest.mark.parametrize("flavor, root", [(TreeFlavor.FULL, 1), (TreeFlavor.REDUCED, 2)])
+    def test_computed_on_each_read(self, flavor, root):
+        tree = build_tree(flavor, root, max_value=500)
+        want = reference_build_tree(flavor, root, max_value=500).edges
+        assert tree.edges == want
+        assert tree.edges == want
 
     @settings(max_examples=100, deadline=None)
     @given(tree_args())
