@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import cycles as cycles_mod
 from . import facts as facts_mod
-from .report import SCHEMA_VERSION, RangeReport, witnesses_to_json
+from .report import RangeReport, document, witnesses_to_json
 from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
 from .tree import TreeFlavor, build_tree, export_dot, export_json
 from .verify import (
@@ -46,12 +45,12 @@ def _report_exit(violations: int, inconclusive: int, strict: bool) -> int:
     return EXIT_VIOLATION if violations or (strict and inconclusive) else EXIT_OK
 
 
-def _write_output(args: argparse.Namespace, doc: dict, code: int, refusal: str) -> None:
-    """Write `doc` to the -o path; after an unclean run only with --force."""
+def _write_output(args: argparse.Namespace, text: str, code: int, refusal: str) -> None:
+    """Write the document `text` to the -o path; after an unclean run only with --force."""
     if args.output is None:
         return
     if code == EXIT_OK or args.force:
-        Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(args.output).write_text(text)
     else:
         print(f"not writing {args.output}: {refusal}", file=sys.stderr)
 
@@ -74,19 +73,17 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     else:
         traj = orbit(args.n, args.budget, 1)
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": "trajectory",
-            "start": traj.start,
-            "reduced": bool(args.reduced),
-            "values": list(traj.values),
-            "rules": [r.name for r in traj.rules],
-            "steps": traj.steps,
-            "peak": traj.peak,
-            "final": traj.final,
-            "truncated": traj.truncated,
-        }
-        print(json.dumps(doc, indent=2))
+        print(document(
+            "trajectory",
+            start=traj.start,
+            reduced=bool(args.reduced),
+            values=list(traj.values),
+            rules=[r.name for r in traj.rules],
+            steps=traj.steps,
+            peak=traj.peak,
+            final=traj.final,
+            truncated=traj.truncated,
+        ), end="")
     else:
         print(", ".join(str(v) for v in traj.values))
         print("rules: " + ", ".join(r.name for r in traj.rules))
@@ -113,20 +110,18 @@ def _cmd_verify_range(args: argparse.Namespace) -> int:
     assert report is not None
     stats = verifier.stats
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": TASK_VERIFY_RANGE,
-            "range": [report.lo, report.hi],
-            "checked": report.checked,
-            "violations": witnesses_to_json(report.violations),
-            "inconclusive": witnesses_to_json(report.inconclusive),
-            "stats": stats.to_json_dict(),
-            "workers": args.workers,
-            "chunk_size": args.chunk_size,
-            "budget": args.budget,
-            "elapsed": report.elapsed,
-        }
-        print(json.dumps(doc, indent=2))
+        print(document(
+            TASK_VERIFY_RANGE,
+            range=[report.lo, report.hi],
+            checked=report.checked,
+            violations=witnesses_to_json(report.violations),
+            inconclusive=witnesses_to_json(report.inconclusive),
+            stats=stats.to_json_dict(),
+            workers=args.workers,
+            chunk_size=args.chunk_size,
+            budget=args.budget,
+            elapsed=report.elapsed,
+        ), end="")
     else:
         _print_report(report)
         print(f"max steps: {stats.max_steps} at n={stats.max_steps_at}")
@@ -165,18 +160,16 @@ def _cmd_facts(args: argparse.Namespace) -> int:
     reports = [_FACT_SUITES[n](args.lo, args.hi, args.budget) for n in names]
     violations = sum(len(r.violations) for r in reports)
     inconclusive = sum(len(r.inconclusive) for r in reports)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "facts",
-        "reports": [r.to_json_dict() for r in reports],
-    }
+    text = ""  # rendered only where it is shown: the witness lists can run to millions
+    if args.json or args.output:
+        text = document("facts", reports=[r.to_json_dict() for r in reports])
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(text, end="")
     else:
         for r in reports:
             _print_report(r)
     code = _report_exit(violations, inconclusive, args.strict)
-    _write_output(args, doc, code, "run was not clean")
+    _write_output(args, text, code, "run was not clean")
     return code
 
 
@@ -196,11 +189,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 def _cmd_cycles(args: argparse.Namespace) -> int:
     found = cycles_mod.search_cycles(args.max_len)
     family_ok = all(set(cycles_mod.cycle_values(c)) <= {1, 2} for c in found)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "task": "cycles",
-        "max_len": args.max_len,
-        "candidates": [
+    text = document(
+        "cycles",
+        max_len=args.max_len,
+        candidates=[
             {
                 "rules": [r.name for r in c.seq.rules],
                 "x": c.x,
@@ -209,10 +201,10 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
             }
             for c in found
         ],
-        "only_known_family": family_ok,
-    }
+        only_known_family=family_ok,
+    )
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(text, end="")
     else:
         for c in found:
             suffix = "" if c.simple else " (repetition)"
@@ -220,7 +212,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         verdict = "only the known {1, 2} family" if family_ok else "UNEXPECTED CYCLE"
         print(f"{len(found)} candidates up to length {args.max_len}: {verdict}")
     code = EXIT_OK if family_ok else EXIT_VIOLATION
-    _write_output(args, doc, code, "unexpected candidates")
+    _write_output(args, text, code, "unexpected candidates")
     return code
 
 

@@ -18,14 +18,9 @@ import time
 
 from . import core_map
 from .core_map import ResidueClass
-from .report import RangeReport
+from .report import RangeReport, require_range
 from .sweep import unconverged
 from .trajectory import DEFAULT_BUDGET
-
-
-def _require_range(lo: int, hi: int) -> None:
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
 
 
 # Class of the even predecessor 2x, indexed by the class of x.
@@ -43,7 +38,7 @@ def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
     is odd, returns to x via R2, and its class matches the class of (x-2)/3
     as scheduled above.
     """
-    _require_range(lo, hi)
+    require_range(lo, hi)
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
@@ -86,7 +81,7 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
     From C0: to C0 when x/3 is even, to C2 when x/3 is odd.  From C1:
     always to C2.  From C2: to C1 when x is even, to C2 when x is odd.
     """
-    _require_range(lo, hi)
+    require_range(lo, hi)
     t0 = time.perf_counter()
     violations: list[tuple[int, str]] = []
     step_class = core_map.STEP_CLASS_AT
@@ -127,7 +122,7 @@ def verify_reduction(
     even predecessor and the forward image lie in C2 — the two hooks that
     make contracting C1 vertices sound.
     """
-    _require_range(lo, hi)
+    require_range(lo, hi)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.perf_counter()

@@ -1,11 +1,27 @@
-"""The report types that every verifier writes; this module imports no other of the package."""
+"""Report types and the one JSON document format; this module imports no other of the package."""
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 #: Version of every JSON document the package writes: reports, checkpoints, trees.
 SCHEMA_VERSION = 1
+
+
+def document(task: str, **fields) -> str:
+    """The JSON document of a task: the schema_version and task header, then `fields`."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, "task": task, **fields}, indent=2) + "\n"
+
+
+def read_document(text: str, what: str) -> dict:
+    """Parse a document; ValueError unless it is a JSON object at `SCHEMA_VERSION`."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} document is a JSON object, got {type(doc).__name__}")
+    if (version := doc.get("schema_version")) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported {what} schema_version: {version!r}")
+    return doc
 
 
 def witnesses_to_json(entries: list[tuple[int, str]]) -> list[dict]:
@@ -20,6 +36,12 @@ def witnesses_from_json(docs: list[dict]) -> list[tuple[int, str]]:
     if not all(type(d) is str for _, d in entries):
         raise ValueError("non-string witness detail")
     return entries
+
+
+def require_range(lo: int, hi: int) -> None:
+    """A range of starts is 1 <= lo <= hi."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
 
 
 def require_ints(what: str, values: list) -> None:

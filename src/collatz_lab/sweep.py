@@ -173,7 +173,7 @@ def _survivor_table(k: int) -> tuple[tuple, tuple[int, int], tuple]:
             # n = 2^(j+1)*t + rb has t = scale*(n >> k) + u with 0 <= u < scale.
             scale = (1 << k) // top
             c_peak, d_peak = max(c_peak, cp_b * scale), max(d_peak, dp_b + cp_b * (scale - 1))
-    by_mod_9 = tuple(tuple(zip(*sorted(rows))) or ((),) * 5 for rows in found)
+    by_mod_9 = tuple(tuple(zip(*sorted(rows))) for rows in found)
     return by_mod_9, (c_peak, d_peak), tuple(sorted(settled))
 
 

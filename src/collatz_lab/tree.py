@@ -27,7 +27,7 @@ from operator import and_, itemgetter, lt
 from typing import NamedTuple
 
 from .core_map import REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule, residue_class
-from .report import SCHEMA_VERSION, require_ints
+from .report import SCHEMA_VERSION, read_document, require_ints
 
 
 class TreeFlavor(Enum):
@@ -223,12 +223,7 @@ def tree_from_json(text: str) -> Tree:
     hold more bits than the document's, so a document costs time and memory
     in proportion to its own size, whatever caps it claims.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"a tree document is a JSON object, got {type(doc).__name__}")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported tree schema_version: {version!r}")
+    doc = read_document(text, "tree")
     try:
         flavor = TreeFlavor(doc["flavor"])
         root, limits, nodes = doc["root"], doc["limits"], tuple(doc["nodes"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import os
 import time
 from itertools import pairwise
@@ -20,8 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import sweep
-from .report import (SCHEMA_VERSION, RangeReport, require_ints, witnesses_from_json,
-                     witnesses_to_json)
+from .report import (RangeReport, document, read_document, require_ints, require_range,
+                     witnesses_from_json, witnesses_to_json)
 from .sweep import SweepStats
 from .trajectory import DEFAULT_BUDGET
 
@@ -56,30 +55,22 @@ class Checkpoint(NamedTuple):
     timestamp: str = ""
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "task": TASK_VERIFY_RANGE,
-            "range": [self.lo, self.hi],
-            "budget": self.budget,
-            "verified_up_to": self.verified_up_to,
-            "stats": self.stats.to_json_dict(),
-            "violations": witnesses_to_json(self.violations),
-            "inconclusive": witnesses_to_json(self.inconclusive),
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return document(
+            TASK_VERIFY_RANGE,
+            range=[self.lo, self.hi],
+            budget=self.budget,
+            verified_up_to=self.verified_up_to,
+            stats=self.stats.to_json_dict(),
+            violations=witnesses_to_json(self.violations),
+            inconclusive=witnesses_to_json(self.inconclusive),
+            timestamp=self.timestamp,
+        )
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
     """Read a checkpoint file and check every rule within it; CheckpointError on anything off."""
     try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise CheckpointError(f"unreadable checkpoint {path}: not a JSON object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint schema_version: {doc.get('schema_version')!r}"
-            )
+        doc = read_document(Path(path).read_text(), "checkpoint")
         if doc.get("task") != TASK_VERIFY_RANGE:
             raise CheckpointError(
                 f"checkpoint {path} is for task {doc.get('task')!r}, not {TASK_VERIFY_RANGE}"
@@ -166,8 +157,7 @@ class RangeVerifier:
         checkpoint_path: Path | None = None,
         resume: bool = False,
     ):
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+        require_range(lo, hi)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:

@@ -623,5 +623,24 @@ class TestCheckpointFile:
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text(json.dumps({"schema_version": 99}))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint schema_version: 99"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "a checkpoint document is a JSON object, got list"),
+            ('{"schema_version": 99}', "unsupported checkpoint schema_version: 99"),
+        ],
+        ids=["list", "schema-99"],
+    )
+    def test_another_shape_or_version_is_refused_and_exits_2(self, capsys, tmp_path, text,
+                                                             message):
+        path = tmp_path / "cp.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        code, out, err = run_cli(capsys, "verify-range", "1", "10", "--checkpoint", str(path),
+                                 "--resume")
+        assert (code, out) == (2, "")
+        assert err == f"error: unreadable checkpoint {path}: {message}\n"

@@ -2,7 +2,9 @@
 
 `report` and `core_map` are leaves.  The sweep kernel (`sweep`) touches no
 file, clock or process, and imports no package module but `trajectory`;
-its run layer (`verify`) touches all three.  Every package module is
+its run layer (`verify`) touches all three.  `report` owns the JSON
+document format: only it writes a document's schema_version and task
+header, and only it and `tree` import `json`.  Every package module is
 imported at the top of its importer, and only by its public names or as a
 module, so the import graph is the one the files show.
 """
@@ -80,3 +82,22 @@ def test_the_sweep_kernel_imports_no_package_module_but_trajectory():
 @pytest.mark.parametrize("name", ["report", "core_map"])
 def test_leaf_modules_import_no_package_module(name):
     assert not [module for module, _ in _imports(_tree(name)) if _is_package(module)]
+
+
+def test_only_report_and_tree_import_json():
+    # `report` owns the document format; `tree` renders its export's header itself, for speed.
+    found = {p.stem for p in SOURCES
+             if any(module.split(".")[0] == "json" for module, _ in _imports(_tree(p.stem)))}
+    assert found == {"report", "tree"}
+
+
+def test_only_report_writes_a_task_header():
+    # A dict display with both keys is a hand-written document header.
+    found = {
+        p.stem
+        for p in SOURCES
+        for node in ast.walk(_tree(p.stem))
+        if isinstance(node, ast.Dict)
+        and {"schema_version", "task"} <= {k.value for k in node.keys if type(k) is ast.Constant}
+    }
+    assert found == {"report"}

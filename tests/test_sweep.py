@@ -510,6 +510,58 @@ def test_chunk_of_a_sweep_from_1_holds_its_published_path_record(lo, peak, at):
     assert violations == inconclusive == []
 
 
+def _glide(n):
+    """Steps of the shortcut map from n >= 2 to its first value below n, one at a time."""
+    x, steps = n, 0
+    while x >= n:
+        x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "start, glide",
+    [
+        (8_088_063, 246),
+        (13_421_671, 287),
+        (20_638_335, 292),
+        (26_716_671, 298),
+        (56_924_955, 308),
+        (63_728_127, 376),
+        (217_740_015, 395),
+        (1_200_991_791, 398),
+        (1_827_397_567, 433),
+        (2_788_008_987, 447),
+    ],
+)
+def test_chunk_of_a_sweep_from_1_holds_its_published_glide_record(start, glide):
+    """The glide records from 8,088,063 to 2,788,008,987, each in its 2^16-start chunk.
+
+    In a sweep from 1 each start's steps are its glide (stopping time) under
+    the shortcut map, so `max_steps` over [1, N] is the glide record up to N
+    (Roosendaal, "3x+1 glide records"; Lagarias, Amer. Math. Monthly 92, 1985,
+    for the stopping time).  A record start beats every smaller start, and the
+    next one lies past its chunk, so it holds its chunk's record.
+    """
+    assert _glide(start) == glide
+    lo = (start - 1) // PERIOD * PERIOD + 1
+    _, stats, violations, inconclusive = sweep._sweep_chunk(
+        (lo, lo + PERIOD - 1, 1, trajectory.DEFAULT_BUDGET))
+    assert (stats.max_steps, stats.max_steps_at) == (glide, start)
+    assert violations == inconclusive == []
+
+
+def test_a_sweep_from_1_reports_the_glide_record_of_its_range():
+    record = (0, 0)
+    for n in range(2, 10**5 + 1):
+        if (steps := _glide(n)) > record[0]:
+            record = (steps, n)
+    assert record == (135, 35655)
+    verifier = RangeVerifier(1, 10**5)
+    assert verifier.run() is not None
+    assert (verifier.stats.max_steps, verifier.stats.max_steps_at) == record
+
+
 def _holds_a_memo(root):
     """Whether a chase memo is reachable from `root` through instances and containers."""
     seen, todo = set(), [root]
@@ -638,6 +690,8 @@ SURVIVOR_COUNTS = [1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2
 def test_survivors_and_settled_classes_partition_the_residues(k):
     by_mod_9, _, settled = sweep._survivor_table(k)
     assert sweep._survivor_table(k)[0] is by_mod_9  # built once per depth, on first use
+    # The table has no case for an empty residue class mod 9: each holds survivors.
+    assert len(by_mod_9) == 9 and all(len(columns) == 5 and columns[0] for columns in by_mod_9)
     period = 1 << max(k, sweep.P)
     for q, (rs, *_) in enumerate(by_mod_9):
         assert list(rs) == sorted(rs) and all(r % 9 == q and 0 <= r < period for r in rs)
