@@ -19,7 +19,7 @@ from pathlib import Path
 from . import cycles as cycles_mod
 from . import facts as facts_mod
 from .report import RangeReport, document, witnesses_to_json
-from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit
+from .trajectory import DEFAULT_BUDGET, orbit, reduced_orbit, require_budget
 from .tree import TreeFlavor, build_tree, export_dot, export_json
 from .verify import (
     DEFAULT_CHUNK_SIZE,
@@ -155,8 +155,7 @@ def _cmd_facts(args: argparse.Namespace) -> int:
     names = list(_FACT_SUITES) if args.suite == "all" else [args.suite]
     if args.lo != 1 and any(n in ("small-cycles", "c0-structure") for n in names):
         raise ValueError("small-cycles and c0-structure sweep [1, hi]; lo must be 1")
-    if args.budget < 0:  # bad input, even when no suite that runs takes a budget
-        raise ValueError(f"budget must be >= 0, got {args.budget}")
+    require_budget(args.budget)  # bad input, even when no suite that runs takes a budget
     reports = [_FACT_SUITES[n](args.lo, args.hi, args.budget) for n in names]
     violations = sum(len(r.violations) for r in reports)
     inconclusive = sum(len(r.inconclusive) for r in reports)

@@ -53,20 +53,21 @@ STEP_CLASS_AT = (0, 2, 1, 2, 2, 2)
 _CLASSES = (ResidueClass.C0, ResidueClass.C1, ResidueClass.C2)
 
 
-def _require_positive(x: int) -> None:
+def require_positive(x: int) -> None:
+    """The map's domain is x >= 1."""
     if x < 1:
         raise ValueError(f"map domain is x >= 1, got {x}")
 
 
 def _require_c2(x: int) -> None:
-    _require_positive(x)
+    require_positive(x)
     if x % 3 != 2:
         raise ValueError(f"reduced map domain is class C2 (x ≡ 2 mod 3), got {x}")
 
 
 def residue_class(x: int) -> ResidueClass:
     """Class of x mod 3.  Requires x >= 1."""
-    _require_positive(x)
+    require_positive(x)
     return _CLASSES[x % 3]
 
 
@@ -76,7 +77,7 @@ def step(x: int) -> tuple[int, Rule]:
     Returns (x/2, R1) for even x and ((3x+1)/2, R2) for odd x; the result
     is always a positive integer.
     """
-    _require_positive(x)
+    require_positive(x)
     if x & 1:
         return (3 * x + 1) >> 1, Rule.R2
     return x >> 1, Rule.R1
@@ -84,7 +85,7 @@ def step(x: int) -> tuple[int, Rule]:
 
 def pred_even(x: int) -> int:
     """The even predecessor 2x; step(2x) always returns to x via R1."""
-    _require_positive(x)
+    require_positive(x)
     return 2 * x
 
 
@@ -95,7 +96,7 @@ def pred_odd(x: int) -> int | None:
     odd step lands back on x.  For the other two classes 2x-1 is not
     divisible by 3 and there is no odd predecessor; None encodes that.
     """
-    _require_positive(x)
+    require_positive(x)
     if x % 3 != 2:
         return None
     return (2 * x - 1) // 3
@@ -108,7 +109,7 @@ def predecessors(x: int) -> list[tuple[int, Rule]]:
     additionally have the odd predecessor, so the list has length 2 exactly
     on class C2 and length 1 otherwise.
     """
-    _require_positive(x)
+    require_positive(x)
     preds = [(2 * x, Rule.R1)]
     if x % 3 == 2:
         preds.append(((2 * x - 1) // 3, Rule.R2))

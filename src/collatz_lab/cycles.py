@@ -10,12 +10,11 @@ arithmetic; no floating point.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import core_map
 from .core_map import ResidueClass, Rule, residue_class
-from .report import RangeReport
+from .report import RangeReport, RangeRun
 from .trajectory import orbit
 
 if TYPE_CHECKING:
@@ -276,7 +275,7 @@ def verify_no_small_cycles(range_max: int) -> RangeReport:
     """
     if range_max < 2:
         raise ValueError(f"range_max must be >= 2, got {range_max}")
-    t0 = time.perf_counter()
+    run = RangeRun("no-small-cycles", 1, range_max)
     violations: list[tuple[int, str]] = []
     for x in range(1, range_max + 1):
         t1 = (3 * x + 1) >> 1 if x & 1 else x >> 1
@@ -289,15 +288,7 @@ def verify_no_small_cycles(range_max: int) -> RangeReport:
                 violations.append((x, f"known 2-cycle through 1 and 2 broken at {x}"))
         elif t2 == x:
             violations.append((x, f"step^2({x}) = {x}: 2-cycle outside {{1, 2}}"))
-    return RangeReport(
-        fact_id="no-small-cycles",
-        lo=1,
-        hi=range_max,
-        checked=range_max,
-        violations=violations,
-        inconclusive=[],
-        elapsed=time.perf_counter() - t0,
-    )
+    return run.report(violations)
 
 
 class C0Chain(NamedTuple):
@@ -341,7 +332,7 @@ def verify_c0_structure(range_max: int) -> RangeReport:
     """
     if range_max < 1:
         raise ValueError(f"range_max must be >= 1, got {range_max}")
-    t0 = time.perf_counter()
+    run = RangeRun("c0-structure", 1, range_max)
     violations: list[tuple[int, str]] = [
         (r, f"{r} mod 6 is in C{r % 3}, but the transition table steps it into C0")
         for r, to in enumerate(core_map.STEP_CLASS_AT)
@@ -356,12 +347,4 @@ def verify_c0_structure(range_max: int) -> RangeReport:
             q = x >> ((x & -x).bit_length() - 1)
             if not q & 1 or q % 3:
                 violations.append((x, f"odd part {q} is not an odd multiple of 3"))
-    return RangeReport(
-        fact_id="c0-structure",
-        lo=1,
-        hi=range_max,
-        checked=range_max,
-        violations=violations,
-        inconclusive=[],
-        elapsed=time.perf_counter() - t0,
-    )
+    return run.report(violations)

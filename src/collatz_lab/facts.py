@@ -14,13 +14,11 @@ vice versa) is kept by the oracle tests in `tests/test_facts.py` and
 
 from __future__ import annotations
 
-import time
-
 from . import core_map
 from .core_map import ResidueClass
-from .report import RangeReport, require_range
+from .report import RangeReport, RangeRun
 from .sweep import unconverged
-from .trajectory import DEFAULT_BUDGET
+from .trajectory import DEFAULT_BUDGET, require_budget
 
 
 # Class of the even predecessor 2x, indexed by the class of x.
@@ -38,8 +36,7 @@ def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
     is odd, returns to x via R2, and its class matches the class of (x-2)/3
     as scheduled above.
     """
-    require_range(lo, hi)
-    t0 = time.perf_counter()
+    run = RangeRun("predecessor-structure", lo, hi)
     violations: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
         c = x % 3
@@ -63,16 +60,7 @@ def verify_predecessor_structure(lo: int, hi: int) -> RangeReport:
                         f"expected {ResidueClass(_ODD_PRED_CLASS[probe]).name} since "
                         f"(x-2)/3 is in {ResidueClass(probe).name}")
                 )
-
-    return RangeReport(
-        fact_id="predecessor-structure",
-        lo=lo,
-        hi=hi,
-        checked=hi - lo + 1,
-        violations=violations,
-        inconclusive=[],
-        elapsed=time.perf_counter() - t0,
-    )
+    return run.report(violations)
 
 
 def verify_transitions(lo: int, hi: int) -> RangeReport:
@@ -81,8 +69,7 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
     From C0: to C0 when x/3 is even, to C2 when x/3 is odd.  From C1:
     always to C2.  From C2: to C1 when x is even, to C2 when x is odd.
     """
-    require_range(lo, hi)
-    t0 = time.perf_counter()
+    run = RangeRun("class-transitions", lo, hi)
     violations: list[tuple[int, str]] = []
     step_class = core_map.STEP_CLASS_AT
     for x in range(lo, hi + 1):
@@ -93,15 +80,7 @@ def verify_transitions(lo: int, hi: int) -> RangeReport:
                 (x, f"{ResidueClass(x % 3).name} -> {ResidueClass(t % 3).name} at "
                     f"step({x}) = {t}, expected {ResidueClass(want).name}")
             )
-    return RangeReport(
-        fact_id="class-transitions",
-        lo=lo,
-        hi=hi,
-        checked=hi - lo + 1,
-        violations=violations,
-        inconclusive=[],
-        elapsed=time.perf_counter() - t0,
-    )
+    return run.report(violations)
 
 
 def verify_reduction(
@@ -122,10 +101,8 @@ def verify_reduction(
     even predecessor and the forward image lie in C2 — the two hooks that
     make contracting C1 vertices sound.
     """
-    require_range(lo, hi)
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    t0 = time.perf_counter()
+    run = RangeRun("reduction", lo, hi)
+    require_budget(budget)
     violations: list[tuple[int, str]] = []
     inconclusive: list[tuple[int, str]] = []
     for x in range(lo, hi + 1):
@@ -156,12 +133,4 @@ def verify_reduction(
             for x in unconverged(c2, budget + 1)  # steps to 1 = steps to 2 + 1
             if x not in failed
         ]
-    return RangeReport(
-        fact_id="reduction",
-        lo=lo,
-        hi=hi,
-        checked=hi - lo + 1,
-        violations=violations,
-        inconclusive=inconclusive,
-        elapsed=time.perf_counter() - t0,
-    )
+    return run.report(violations, inconclusive)

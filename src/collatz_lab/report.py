@@ -1,8 +1,12 @@
-"""Report types and the one JSON document format; this module imports no other of the package."""
+"""Report types, the one JSON document format and the run that makes every range report.
+
+This module imports no other of the package.
+"""
 
 from __future__ import annotations
 
 import json
+import time
 from typing import NamedTuple
 
 #: Version of every JSON document the package writes: reports, checkpoints, trees.
@@ -82,3 +86,27 @@ class RangeReport(NamedTuple):
             "inconclusive": witnesses_to_json(self.inconclusive),
             "elapsed": self.elapsed,
         }
+
+
+class RangeRun:
+    """One suite's run over [lo, hi]: checks the range, starts the clock, builds the report."""
+
+    __slots__ = ("fact_id", "lo", "hi", "_t0")
+
+    def __init__(self, fact_id: str, lo: int, hi: int) -> None:
+        require_range(lo, hi)
+        self.fact_id = fact_id
+        self.lo = lo
+        self.hi = hi
+        self._t0 = time.perf_counter()
+
+    def report(
+        self,
+        violations: list[tuple[int, str]],
+        inconclusive: list[tuple[int, str]] | None = None,
+    ) -> RangeReport:
+        """The run's report; the lists given are its own, and a left-out `inconclusive` is []."""
+        return RangeReport(
+            self.fact_id, self.lo, self.hi, self.hi - self.lo + 1, violations,
+            [] if inconclusive is None else inconclusive, time.perf_counter() - self._t0,
+        )

@@ -13,10 +13,18 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core_map import REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule, residue_class
+from .core_map import (REDUCED_RULE_AT, RULE_AT, ReducedRule, ResidueClass, Rule,
+                       require_positive, residue_class)
 
 #: Default per-orbit step budget of every verifier and CLI command.
 DEFAULT_BUDGET = 10**6
+
+
+def require_budget(budget: int) -> None:
+    """A step budget is >= 0."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
 
 #: Orbits longer than this keep only their leading values (statistics stay exact).
 DEFAULT_VALUE_CAP = 100_000
@@ -80,8 +88,7 @@ def _walk(reduced: bool, x: int, budget: int, target: int, value_cap: int) -> Tr
     second loop steps on and tracks the peak without keeping values.
     Agreement with step() and reduced_step() is pinned by tests.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    require_budget(budget)
     if value_cap < 1:
         raise ValueError(f"value_cap must be >= 1, got {value_cap}")
     values = [x]
@@ -125,8 +132,7 @@ def orbit(x: int, budget: int, target: int, value_cap: int = DEFAULT_VALUE_CAP) 
     Budget exhaustion is encoded in the returned length (steps == budget
     and final != target), not raised as an error.
     """
-    if x < 1:
-        raise ValueError(f"map domain is x >= 1, got {x}")
+    require_positive(x)
     return _walk(False, x, budget, target, value_cap)
 
 
@@ -137,8 +143,7 @@ def converges(x: int, budget: int, floor: int) -> OrbitStatus:
     below `floor` is already verified; ascending sweeps guarantee that, and
     the caller owns that guarantee.
     """
-    if x < 1:
-        raise ValueError(f"map domain is x >= 1, got {x}")
+    require_positive(x)
     v = x
     steps = 0
     peak = x

@@ -19,13 +19,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import sweep
-from .report import (RangeReport, document, read_document, require_ints, require_range,
-                     witnesses_from_json, witnesses_to_json)
+from .report import (RangeReport, RangeRun, document, read_document, require_ints,
+                     require_range, witnesses_from_json, witnesses_to_json)
 from .sweep import SweepStats
-from .trajectory import DEFAULT_BUDGET
+from .trajectory import DEFAULT_BUDGET, require_budget
 
 TASK_VERIFY_RANGE = "verify-range"
-DEFAULT_CHUNK_SIZE = 1 << 16
+#: One period of the deepest sieve: the fewest starts that `sweep._plan_depth` gives depth S.
+DEFAULT_CHUNK_SIZE = 1 << sweep.S
 #: Least seconds between two checkpoint writes within a pass (Young, CACM 17(9), 1974).
 CHECKPOINT_INTERVAL = 1.0
 #: The clock that paces checkpoint writes; tests replace it.
@@ -162,8 +163,7 @@ class RangeVerifier:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        require_budget(budget)
         self.lo = lo
         self.hi = hi
         self.budget = budget
@@ -271,7 +271,7 @@ class RangeVerifier:
         """
         if max_chunks is not None and max_chunks < 0:
             raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")
-        t0 = time.perf_counter()
+        run = RangeRun("convergence", self.lo, self.hi)
         # The plan is a lazy range of chunk starts; its full length is never taken.
         size = self.chunk_size
         starts = range(self._record.verified_up_to + 1, self.hi + 1, size)[:max_chunks]
@@ -305,12 +305,4 @@ class RangeVerifier:
             self._save()
         if self._record.verified_up_to < self.hi:
             return None
-        return RangeReport(
-            fact_id="convergence",
-            lo=self.lo,
-            hi=self.hi,
-            checked=self.hi - self.lo + 1,
-            violations=self._record.violations,
-            inconclusive=self._record.inconclusive,
-            elapsed=time.perf_counter() - t0,
-        )
+        return run.report(self._record.violations, self._record.inconclusive)

@@ -4,7 +4,8 @@
 file, clock or process, and imports no package module but `trajectory`;
 its run layer (`verify`) touches all three.  `report` owns the JSON
 document format: only it writes a document's schema_version and task
-header, and only it and `tree` import `json`.  Every package module is
+header, and only it and `tree` import `json`.  Only `report` builds a `RangeReport`:
+every suite and the sweep get theirs from a `report.RangeRun`.  Every package module is
 imported at the top of its importer, and only by its public names or as a
 module, so the import graph is the one the files show.
 """
@@ -99,5 +100,16 @@ def test_only_report_writes_a_task_header():
         for node in ast.walk(_tree(p.stem))
         if isinstance(node, ast.Dict)
         and {"schema_version", "task"} <= {k.value for k in node.keys if type(k) is ast.Constant}
+    }
+    assert found == {"report"}
+
+
+def test_only_report_builds_a_range_report():
+    found = {
+        p.stem
+        for p in SOURCES
+        for node in ast.walk(_tree(p.stem))
+        if isinstance(node, ast.Call)
+        and "RangeReport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert found == {"report"}
