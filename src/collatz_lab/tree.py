@@ -13,7 +13,10 @@ both flavors, the limit-cycle edges included (it is read off the child as
 `trajectory._walk` reads it).  So the edges are a function of the nodes:
 the build expands one level at a time and keeps no edge, and the exports
 render the child, parent and rule columns.  The parse builds the tree of
-the document's flavor, root and caps again and compares the two.
+the document's flavor, root and caps again and compares the two: a text in
+`export_json`'s own layout is compared byte for byte with the export of the
+build, with only its header and node list decoded, and any other text is
+decoded whole and compared field by field.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def export_dot(tree: Tree) -> str:
     """
     return "".join([
         "digraph collatz_tree {\n",
-        *[f'  {n} [label="{n}"];\n' for n in tree.nodes],
+        *[f'  {s} [label="{s}"];\n' for s in map(str, tree.nodes)],
         *[f'  {c} -> {p} [label="{r._name_}"];\n' for c, p, r in zip(*_columns_of(tree))],
         "}\n",
     ])
@@ -222,7 +225,17 @@ def tree_from_json(text: str) -> Tree:
     of the other flavor is such an edge).  The build stops once its nodes
     hold more bits than the document's, so a document costs time and memory
     in proportion to its own size, whatever caps it claims.
+
+    A str in `export_json`'s own layout is first read as such: only its
+    header and node list are decoded, and the build is returned if its
+    export is the text, byte for byte.  Any other text, compact or
+    re-indented JSON and `bytes` included, is decoded whole and checked
+    field by field as above.  A text that is the export of a build passes
+    that check too, with the same Tree, so the two reads differ in cost
+    alone.
     """
+    if isinstance(text, str) and (tree := _exported(text)) is not None:
+        return tree
     doc = read_document(text, "tree")
     try:
         flavor = TreeFlavor(doc["flavor"])
@@ -266,3 +279,33 @@ def tree_from_json(text: str) -> Tree:
             raise ValueError(f"{what}: the document has {g or 'none'} "
                              f"where the build has {w or 'none'}")
     return Tree(flavor, root, max_depth, max_value, nodes, suppressed)
+
+
+def _exported(text: str) -> Tree | None:
+    """The tree whose `export_json` is `text`, byte for byte, or None.
+
+    The header before the node list is decoded for the flavor, root and
+    caps, whose values must be exact ints (or null caps) as in
+    `tree_from_json`, and the node list for the bits of the document's
+    nodes, which bound the build as there.  A text this refuses, a
+    malformed one included, is left to `tree_from_json`'s field-by-field
+    check, which names what is wrong.
+    """
+    key = ',\n  "nodes": '
+    head = text.find(key)
+    tail = text.find(',\n  "edges": ', head)
+    if head < 0 or tail < 0:
+        return None
+    try:
+        doc = read_document(text[:head] + "\n}", "tree")
+        flavor, root, limits = TreeFlavor(doc["flavor"]), doc["root"], doc["limits"]
+        max_depth, max_value = limits["max_depth"], limits["max_value"]
+        require_ints("tree root", [root])
+        require_ints("tree limits", [v for v in (max_depth, max_value) if v is not None])
+        bits = sum(map(int.bit_length, json.loads(text[head + len(key) : tail])))
+        nodes, cut = _grow(flavor, root, max_depth, max_value, bits)
+    except (KeyError, TypeError, ValueError):
+        return None
+    nodes.sort()
+    tree = Tree(flavor, root, max_depth, max_value, tuple(nodes), cut)
+    return tree if export_json(tree) == text else None

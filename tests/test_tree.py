@@ -438,6 +438,31 @@ class TestExportJson:
             assert type(e) is Edge
             assert (e.child, e.parent, e.rule) == tuple(e)
 
+    @pytest.mark.parametrize("flavor, root", [(TreeFlavor.FULL, 1), (TreeFlavor.REDUCED, 2)])
+    def test_an_export_is_not_decoded_whole(self, flavor, root, monkeypatch):
+        """An export is read by its header and node list, each a small part of the text."""
+        tree = build_tree(flavor, root, max_value=2000)
+        text = export_json(tree)
+        lengths, decode = [], json.loads
+
+        def loads(s, *args, **kwargs):
+            lengths.append(len(s))
+            return decode(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", loads)
+        assert tree_from_json(text) == tree
+        assert lengths and max(lengths) < len(text) // 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_args())
+    def test_every_layout_and_type_parses_alike(self, args):
+        """The export layout, compact JSON, and both as bytes and bytearray parse to the build."""
+        tree = build_tree(*args)
+        texts = [export_json(tree), json.dumps(json.loads(export_json(tree)))]
+        texts += [kind(t.encode()) for t in texts for kind in (bytes, bytearray)]
+        for text in texts:
+            assert tree_from_json(text) == tree
+
     def test_rejects_unknown_schema_version(self):
         text = export_json(build_tree(TreeFlavor.FULL, 1, max_depth=0))
         with pytest.raises(ValueError):
@@ -448,13 +473,24 @@ def _tree_doc():
     return json.loads(export_json(build_tree(TreeFlavor.FULL, 1, max_value=24)))
 
 
+def _export_layout(doc) -> str:
+    """A document in `export_json`'s layout: an export, byte for byte, when `doc` is one's."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class TestMalformedDocument:
-    """A document `export_json` cannot write raises ValueError with a message."""
+    """A document `export_json` cannot write raises ValueError with a message.
+
+    Each document is written as compact JSON here, and in `export_json`'s
+    layout by the subclass below, which the parse first reads as an export.
+    """
+
+    dump = staticmethod(json.dumps)
 
     @pytest.mark.parametrize("text", ["[]", "3", '"tree"', "null"])
     def test_top_level_not_an_object(self, text):
         with pytest.raises(ValueError, match="a tree document is a JSON object"):
-            tree_from_json(text)
+            tree_from_json(self.dump(json.loads(text)))
 
     @pytest.mark.parametrize(
         "key", ["flavor", "root", "limits", "nodes", "edges", "suppressed_edges"]
@@ -463,21 +499,21 @@ class TestMalformedDocument:
         doc = _tree_doc()
         del doc[key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize("key", ["child", "parent", "rule"])
     def test_missing_edge_key(self, key):
         doc = _tree_doc()
         del doc["edges"][0][key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize("key", ["child", "parent", "rule"])
     def test_missing_suppressed_edge_key(self, key):
         doc = _tree_doc()
         del doc["suppressed_edges"][0][key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -495,7 +531,7 @@ class TestMalformedDocument:
         doc = _tree_doc()
         mutate(doc)
         with pytest.raises(ValueError, match=re.escape(message)):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "R3", "r1"])
     def test_unknown_rule_name(self, name):
@@ -505,14 +541,14 @@ class TestMalformedDocument:
         message = (f"suppressed edge: the document has (1, 2, '{name}') "
                    "where the build has (1, 2, 'R2')")
         with pytest.raises(ValueError, match=re.escape(message)):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     def test_full_rule_name_in_reduced_tree(self):
         doc = json.loads(export_json(build_tree(TreeFlavor.REDUCED, 2, max_value=32)))
         doc["edges"][0]["rule"] = "R1"
         message = "tree edge: the document has (5, 8, 'R1') where the build has (5, 8, 'Q3')"
         with pytest.raises(ValueError, match=re.escape(message)):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize(
         "value, kind",
@@ -535,18 +571,25 @@ class TestMalformedDocument:
             doc["edges"][0][where] = value
             what = "edges"
         with pytest.raises(ValueError, match=f"non-integer tree {what}: {kind}$"):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
-    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    # 24.0 equals the document's cap: the build under it is the document's tree.
+    @pytest.mark.parametrize("value", [2.5, True, "3", 24.0])
     def test_non_integer_limit(self, value):
         doc = _tree_doc()
         doc["limits"]["max_value"] = value
         with pytest.raises(ValueError, match="non-integer tree limits"):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     def test_well_formed_document_still_parses(self):
         tree = build_tree(TreeFlavor.FULL, 1, max_value=24)
-        assert tree_from_json(json.dumps(_tree_doc())) == tree
+        assert tree_from_json(self.dump(_tree_doc())) == tree
+
+
+class TestMalformedDocumentInExportLayout(TestMalformedDocument):
+    """The same documents and messages when each is written in `export_json`'s layout."""
+
+    dump = staticmethod(_export_layout)
 
 
 def _doc(flavor, root, **caps):
@@ -658,13 +701,19 @@ _STRUCTURE_CASES = _structure_cases()
 
 
 class TestStructure:
-    """A document that `build_tree` could never have returned raises ValueError."""
+    """A document that `build_tree` could never have returned raises ValueError.
+
+    Each document is written as compact JSON here, and in `export_json`'s
+    layout by the subclass below, which the parse first reads as an export.
+    """
+
+    dump = staticmethod(json.dumps)
 
     @pytest.mark.parametrize("name", list(_STRUCTURE_CASES))
     def test_not_a_tree(self, name):
         doc, message = _STRUCTURE_CASES[name]
         with pytest.raises(ValueError, match=re.escape(message)):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
 
     @pytest.mark.parametrize("make", [_one_node_under_a_large_cap, _small_nodes_on_a_chain])
     def test_the_rebuild_stops_past_the_document_size(self, make):
@@ -676,7 +725,7 @@ class TestStructure:
         bits.  The parse stops each once its nodes hold more bits than the
         document's.
         """
-        text = json.dumps(make())
+        text = self.dump(make())
         gc.collect()  # free-list objects made before tracing would go uncounted
         tracemalloc.start()
         try:
@@ -727,7 +776,19 @@ class TestStructure:
                 rebuilt = None
             same = ("nodes", "suppressed_edges")
             if rebuilt is not None and all(getattr(rebuilt, f) == getattr(tree, f) for f in same):
-                assert tree_from_json(json.dumps(doc)) == rebuilt
+                assert tree_from_json(self.dump(doc)) == rebuilt
                 return
         with pytest.raises(ValueError):
-            tree_from_json(json.dumps(doc))
+            tree_from_json(self.dump(doc))
+
+
+class TestStructureInExportLayout(TestStructure):
+    """The same documents, messages and memory bound in `export_json`'s layout."""
+
+    dump = staticmethod(_export_layout)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_args(), st.data())
+    def test_one_mutated_field_raises(self, args, data):
+        """The inherited property, under its own `given`: Hypothesis runs a test from one class."""
+        TestStructure.test_one_mutated_field_raises.hypothesis.inner_test(self, args, data)
